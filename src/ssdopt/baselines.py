@@ -1,89 +1,38 @@
 """Zeroth-order baselines: full finite-difference gradient descent and BFGS.
 
 Both estimate the complete gradient every iteration (d + 1 or 2 d
-evaluations), which is what the sketched methods are trying to beat.
+evaluations), which is what the sketched methods are trying to beat.  They
+run on the shared driver of :mod:`ssdopt.ssd` with d coordinate directions
+per step; each supplies only its direction proposer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetError, ConfigurationError, LineSearchError
-from .oracle import full_gradient_fd
+from .errors import ConfigurationError
 from .problems import Objective
 from .ssd import (
-    STATUS_BUDGET,
-    STATUS_LINE_SEARCH,
-    STATUS_MAX_ITERS,
-    STATUS_TARGET,
     ArmijoStep,
+    Propose,
     RunTrace,
     SsdConfig,
-    TheoreticalStep,
-    _Budget,
-    _Plan,
-    _Tracer,
-    _armijo,
-    _close,
-    _loop,
-    _met,
-    _start_point,
-    _step_cost,
-    _supplies_value,
-    theoretical_step,
+    _drive,
+    _full_derivatives,
     validate_config,
 )
-
-
-def _full_gradient(obj: Objective, x, cfg: SsdConfig):
-    if cfg.exact_gradient:
-        return obj.reference_gradient(np.asarray(x, float)), None
-    return full_gradient_fd(obj, x, cfg.fd, return_value=True)
 
 
 def run_fd_gd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     """Gradient descent on FD gradients; ``cfg.ell`` and the sketch family
     are ignored.  The theoretical step reduces to 1 / lambda."""
     validate_config(cfg, obj)
-    x = _start_point(obj, x0)
-    budget = _Budget(obj, cfg.eval_budget)
-    tracer = _Tracer()
-    if isinstance(cfg.step_rule, TheoreticalStep):
-        if obj.lipschitz_constant is None:
-            raise ConfigurationError(
-                "theoretical step rule needs obj.lipschitz_constant"
-            )
-        alpha_fixed = theoretical_step(obj.d, obj.d, obj.lipschitz_constant)
-    elif isinstance(cfg.step_rule, ArmijoStep):
-        alpha_fixed = None
-    else:
-        alpha_fixed = cfg.step_rule.alpha
-    plan = _Plan(
-        step_rule=cfg.step_rule,
-        alpha_fixed=alpha_fixed,
-        step_cost=_step_cost(cfg, obj.d),
-        supplies_value=_supplies_value(cfg),
-        target=cfg.target_value,
-    )
 
-    def propose(xk, k):
-        g, fx = _full_gradient(obj, xk, cfg)
+    def propose(x, k):
+        g, fx = _full_derivatives(obj, x, cfg)
         return g, float(g @ g), fx, float(np.linalg.norm(g))
 
-    try:
-        budget.ensure(1)
-    except BudgetError:
-        return RunTrace([], STATUS_BUDGET)
-    f0 = obj.evaluate(x)
-    tracer.known(0, budget.used(), f0, 0.0, 0.0)
-    if _met(plan.target, f0):
-        return RunTrace(tracer.entries, STATUS_TARGET)
-    x, _, _, status = _loop(
-        obj, x, f0, 0, cfg.max_iters, budget, tracer, plan, propose
-    )
-    if status is None:
-        status = STATUS_MAX_ITERS
-    return RunTrace(tracer.entries, _close(obj, x, tracer, status))
+    return _drive(obj, x0, cfg, obj.d, propose)
 
 
 def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
@@ -101,6 +50,34 @@ def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
     H += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
 
 
+def _bfgs_propose(obj: Objective, cfg: SsdConfig) -> Propose:
+    """Quasi-Newton directions H g.
+
+    The proposer holds the inverse Hessian H and the point and gradient of
+    its previous call; the driver only calls it again after that step was
+    accepted, so each call first folds in the last step's curvature pair.
+    """
+    H = np.eye(obj.d)
+    last = None
+
+    def propose(x, k):
+        nonlocal H, last
+        g, fx = _full_derivatives(obj, x, cfg)
+        if last is not None:
+            _bfgs_update(H, x - last[0], g - last[1])
+        last = (x, g)
+        direction = H @ g
+        decrease = float(g @ direction)
+        if decrease <= 0.0:
+            # Numerical loss of definiteness: restart from steepest descent.
+            H = np.eye(obj.d)
+            direction = g.copy()
+            decrease = float(g @ g)
+        return direction, decrease, fx, float(np.linalg.norm(direction))
+
+    return propose
+
+
 def run_fd_bfgs(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     """BFGS on FD gradients with Armijo backtracking.
 
@@ -111,60 +88,4 @@ def run_fd_bfgs(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     validate_config(cfg, obj)
     if not isinstance(cfg.step_rule, ArmijoStep):
         raise ConfigurationError("bfgs runs with the armijo step rule only")
-    x = _start_point(obj, x0)
-    budget = _Budget(obj, cfg.eval_budget)
-    tracer = _Tracer()
-    grad_cost = _step_cost(cfg, obj.d)
-    target = cfg.target_value
-    try:
-        budget.ensure(1)
-    except BudgetError:
-        return RunTrace([], STATUS_BUDGET)
-    f_curr = obj.evaluate(x)
-    tracer.known(0, budget.used(), f_curr, 0.0, 0.0)
-    if _met(target, f_curr):
-        return RunTrace(tracer.entries, STATUS_TARGET)
-    H = np.eye(obj.d)
-    x_prev = None
-    g_prev = None
-    k = 0
-    status = None
-    while k < cfg.max_iters:
-        try:
-            budget.ensure(grad_cost)
-            g, fx = _full_gradient(obj, x, cfg)
-            if fx is not None:
-                f_curr = fx
-                if _met(target, f_curr):
-                    status = STATUS_TARGET
-                    break
-            if g_prev is not None:
-                _bfgs_update(H, x - x_prev, g - g_prev)
-            direction = H @ g
-            decrease = float(g @ direction)
-            if decrease <= 0.0:
-                # Numerical loss of definiteness: restart from steepest descent.
-                H = np.eye(obj.d)
-                direction = g.copy()
-                decrease = float(g @ g)
-            alpha, f_new = _armijo(
-                obj, x, direction, f_curr, decrease, cfg.step_rule, budget
-            )
-        except BudgetError:
-            status = STATUS_BUDGET
-            break
-        except LineSearchError:
-            status = STATUS_LINE_SEARCH
-            break
-        x_prev = x
-        g_prev = g
-        x = x - alpha * direction
-        k += 1
-        tracer.known(k, budget.used(), f_new, alpha, float(np.linalg.norm(direction)))
-        f_curr = f_new
-        if _met(target, f_curr):
-            status = STATUS_TARGET
-            break
-    if status is None:
-        status = STATUS_MAX_ITERS
-    return RunTrace(tracer.entries, status)
+    return _drive(obj, x0, cfg, obj.d, _bfgs_propose(obj, cfg))

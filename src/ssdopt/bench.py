@@ -41,19 +41,26 @@ RUNNERS = {
 CSV_COLUMNS = ("solver", "trial", "iter", "evals", "f", "step", "dirnorm")
 
 
+def _int_param(params: dict, key: str, default: int = 0) -> int:
+    value = float(params.get(key, default))
+    if not value.is_integer():
+        raise ConfigurationError(f"problem parameter {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_nesterov(params: dict) -> Objective:
-    return nesterov_worst(float(params["l"]), int(params["r"]), int(params["d"]))
+    return nesterov_worst(float(params["l"]), _int_param(params, "r"), _int_param(params, "d"))
 
 
 def _build_quadratic(params: dict) -> Objective:
-    return isotropic_quadratic(int(params["d"]))
+    return isotropic_quadratic(_int_param(params, "d"))
 
 
 def _build_lstsq(params: dict) -> Objective:
-    m = int(params["m"])
-    d = int(params["d"])
-    rank = int(params.get("rank", min(m, d)))
-    seed = int(params.get("seed", 0))
+    m = _int_param(params, "m")
+    d = _int_param(params, "d")
+    rank = _int_param(params, "rank", min(m, d))
+    seed = _int_param(params, "seed")
     if not 1 <= rank <= min(m, d):
         raise ConfigurationError(f"need 1 <= rank <= min(m, d), got rank={rank}")
     gen = RngStream(seed, PROBLEM_CHANNEL, 0).generator()
@@ -158,9 +165,13 @@ def _sample_x0(rule: Tuple, d: int, stream: RngStream) -> np.ndarray:
     raise ConfigurationError(f"unknown x0 sampler {kind!r}")
 
 
-def _resolve_threshold(rule: Optional[Tuple], obj: Objective, x0) -> Optional[float]:
-    if rule is None:
-        return None
+def _threshold_level(rule: Tuple, fmin: Optional[float], start) -> float:
+    """Success level of ``("absolute", v)`` or ``("fraction", p)``.
+
+    The fraction rule marks f0 - p (f0 - fmin).  ``start()`` supplies f0 and
+    is called only after p and the known minimum have been checked; it
+    returns None when there is no starting value, which no run can reach.
+    """
     kind = rule[0]
     if kind == "absolute":
         return float(rule[1])
@@ -168,14 +179,20 @@ def _resolve_threshold(rule: Optional[Tuple], obj: Objective, x0) -> Optional[fl
         p = float(rule[1])
         if not 0 < p <= 1:
             raise ConfigurationError(f"fraction threshold needs p in (0, 1], got {p}")
-        if obj.minimum_value is None:
-            raise ConfigurationError(
-                "fraction threshold needs a problem with a known minimum"
-            )
-        # Bookkeeping evaluation, deliberately outside the charged counter.
-        f0 = float(obj.evaluator(np.asarray(x0, float)))
-        return f0 - p * (f0 - obj.minimum_value)
+        if fmin is None:
+            raise ConfigurationError("fraction threshold needs a known minimum value")
+        f0 = start()
+        return math.inf if f0 is None else f0 - p * (f0 - fmin)
     raise ConfigurationError(f"unknown threshold rule {kind!r}")
+
+
+def _resolve_threshold(rule: Optional[Tuple], obj: Objective, x0) -> Optional[float]:
+    if rule is None:
+        return None
+    # f(x0) is a bookkeeping evaluation, deliberately outside the charged counter.
+    return _threshold_level(
+        rule, obj.minimum_value, lambda: float(obj.evaluator(np.asarray(x0, float)))
+    )
 
 
 def _validate_experiment(spec: ExperimentSpec) -> None:
@@ -234,20 +251,9 @@ def evals_to_threshold(trace: RunTrace, threshold: float) -> float:
 
 
 def _threshold_for_trace(rule: Tuple, trace: RunTrace, fstar: Optional[float]) -> float:
-    kind = rule[0]
-    if kind == "absolute":
-        return float(rule[1])
-    if kind == "fraction":
-        p = float(rule[1])
-        if not 0 < p <= 1:
-            raise ConfigurationError(f"fraction threshold needs p in (0, 1], got {p}")
-        if fstar is None:
-            raise ConfigurationError("fraction threshold needs the minimum value")
-        if not trace.entries:
-            return math.inf
-        f0 = trace.entries[0].f
-        return f0 - p * (f0 - fstar)
-    raise ConfigurationError(f"unknown threshold rule {kind!r}")
+    return _threshold_level(
+        rule, fstar, lambda: trace.entries[0].f if trace.entries else None
+    )
 
 
 @dataclass

@@ -28,7 +28,6 @@ from .bench import (
     RUNNERS,
     SolverSetup,
     TraceRecord,
-    _resolve_threshold,
     _sample_x0,
     _threshold_for_trace,
     evals_to_threshold,
@@ -46,6 +45,20 @@ from .vrssd import VrssdConfig
 _ETA_ALIASES = {"0": "zero", "1": "one", "zero": "zero", "one": "one",
                 "exact": "exact", "approx": "approx"}
 _OPTION_ALIASES = {"1": "one", "2": "two", "one": "one", "two": "two"}
+
+
+def _int(text, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _float(text, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigurationError(f"{what} must be a number, got {text!r}") from None
 
 
 def _parse_spec_string(text: str, what: str):
@@ -128,7 +141,8 @@ def _parse_x0(text: str):
         parts = tail.split(",")
         if len(parts) != 2:
             raise ConfigurationError("uniform x0 needs uniform:lo,hi")
-        return ("uniform", float(parts[0]), float(parts[1]))
+        return ("uniform", _float(parts[0], "uniform x0 bound"),
+                _float(parts[1], "uniform x0 bound"))
     if name == "gaussian":
         try:
             return ("gaussian", float(tail))
@@ -174,7 +188,7 @@ def _format_problem(spec: ProblemSpec) -> str:
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
         return int(flag_value)
-    return int(os.environ.get("SSD_SEED", "0"))
+    return _int(os.environ.get("SSD_SEED", "0"), "SSD_SEED")
 
 
 def _print_section(title: str, mapping: dict) -> None:
@@ -207,13 +221,14 @@ def _solver_mapping(kind: str, cfg: SsdConfig) -> dict:
 def _config_from_options(kind: str, opts: dict) -> SsdConfig:
     """Build a solver config from string-keyed options (flags or file keys)."""
     common = dict(
-        ell=int(opts["ell"]),
+        ell=_int(opts["ell"], "ell"),
         distribution=opts["sketch"],
         step_rule=_parse_step(opts["step"]),
         fd=FdScheme(opts["fd"], _parse_fd_step(opts["fd-step"])),
-        max_iters=int(opts["iters"]),
-        eval_budget=int(opts["budget"]),
-        target_value=None if opts["target"] in (None, "", "none") else float(opts["target"]),
+        max_iters=_int(opts["iters"], "iters"),
+        eval_budget=_int(opts["budget"], "budget"),
+        target_value=(None if opts["target"] in (None, "", "none")
+                      else _float(opts["target"], "target")),
     )
     if kind == "vrssd":
         eta = _ETA_ALIASES.get(str(opts["eta"]))
@@ -223,8 +238,8 @@ def _config_from_options(kind: str, opts: dict) -> SsdConfig:
         if option is None:
             raise ConfigurationError(f"unknown anchor option {opts['option']!r}")
         return VrssdConfig(
-            m=int(opts["m"]), option=option, eta_mode=eta,
-            warmup_iters=int(opts["warmup"]), **common,
+            m=_int(opts["m"], "m"), option=option, eta_mode=eta,
+            warmup_iters=_int(opts["warmup"], "warmup"), **common,
         )
     return SsdConfig(**common)
 
@@ -336,10 +351,10 @@ def _read_sweep_config(path: Path) -> ExperimentSpec:
     if "trials" not in exp:
         raise ConfigurationError("[experiment] needs a trial count")
     problem = _parse_problem(exp["problem"])
-    trials = int(exp["trials"])
+    trials = _int(exp["trials"], "trials")
     x0 = _parse_x0(exp.get("x0", "zeros"))
     threshold = _parse_threshold(exp["threshold"]) if "threshold" in exp else None
-    base_seed = int(exp.get("seed", "0"))
+    base_seed = _int(exp.get("seed", "0"), "seed")
     solvers = []
     for section in parser.sections():
         if section == "experiment":
@@ -383,6 +398,8 @@ def _format_rule(rule) -> str:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     path = Path(args.config)
     spec = _read_sweep_config(path)
     _print_section(

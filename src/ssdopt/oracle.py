@@ -50,17 +50,23 @@ def default_step(x, kind: str) -> float:
     raise ConfigurationError(f"unknown finite-difference kind {kind!r}")
 
 
-def _resolve_step(scheme: FdScheme, x) -> float:
+def validate_scheme(scheme: FdScheme) -> None:
+    """Reject an unknown difference kind or a nonpositive fixed offset."""
     if scheme.kind not in _KINDS:
         raise ConfigurationError(
             f"unknown finite-difference kind {scheme.kind!r}; expected one of {_KINDS}"
         )
+    if scheme.step is not None and not float(scheme.step) > 0:
+        raise ConfigurationError(
+            f"finite-difference step must be positive, got {float(scheme.step)}"
+        )
+
+
+def _resolve_step(scheme: FdScheme, x) -> float:
+    validate_scheme(scheme)
     if scheme.step is None:
         return default_step(x, scheme.kind)
-    h = float(scheme.step)
-    if not h > 0:
-        raise ConfigurationError(f"finite-difference step must be positive, got {h}")
-    return h
+    return float(scheme.step)
 
 
 def _evaluate_probes(obj: Objective, probes, map_fn) -> np.ndarray:

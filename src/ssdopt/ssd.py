@@ -9,6 +9,13 @@ Three step rules are supported: a fixed alpha, the theoretical
 ell / (d lambda), and Armijo backtracking whose sufficient-decrease test
 uses s^T s (already available from the sketch) so it needs no extra
 derivative information.
+
+Every solver in the package runs on one driver, ``_drive``: it sets up the
+start point, budget and trace, charges the first evaluation, steps through
+``_loop`` with the solver's direction proposer, and closes the run with its
+terminal status.  ``run_ssd`` proposes sketched directions, the baselines
+propose full-gradient and quasi-Newton ones, and the variance-reduced
+solver runs its anchored epochs inside the same driver.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, LineSearchError
-from .oracle import FdScheme, directional_derivatives
+from .oracle import FdScheme, directional_derivatives, full_gradient_fd, validate_scheme
 from .problems import Objective
 from .sketch import DISTRIBUTIONS, RngStream, SKETCH_CHANNEL, Sketch, draw
 
@@ -287,13 +294,6 @@ def _loop(obj, x, f_curr, k, stop_k, budget, tracer, plan: _Plan, propose: Propo
     return x, f_curr, k, None
 
 
-def _close(obj: Objective, x: np.ndarray, tracer: _Tracer, status: str) -> str:
-    # The reserve taken in _loop guarantees this evaluation still fits.
-    if tracer.pending:
-        tracer.resolve(obj.evaluate(x))
-    return status
-
-
 def _start_point(obj: Objective, x0) -> np.ndarray:
     x = np.array(x0, dtype=float)
     if x.shape != (obj.d,):
@@ -315,12 +315,7 @@ def validate_config(cfg: SsdConfig, obj: Optional[Objective] = None) -> None:
         raise ConfigurationError(
             f"unknown sketch distribution {cfg.distribution!r}; expected one of {DISTRIBUTIONS}"
         )
-    if cfg.fd.kind not in ("forward", "centered"):
-        raise ConfigurationError(f"unknown finite-difference kind {cfg.fd.kind!r}")
-    if cfg.fd.step is not None and not cfg.fd.step > 0:
-        raise ConfigurationError(
-            f"finite-difference step must be positive, got {cfg.fd.step}"
-        )
+    validate_scheme(cfg.fd)
     rule = cfg.step_rule
     if isinstance(rule, FixedStep):
         if not rule.alpha > 0:
@@ -360,6 +355,14 @@ def _sketch_derivatives(obj, x, cfg: SsdConfig, P: Sketch):
     return directional_derivatives(obj, x, P, cfg.fd, return_value=True)
 
 
+def _full_derivatives(obj, x, cfg: SsdConfig):
+    """Full gradient estimate at ``x`` (d + 1 or 2 d evaluations, none when
+    exact); forward differences also return f(x)."""
+    if cfg.exact_gradient:
+        return obj.reference_gradient(np.asarray(x, float)), None
+    return full_gradient_fd(obj, x, cfg.fd, return_value=True)
+
+
 def _step_cost(cfg: SsdConfig, n_dirs: int) -> int:
     if cfg.exact_gradient:
         return 0
@@ -370,14 +373,85 @@ def _supplies_value(cfg: SsdConfig) -> bool:
     return (not cfg.exact_gradient) and cfg.fd.kind == "forward"
 
 
-def _ssd_propose(obj: Objective, cfg: SsdConfig) -> Propose:
-    def propose(x, k):
-        P = draw(cfg.distribution, obj.d, cfg.ell, RngStream(cfg.seed, SKETCH_CHANNEL, k))
-        s, fx = _sketch_derivatives(obj, x, cfg, P)
-        g = P.apply(s)
-        return g, float(s @ s), fx, float(np.linalg.norm(g))
+def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng: RngStream):
+    """Proposal ``(P s, s^T s, f(x) or None, ||P s||)`` for a sketch drawn from ``rng``."""
+    P = draw(cfg.distribution, obj.d, cfg.ell, rng)
+    s, fx = _sketch_derivatives(obj, x, cfg, P)
+    g = P.apply(s)
+    return g, float(s @ s), fx, float(np.linalg.norm(g))
 
-    return propose
+
+def _ssd_propose(obj: Objective, cfg: SsdConfig) -> Propose:
+    return lambda x, k: _sketched_direction(
+        obj, x, cfg, RngStream(cfg.seed, SKETCH_CHANNEL, k)
+    )
+
+
+def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction):
+    """One step outside a run, for the diagnostic hooks.
+
+    ``direction(x)`` returns a proposal as :data:`Propose` does; the step
+    rule then moves along it without a budget.  Returns ``(x_next, entry)``
+    with the evaluations charged by this call.
+    """
+    x = _start_point(obj, x)
+    before = obj.eval_count
+    g, decrease, fx, dirnorm = direction(x)
+    alpha = _fixed_alpha(cfg.step_rule, obj, cfg.ell)
+    if alpha is None:
+        f0 = fx if fx is not None else obj.evaluate(x)
+        alpha, f_entry = _armijo(obj, x, g, f0, decrease, cfg.step_rule, _Budget(obj, None))
+    else:
+        f_entry = fx if fx is not None else math.nan
+    entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha, dirnorm)
+    return x - alpha * g, entry
+
+
+# epochs(x, f0, budget, tracer, plan) -> (x, status_or_None)
+Epochs = Callable[[np.ndarray, float, _Budget, _Tracer, _Plan], Tuple[np.ndarray, Optional[str]]]
+
+
+def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
+           propose: Optional[Propose] = None, epochs: Optional[Epochs] = None) -> RunTrace:
+    """The run lifecycle every solver shares.
+
+    Each step differences ``n_dirs`` directions (``ell`` sketched or ``d``
+    coordinate ones), which sets its evaluation cost and the theoretical
+    step.  The driver charges the first evaluation and checks the target
+    there, then steps through :func:`_loop` with ``propose`` until a stop;
+    a solver with its own outer structure passes ``epochs`` instead, which
+    continues the started run and returns ``(x, status_or_None)``.  A run
+    that ends without a stop is ``max_iters``, and a value still deferred
+    at the final iterate is evaluated before the trace is returned.
+    """
+    x = _start_point(obj, x0)
+    plan = _Plan(
+        step_rule=cfg.step_rule,
+        alpha_fixed=_fixed_alpha(cfg.step_rule, obj, n_dirs),
+        step_cost=_step_cost(cfg, n_dirs),
+        supplies_value=_supplies_value(cfg),
+        target=cfg.target_value,
+    )
+    budget = _Budget(obj, cfg.eval_budget)
+    tracer = _Tracer()
+    try:
+        budget.ensure(1)
+    except BudgetError:
+        return RunTrace([], STATUS_BUDGET)
+    f0 = obj.evaluate(x)
+    tracer.known(0, budget.used(), f0, 0.0, 0.0)
+    if _met(plan.target, f0):
+        return RunTrace(tracer.entries, STATUS_TARGET)
+    if epochs is None:
+        x, _, _, status = _loop(obj, x, f0, 0, cfg.max_iters, budget, tracer, plan, propose)
+    else:
+        x, status = epochs(x, f0, budget, tracer, plan)
+    if status is None:
+        status = STATUS_MAX_ITERS
+    # The reserve taken in _loop guarantees this evaluation still fits.
+    if tracer.pending:
+        tracer.resolve(obj.evaluate(x))
+    return RunTrace(tracer.entries, status)
 
 
 def ssd_step(obj: Objective, x, cfg: SsdConfig, rng: RngStream, iteration: int = 0):
@@ -390,22 +464,8 @@ def ssd_step(obj: Objective, x, cfg: SsdConfig, rng: RngStream, iteration: int =
     :func:`run_ssd` builds properly aligned traces.
     """
     validate_config(cfg, obj)
-    x = _start_point(obj, x)
-    before = obj.eval_count
-    P = draw(cfg.distribution, obj.d, cfg.ell, rng)
-    s, fx = _sketch_derivatives(obj, x, cfg, P)
-    g = P.apply(s)
-    dirnorm = float(np.linalg.norm(g))
-    alpha = _fixed_alpha(cfg.step_rule, obj, cfg.ell)
-    if alpha is None:
-        f0 = fx if fx is not None else obj.evaluate(x)
-        budget = _Budget(obj, None)
-        alpha, f_entry = _armijo(obj, x, g, f0, float(s @ s), cfg.step_rule, budget)
-    else:
-        f_entry = fx if fx is not None else math.nan
-    x_next = x - alpha * g
-    entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha, dirnorm)
-    return x_next, entry
+    return _single_step(obj, x, cfg, iteration,
+                        lambda x: _sketched_direction(obj, x, cfg, rng))
 
 
 def run_ssd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
@@ -417,27 +477,4 @@ def run_ssd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     one entry per iterate with cumulative evaluation counts.
     """
     validate_config(cfg, obj)
-    x = _start_point(obj, x0)
-    budget = _Budget(obj, cfg.eval_budget)
-    tracer = _Tracer()
-    plan = _Plan(
-        step_rule=cfg.step_rule,
-        alpha_fixed=_fixed_alpha(cfg.step_rule, obj, cfg.ell),
-        step_cost=_step_cost(cfg, cfg.ell),
-        supplies_value=_supplies_value(cfg),
-        target=cfg.target_value,
-    )
-    try:
-        budget.ensure(1)
-    except BudgetError:
-        return RunTrace([], STATUS_BUDGET)
-    f0 = obj.evaluate(x)
-    tracer.known(0, budget.used(), f0, 0.0, 0.0)
-    if _met(plan.target, f0):
-        return RunTrace(tracer.entries, STATUS_TARGET)
-    x, _, _, status = _loop(
-        obj, x, f0, 0, cfg.max_iters, budget, tracer, plan, _ssd_propose(obj, cfg)
-    )
-    if status is None:
-        status = STATUS_MAX_ITERS
-    return RunTrace(tracer.entries, _close(obj, x, tracer, status))
+    return _drive(obj, x0, cfg, cfg.ell, _ssd_propose(obj, cfg))

@@ -16,12 +16,15 @@ The weight eta is "zero" (plain sketched descent), "one" (classic control
 variate), "exact" (the variance-optimal projection of the true gradient onto
 g~, at d + 1 extra evaluations per step; a diagnostic), or "approx" (the same
 projection assembled from already-sketched quantities at zero extra cost).
+
+The run shares the start, budget, stepping and close of
+:func:`ssdopt.ssd.run_ssd` through its driver; only the epoch loop here
+knows about warmup, anchors and the option-two restart.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -32,25 +35,18 @@ from .problems import Objective
 from .sketch import EPOCH_CHANNEL, RngStream, SKETCH_CHANNEL, draw
 from .ssd import (
     STATUS_BUDGET,
-    STATUS_MAX_ITERS,
     STATUS_TARGET,
-    ArmijoStep,
+    Propose,
     RunTrace,
     SsdConfig,
-    TraceEntry,
-    _Budget,
-    _Plan,
-    _Tracer,
-    _armijo,
-    _close,
-    _fixed_alpha,
+    _drive,
+    _full_derivatives,
     _loop,
     _met,
+    _single_step,
     _sketch_derivatives,
     _ssd_propose,
-    _start_point,
     _step_cost,
-    _supplies_value,
     validate_config,
 )
 
@@ -187,13 +183,13 @@ def rate_bound_vrssd(alpha: float, gamma: float, lam: float, m: int, rho: float,
     raise ConfigurationError(f"part must be 'i' or 'ii', got {part!r}")
 
 
-def _inner_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, P):
-    """Shared assembly of one inner-step direction.
+def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng: RngStream):
+    """Proposal ``(v, s^T s, f(x) or None, ||v||)`` for a sketch drawn from ``rng``.
 
-    Returns ``(v, s_vec, fx)`` where fx is the shared base value when the
-    oracle supplies one.  The exact eta mode charges a full gradient estimate
-    on top of the sketched one.
+    The exact eta mode charges a full gradient estimate on top of the
+    sketched one.
     """
+    P = draw(cfg.distribution, obj.d, cfg.ell, rng)
     s_vec, fx = _sketch_derivatives(obj, x, cfg, P)
     t = P.apply_transpose(anchor.gradient)
     if cfg.eta_mode == "exact":
@@ -202,7 +198,13 @@ def _inner_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, P):
     else:
         eta = eta_value(cfg.eta_mode, s_vec, t, anchor.gradient)
     v = P.apply(s_vec - eta * t) + eta * anchor.gradient
-    return v, s_vec, fx
+    return v, float(s_vec @ s_vec), fx, float(np.linalg.norm(v))
+
+
+def _vr_propose(obj: Objective, cfg: VrssdConfig, anchor: AnchorState) -> Propose:
+    return lambda x, k: _vr_direction(
+        obj, x, anchor, cfg, RngStream(cfg.seed, SKETCH_CHANNEL, k)
+    )
 
 
 def vrssd_inner_step(obj: Objective, x, anchor: AnchorState, cfg: VrssdConfig,
@@ -213,46 +215,8 @@ def vrssd_inner_step(obj: Objective, x, anchor: AnchorState, cfg: VrssdConfig,
     ``(x_next, entry)``.
     """
     validate_vrssd_config(cfg, obj)
-    x = _start_point(obj, x)
-    before = obj.eval_count
-    P = draw(cfg.distribution, obj.d, cfg.ell, rng)
-    v, s_vec, fx = _inner_direction(obj, x, anchor, cfg, P)
-    dirnorm = float(np.linalg.norm(v))
-    alpha = _fixed_alpha(cfg.step_rule, obj, cfg.ell)
-    if alpha is None:
-        f0 = fx if fx is not None else obj.evaluate(x)
-        alpha, f_entry = _armijo(
-            obj, x, v, f0, float(s_vec @ s_vec), cfg.step_rule, _Budget(obj, None)
-        )
-    else:
-        f_entry = fx if fx is not None else math.nan
-    x_next = x - alpha * v
-    entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha, dirnorm)
-    return x_next, entry
-
-
-def _anchor_cost(cfg: VrssdConfig, d: int) -> int:
-    if cfg.exact_gradient:
-        return 0
-    return d + 1 if cfg.fd.kind == "forward" else 2 * d
-
-
-def _refresh_anchor(obj, x, cfg: VrssdConfig, epoch: int):
-    """Full gradient estimate at the current iterate; forward mode also
-    returns the objective value there."""
-    if cfg.exact_gradient:
-        return AnchorState(x.copy(), obj.reference_gradient(x), epoch), None
-    g, f_anchor = full_gradient_fd(obj, x, cfg.fd, return_value=True)
-    return AnchorState(x.copy(), g, epoch), f_anchor
-
-
-def _vr_propose(obj: Objective, cfg: VrssdConfig, anchor: AnchorState):
-    def propose(x, k):
-        P = draw(cfg.distribution, obj.d, cfg.ell, RngStream(cfg.seed, SKETCH_CHANNEL, k))
-        v, s_vec, fx = _inner_direction(obj, x, anchor, cfg, P)
-        return v, float(s_vec @ s_vec), fx, float(np.linalg.norm(v))
-
-    return propose
+    return _single_step(obj, x, cfg, iteration,
+                        lambda x: _vr_direction(obj, x, anchor, cfg, rng))
 
 
 def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
@@ -268,69 +232,50 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     epoch; Armijo runs already know it.
     """
     validate_vrssd_config(cfg, obj)
-    x = _start_point(obj, x0)
-    budget = _Budget(obj, cfg.eval_budget)
-    tracer = _Tracer()
-    base = dict(
-        step_rule=cfg.step_rule,
-        alpha_fixed=_fixed_alpha(cfg.step_rule, obj, cfg.ell),
-        supplies_value=_supplies_value(cfg),
-        target=cfg.target_value,
-    )
-    inner_cost = _step_cost(cfg, cfg.ell)
-    if cfg.eta_mode == "exact":
-        inner_cost += _anchor_cost(cfg, obj.d)
-    try:
-        budget.ensure(1)
-    except BudgetError:
-        return RunTrace([], STATUS_BUDGET)
-    f0 = obj.evaluate(x)
-    tracer.known(0, budget.used(), f0, 0.0, 0.0)
-    if _met(cfg.target_value, f0):
-        return RunTrace(tracer.entries, STATUS_TARGET)
-    f_curr: Optional[float] = f0
-    k = 0
-    status = None
-    if cfg.warmup_iters > 0:
-        warm_plan = _Plan(step_cost=_step_cost(cfg, cfg.ell), **base)
-        x, f_curr, k, status = _loop(
-            obj, x, f_curr, k, min(cfg.warmup_iters, cfg.max_iters),
-            budget, tracer, warm_plan, _ssd_propose(obj, cfg),
-        )
-    epoch = 0
-    plan = _Plan(step_cost=inner_cost, **base)
-    while status is None and k < cfg.max_iters:
-        try:
-            budget.ensure(_anchor_cost(cfg, obj.d))
-            anchor, f_anchor = _refresh_anchor(obj, x, cfg, epoch)
-        except BudgetError:
-            status = STATUS_BUDGET
-            break
-        if f_anchor is not None:
-            if tracer.pending:
-                tracer.resolve(f_anchor)
-            f_curr = f_anchor
-            if _met(cfg.target_value, f_curr):
-                status = STATUS_TARGET
-                break
-        inner: List = []
-        observer = (lambda xi, fi: inner.append((xi, fi))) if cfg.option == "two" else None
-        x, f_curr, k, status = _loop(
-            obj, x, f_curr, k, min(k + cfg.m, cfg.max_iters),
-            budget, tracer, plan, _vr_propose(obj, cfg, anchor), observer,
-        )
-        if status is None and cfg.option == "two" and len(inner) == cfg.m:
-            # The next epoch restarts from a uniformly chosen inner iterate.
-            # Resolve the deferred last entry at the pre-jump point first.
-            if tracer.pending:
-                f_last = obj.evaluate(x)
-                tracer.resolve(f_last)
-            j = int(
-                RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator().integers(1, cfg.m + 1)
+    anchor_cost = _step_cost(cfg, obj.d)
+
+    def epochs(x, f_curr, budget, tracer, plan):
+        k = 0
+        status = None
+        if cfg.warmup_iters > 0:
+            x, f_curr, k, status = _loop(
+                obj, x, f_curr, k, min(cfg.warmup_iters, cfg.max_iters),
+                budget, tracer, plan, _ssd_propose(obj, cfg),
             )
-            x, f_curr = inner[j - 1]
-            x = x.copy()
-        epoch += 1
-    if status is None:
-        status = STATUS_MAX_ITERS
-    return RunTrace(tracer.entries, _close(obj, x, tracer, status))
+        if cfg.eta_mode == "exact":
+            plan = replace(plan, step_cost=plan.step_cost + anchor_cost)
+        epoch = 0
+        while status is None and k < cfg.max_iters:
+            try:
+                budget.ensure(anchor_cost)
+                g_anchor, f_anchor = _full_derivatives(obj, x, cfg)
+            except BudgetError:
+                return x, STATUS_BUDGET
+            anchor = AnchorState(x.copy(), g_anchor, epoch)
+            if f_anchor is not None:
+                if tracer.pending:
+                    tracer.resolve(f_anchor)
+                f_curr = f_anchor
+                if _met(cfg.target_value, f_curr):
+                    return x, STATUS_TARGET
+            inner: List = []
+            observer = (lambda xi, fi: inner.append((xi, fi))) if cfg.option == "two" else None
+            x, f_curr, k, status = _loop(
+                obj, x, f_curr, k, min(k + cfg.m, cfg.max_iters),
+                budget, tracer, plan, _vr_propose(obj, cfg, anchor), observer,
+            )
+            if status is None and cfg.option == "two" and len(inner) == cfg.m:
+                # The next epoch restarts from a uniformly chosen inner iterate.
+                # Resolve the deferred last entry at the pre-jump point first.
+                if tracer.pending:
+                    f_last = obj.evaluate(x)
+                    tracer.resolve(f_last)
+                j = int(
+                    RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator().integers(1, cfg.m + 1)
+                )
+                x, f_curr = inner[j - 1]
+                x = x.copy()
+            epoch += 1
+        return x, status
+
+    return _drive(obj, x0, cfg, cfg.ell, epochs=epochs)

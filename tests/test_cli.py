@@ -132,12 +132,19 @@ class TestRun:
             ["run", "--problem", "quadratic:d=4", "--no-such-flag"],
             ["run"],
             ["orbit"],
+            ["run", "--problem", "quadratic:d=4", "--x0", "uniform:a,b"],
+            ["run", "--problem", "quadratic:d=4.5"],
         ],
     )
     def test_usage_errors_exit_two(self, tmp_path, args):
         res = cli(args, tmp_path)
         assert res.returncode == 2
         assert res.stderr
+
+    def test_non_integer_seed_environment_exits_two(self, tmp_path):
+        res = cli(["run", "--problem", "quadratic:d=4"], tmp_path, env_extra={"SSD_SEED": "abc"})
+        assert res.returncode == 2
+        assert res.stderr == "error: SSD_SEED must be an integer, got 'abc'\n"
 
 
 SWEEP_INI = """\
@@ -224,6 +231,18 @@ class TestSweep:
                 "[experiment]\nproblem = quadratic:d=4\ntrials = 2\n\n[solver s]\nkind = adam\n",
                 "unknown solver kind",
             ),
+            (
+                "[experiment]\nproblem = quadratic:d=4\ntrials = abc\n\n[solver s]\n",
+                "trials must be an integer",
+            ),
+            (
+                "[experiment]\nproblem = quadratic:d=4\ntrials = 2\nseed = x\n\n[solver s]\n",
+                "seed must be an integer",
+            ),
+            (
+                "[experiment]\nproblem = quadratic:d=4\ntrials = 2\n\n[solver s]\nell = x\n",
+                "ell must be an integer",
+            ),
         ],
     )
     def test_config_errors(self, tmp_path, text, fragment):
@@ -231,6 +250,12 @@ class TestSweep:
         res = cli(["sweep", "sweep.ini"], tmp_path)
         assert res.returncode == 2
         assert fragment in res.stderr
+
+    def test_jobs_must_be_positive(self, tmp_path):
+        self.write(tmp_path)
+        res = cli(["sweep", "sweep.ini", "--jobs", "0"], tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == "error: --jobs must be at least 1, got 0\n"
 
     def test_missing_config_file(self, tmp_path):
         res = cli(["sweep", "nothing.ini"], tmp_path)
