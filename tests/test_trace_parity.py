@@ -9,7 +9,10 @@ soon as any entry, stop status or evaluation count moves.
 
 The matrix covers the step rules and difference schemes of ssd and gd, the
 anchor options, eta modes and warmup of vrssd, every gradient source of
-bfgs, each stop cause of every runner, and both single-step hooks.  The
+bfgs, each stop cause of every runner, and both single-step hooks.  A
+second table pins the sketch and probe layers on their own at d up to
+1000: single Haar draws, a stacked Haar sample, and the directional and
+coordinate-wise difference oracles in both schemes.  The
 values were recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another
 BLAS build may round the sketch QR differently in the last bit.
 """
@@ -24,17 +27,21 @@ from ssdopt import (
     ArmijoStep,
     FdScheme,
     FixedStep,
+    Objective,
     ProblemSpec,
     RngStream,
     SsdConfig,
     TheoreticalStep,
     VrssdConfig,
+    directional_derivatives,
+    draw_haar,
     full_gradient_fd,
     nesterov_worst,
     run_fd_bfgs,
     run_fd_gd,
     run_ssd,
     run_vrssd,
+    sample_haar,
     ssd_step,
     vrssd_inner_step,
 )
@@ -335,3 +342,133 @@ def test_trace_is_unchanged(name):
 
 def test_every_case_is_pinned():
     assert sorted(DIGESTS) == sorted(CASES)
+
+
+# The sketch and probe layers on their own, at the benchmark's dimensions.
+# At d=1000 OpenBLAS takes threaded paths that the d=16 runs above never
+# reach.  A Haar case hashes the bytes of one draw; a probe case hashes
+# every probe point in evaluation order, then the estimate, the base value
+# and the evaluation count.  The start point holds a -0.0, so a probe built
+# by adding a zero offset to it (+0.0) changes the digest.
+HAAR_SHAPES = [(1, 1), (5, 5), (101, 3), (200, 10), (1000, 10)]
+PROBE_SHAPES = [(101, 3), (200, 10), (1000, 10)]
+
+
+def haar_bytes(d, ell, seed, step):
+    return draw_haar(d, ell, RngStream(seed, 0, step)).matrix.tobytes()
+
+
+def stack_bytes():
+    return sample_haar(101, 3, 64, RngStream(3, 1, 0).generator()).tobytes()
+
+
+def probe_bytes(oracle, kind, d, ell):
+    base = nesterov_worst(8.0, 10, d)
+    h = hashlib.sha256()
+
+    def recorded(x):
+        h.update(x.tobytes())
+        return base.evaluator(x)
+
+    obj = Objective(d, recorded)
+    x = np.linspace(-1.0, 1.0, d)
+    x[1] = -0.0
+    if oracle == "directional":
+        P = draw_haar(d, ell, RngStream(4, 0, d))
+        est, fx = directional_derivatives(obj, x, P, FdScheme(kind), return_value=True)
+    else:
+        est, fx = full_gradient_fd(obj, x, FdScheme(kind), return_value=True)
+    return h.digest() + repr((est.tolist(), fx, obj.eval_count)).encode()
+
+
+def _layer_cases():
+    cases = {}
+    for d, ell in HAAR_SHAPES:
+        for seed in (0, 5, 2019):
+            for step in (0, 1, 17):
+                cases[f"haar-{d}x{ell}-s{seed}-k{step}"] = (haar_bytes, (d, ell, seed, step))
+    cases["haar-stack-101x3x64"] = (stack_bytes, ())
+    for d, ell in PROBE_SHAPES:
+        for kind in ("forward", "centered"):
+            for oracle in ("directional", "full"):
+                cases[f"{oracle}-{kind}-d{d}"] = (probe_bytes, (oracle, kind, d, ell))
+    return cases
+
+
+LAYER_CASES = _layer_cases()
+
+
+def layer_digest(name):
+    fn, args = LAYER_CASES[name]
+    return hashlib.sha256(fn(*args)).hexdigest()
+
+
+LAYER_DIGESTS = {
+    "directional-centered-d1000": "dc22a72879b58ea3b29e8a6d7255a78fcc908e8e8fe2f302084f4158e5f243df",
+    "directional-centered-d101": "7afb134c46d2b841b11285737bc4581152eaffcf283209a4ad53dffa8ac3baba",
+    "directional-centered-d200": "c822e55492221efc79ea3a9a32bddc41dab262b03ee522360da60f3c0eb554a9",
+    "directional-forward-d1000": "6f04c9da3d6f97fbb77d855090d346b8316094883818ba3bda979d79c26e6dae",
+    "directional-forward-d101": "c7dba251bca095fd4cdedaec0e1ee8d162ecf71c6353e410a21bf534c5d3e7d5",
+    "directional-forward-d200": "55ddcce9cb5398308ec784e725e270388da94bb8739e721aae7b5b50607e3e26",
+    "full-centered-d1000": "afa9449878786c6b6940f5dd21120bbc77de36be9834bf12fc3b55e02470b006",
+    "full-centered-d101": "11f5cd3239d8f8b7b9c6d85d730b33656fdb935a7956bc62d9003e1a11f357ff",
+    "full-centered-d200": "c46f50100e323f033c46879c713b042bc7fa818c264c3147d2fed68b661b450b",
+    "full-forward-d1000": "2efabfbaab49cd7d4c094add9c0d1051a9b05964b299d59bb404ca4e7c6e2009",
+    "full-forward-d101": "c1d537545313f945058077482c1dc0fc9d90548d958e84c23d152d2e66837488",
+    "full-forward-d200": "708e7ff01cfc4f4b2ae8231ec796eec31cc94517b7926d3894218a15a5a7ae78",
+    "haar-1000x10-s0-k0": "b01db0c446ce73787ffdef49824fb37f76c9a669642992be16de411753a39cce",
+    "haar-1000x10-s0-k1": "26b62f4d6c67d42f4a2684bf696bae9689743f7f8b39aeab781920fa78707de5",
+    "haar-1000x10-s0-k17": "09a1878e9ee1f721f824bc3992161cd350c387c28777bac090e58358e01337e0",
+    "haar-1000x10-s2019-k0": "fa83509c36702188452a648df54d8cc5dfb9d9aa6ba47bbfacebcd81a0cfabd1",
+    "haar-1000x10-s2019-k1": "0c86b4383072be4c324df43a2f9360a956e622b066974b387c68708a855cf29e",
+    "haar-1000x10-s2019-k17": "d616135a568c0cfa39dd2ae63a2f5ecfb0250990eb4f984d9bdb27a084f4cb14",
+    "haar-1000x10-s5-k0": "5fb745782feccc4b8d0cf976b7d9fe8148c3866e15fa79545bad4f8e50d0928d",
+    "haar-1000x10-s5-k1": "11392cacd584fe7c68b59fe4918f0031e57716792a26d7ee78950dab9534e75d",
+    "haar-1000x10-s5-k17": "3050af2e339b405077b9f114fc096d97904f316da9fcc7f6143f5a6589c1d68b",
+    "haar-101x3-s0-k0": "0e25732db145d615a928f6ba9d9ee90be56d703ff9f5ca5d8d8b5ca13fd2d531",
+    "haar-101x3-s0-k1": "d05abdacf46b0bae00a3cbd9e2b800542db6f61d229035f50522aee5dc6065df",
+    "haar-101x3-s0-k17": "7d92c8bf185ad31b8955803627351755f7ccd08093039a2abb538ce0c552940e",
+    "haar-101x3-s2019-k0": "af466b2feca7779fbc6d164c34ed42b76bdcf579c9c3f384219c3bdd364018ab",
+    "haar-101x3-s2019-k1": "c4e31fd276c4cb8b9cc996e0803e5f87b446d5dcf1e1e72d46b2d9a93b4482d1",
+    "haar-101x3-s2019-k17": "32f1e59a2e88b5ee954454a8186c0b0c9a87689d9c1ed4ac1bc04a3b67f1ea7e",
+    "haar-101x3-s5-k0": "403116e3c2a58f5ddb6b326f1cfeb5d66df80ca81d384d54b5a78322e14cc797",
+    "haar-101x3-s5-k1": "48e5ce8cabe86748867debbf458a834206adfdfc0a2ecdab2f13fbfe595f2dcc",
+    "haar-101x3-s5-k17": "e8a235c905b83953c942dcf91285036cf28f03b3fcaaa0cd8d2fa048fd4e7f6b",
+    "haar-1x1-s0-k0": "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    "haar-1x1-s0-k1": "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    "haar-1x1-s0-k17": "e77817b649821c634355a917817c1224a360514b1244fe09e832bac4e8ea4440",
+    "haar-1x1-s2019-k0": "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    "haar-1x1-s2019-k1": "e77817b649821c634355a917817c1224a360514b1244fe09e832bac4e8ea4440",
+    "haar-1x1-s2019-k17": "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    "haar-1x1-s5-k0": "e77817b649821c634355a917817c1224a360514b1244fe09e832bac4e8ea4440",
+    "haar-1x1-s5-k1": "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    "haar-1x1-s5-k17": "e77817b649821c634355a917817c1224a360514b1244fe09e832bac4e8ea4440",
+    "haar-200x10-s0-k0": "9b855b12c564b947fd37e1925e04a1ae30900deec236fa6684f74fed6cf9d2d2",
+    "haar-200x10-s0-k1": "3cdd9d9e438681a38a3ff88f1c017b7093d5e21edccd24c36e83a48c29d04351",
+    "haar-200x10-s0-k17": "5e2cf888888726523337d4d93565021d1d682a07c52cd45428c5f7217aca9c22",
+    "haar-200x10-s2019-k0": "b6bc09d1dad987a1c8fd075cb2dcdb3d8ac6d93f203cd3ab615002e8671ee57f",
+    "haar-200x10-s2019-k1": "6385791ac404343584f5e1b24789123cf9cbabb98b023c100e2afe2c4a397871",
+    "haar-200x10-s2019-k17": "304c847b8ad45b7b18a5a829ca4f3ea6f12ef500bb9704c82636c1d2b127891a",
+    "haar-200x10-s5-k0": "c1750467361cd4435f80f4598cf183dc3dd76983b012a7bd72533907e440481a",
+    "haar-200x10-s5-k1": "20ce3e55c352dd8a8e9cd096294feed22153c635f521b708df5d249218c77819",
+    "haar-200x10-s5-k17": "6cd1f5ff9c3dd4e7c5b14234a7c656c59dea31846dfe0c5b67d42d06680e1c85",
+    "haar-5x5-s0-k0": "19cbc7aa1b925b3cec7f7c789e471682c6d04af7fbfb38871620d3f2cecb1813",
+    "haar-5x5-s0-k1": "ed226aa46a41bfcc25b7fb7c5389f84abea8007b07f5563f118159c0f5bb74ab",
+    "haar-5x5-s0-k17": "5c32fc4c58248acc7a6a5072082194323e0b17acff7b1b730290c721f54be2cf",
+    "haar-5x5-s2019-k0": "4826525b5bdf5a0a8126775a966f07c0dcb9181d5a751f61d333e3ccd64ecef5",
+    "haar-5x5-s2019-k1": "1073aae2b29fae95bc85409cdb7ca54a72720425399cbc712b407ea573d08877",
+    "haar-5x5-s2019-k17": "2053999d7f0c3b6e185bbfeaa4bb736a64a67531e0bc6b4f0362aed6bb41b794",
+    "haar-5x5-s5-k0": "f6cd9f1d8cd4d906ada94bfdcf1176c021910fe74319b51d0942837cdad093d4",
+    "haar-5x5-s5-k1": "16ab270ec8973b807437d52c7742d401d4b772d298544ad5021a47e02219d639",
+    "haar-5x5-s5-k17": "5ca071d5d24a4df79806301276ea74d529ff2e5c0eeee4a333ea0c3098dfe998",
+    "haar-stack-101x3x64": "b7b2dc2f896b0f87f05157b9c2616d144b898d9fe86363e4fed5f87eed7f98bd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_CASES))
+def test_layer_output_is_unchanged(name):
+    assert layer_digest(name) == LAYER_DIGESTS[name]
+
+
+def test_every_layer_case_is_pinned():
+    assert sorted(LAYER_DIGESTS) == sorted(LAYER_CASES)
