@@ -41,10 +41,10 @@ RUNNERS = {
 CSV_COLUMNS = ("solver", "trial", "iter", "evals", "f", "step", "dirnorm")
 
 
-def _int_param(params: dict, key: str, default: int = 0) -> int:
+def _int_param(params: dict, key: str, default: int = 0, what: str = "problem parameter") -> int:
     value = float(params.get(key, default))
     if not value.is_integer():
-        raise ConfigurationError(f"problem parameter {key!r} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{what} {key!r} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -61,6 +61,8 @@ def _build_lstsq(params: dict) -> Objective:
     d = _int_param(params, "d")
     rank = _int_param(params, "rank", min(m, d))
     seed = _int_param(params, "seed")
+    if seed < 0:
+        raise ConfigurationError(f"problem parameter 'seed' must be nonnegative, got {seed}")
     if not 1 <= rank <= min(m, d):
         raise ConfigurationError(f"need 1 <= rank <= min(m, d), got rank={rank}")
     gen = RngStream(seed, PROBLEM_CHANNEL, 0).generator()
@@ -420,16 +422,19 @@ def import_traces(path, fmt: Optional[str] = None) -> List[TraceRecord]:
                     f"unexpected trace header {header!r} in {path}"
                 )
             for row in reader:
-                solver, trial = row[0], int(row[1])
+                try:
+                    solver, trial, it, evals, f, step, dirnorm = row
+                    trial = int(trial)
+                    entry = TraceEntry(int(it), int(evals), float(f), float(step), float(dirnorm))
+                except ValueError:
+                    raise ConfigurationError(
+                        f"malformed trace row {row!r} in {path} at line {reader.line_num}"
+                    ) from None
                 key = (solver, trial)
                 if key not in grouped:
                     grouped[key] = []
                     order.append(key)
-                grouped[key].append(
-                    TraceEntry(
-                        int(row[2]), int(row[3]), float(row[4]), float(row[5]), float(row[6])
-                    )
-                )
+                grouped[key].append(entry)
         return [
             TraceRecord(solver, trial, RunTrace(grouped[(solver, trial)], None))
             for solver, trial in order

@@ -28,6 +28,7 @@ from .bench import (
     RUNNERS,
     SolverSetup,
     TraceRecord,
+    _int_param,
     _sample_x0,
     _threshold_for_trace,
     evals_to_threshold,
@@ -114,7 +115,9 @@ def _parse_step(text: str):
                     f"unknown armijo parameters {sorted(unknown)}"
                 )
             if "max_backtracks" in params:
-                params["max_backtracks"] = int(params["max_backtracks"])
+                params["max_backtracks"] = _int_param(
+                    params, "max_backtracks", what="armijo parameter"
+                )
             rule = replace(rule, **params)
         return rule
     raise ConfigurationError(

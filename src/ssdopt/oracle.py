@@ -17,6 +17,8 @@ from .problems import Objective
 from .sketch import Sketch
 
 _EPS = float(np.finfo(float).eps)
+_SQRT_EPS = float(np.sqrt(_EPS))
+_CBRT_EPS = _EPS ** (1.0 / 3.0)
 
 _KINDS = ("forward", "centered")
 
@@ -44,9 +46,9 @@ def default_step(x, kind: str) -> float:
     x = np.asarray(x, dtype=float)
     scale = 1.0 + (float(np.max(np.abs(x))) if x.size else 0.0)
     if kind == "forward":
-        return float(np.sqrt(_EPS) * scale)
+        return _SQRT_EPS * scale
     if kind == "centered":
-        return float(_EPS ** (1.0 / 3.0) * scale)
+        return _CBRT_EPS * scale
     raise ConfigurationError(f"unknown finite-difference kind {kind!r}")
 
 
@@ -106,18 +108,17 @@ def directional_derivatives(
         raise ConfigurationError(
             f"sketch has dimension {cols.shape[0]}, point has {x.shape[0]}"
         )
-    norms = np.linalg.norm(cols, axis=0)
-    # A zero column keeps a zero probe direction and hence a zero estimate.
-    units = cols / np.where(norms > 0.0, norms, 1.0)
+    # The column norms as np.linalg.norm(cols, axis=0) computes them.
+    norms = np.sqrt(np.add.reduce(cols * cols, axis=0))
     h = _resolve_step(scheme, x)
+    # Row j is h times unit column j; a zero column keeps a zero probe
+    # direction and hence a zero estimate.
+    steps = h * (cols / np.where(norms > 0.0, norms, 1.0)).T
     if scheme.kind == "forward":
-        probes = [x] + [x + h * units[:, j] for j in range(P.ell)]
-        values = _evaluate_probes(obj, probes, map_fn)
+        values = _evaluate_probes(obj, [x, *(x + steps)], map_fn)
         s = (values[1:] - values[0]) * norms / h
         return (s, float(values[0])) if return_value else s
-    probes = [x + h * units[:, j] for j in range(P.ell)]
-    probes += [x - h * units[:, j] for j in range(P.ell)]
-    values = _evaluate_probes(obj, probes, map_fn)
+    values = _evaluate_probes(obj, [*(x + steps), *(x - steps)], map_fn)
     s = (values[: P.ell] - values[P.ell :]) * norms / (2.0 * h)
     return (s, None) if return_value else s
 
@@ -138,18 +139,17 @@ def full_gradient_fd(
         )
     h = _resolve_step(scheme, x)
 
-    def shifted(i: int, delta: float) -> np.ndarray:
-        p = x.copy()
-        p[i] += delta
+    def shifted(delta: float) -> np.ndarray:
+        # Row i is x with delta added to entry i only; the other entries
+        # are copied, so a -0.0 in x stays -0.0.
+        p = np.tile(x, (obj.d, 1))
+        p.flat[:: obj.d + 1] += delta
         return p
 
     if scheme.kind == "forward":
-        probes = [x] + [shifted(i, h) for i in range(obj.d)]
-        values = _evaluate_probes(obj, probes, map_fn)
+        values = _evaluate_probes(obj, [x, *shifted(h)], map_fn)
         g = (values[1:] - values[0]) / h
         return (g, float(values[0])) if return_value else g
-    probes = [shifted(i, h) for i in range(obj.d)]
-    probes += [shifted(i, -h) for i in range(obj.d)]
-    values = _evaluate_probes(obj, probes, map_fn)
+    values = _evaluate_probes(obj, [*shifted(h), *shifted(-h)], map_fn)
     g = (values[: obj.d] - values[obj.d :]) / (2.0 * h)
     return (g, None) if return_value else g

@@ -377,8 +377,8 @@ def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng: RngStream):
     """Proposal ``(P s, s^T s, f(x) or None, ||P s||)`` for a sketch drawn from ``rng``."""
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
     s, fx = _sketch_derivatives(obj, x, cfg, P)
-    g = P.apply(s)
-    return g, float(s @ s), fx, float(np.linalg.norm(g))
+    g = P.matrix @ s
+    return g, float(s @ s), fx, math.sqrt(g.dot(g))
 
 
 def _ssd_propose(obj: Objective, cfg: SsdConfig) -> Propose:

@@ -410,3 +410,14 @@ class TestTraceFiles:
         path.write_text("solver,trial,iteration\n")
         with pytest.raises(ConfigurationError, match="header"):
             import_traces(path)
+
+    @pytest.mark.parametrize(
+        "row", ["ssd,0,1", "ssd,0,1,2,abc,0.0,0.0"], ids=["short", "non-numeric"]
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        export_traces(self.records(), path)
+        path.write_text(path.read_text() + row + "\n")
+        lines = len(path.read_text().splitlines())
+        with pytest.raises(ConfigurationError, match=rf"bad\.csv at line {lines}$"):
+            import_traces(path)

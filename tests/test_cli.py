@@ -134,6 +134,8 @@ class TestRun:
             ["orbit"],
             ["run", "--problem", "quadratic:d=4", "--x0", "uniform:a,b"],
             ["run", "--problem", "quadratic:d=4.5"],
+            ["run", "--problem", "quadratic:d=4", "--step", "armijo:max_backtracks=2.5"],
+            ["run", "--problem", "lstsq:m=5,d=5,seed=-1"],
         ],
     )
     def test_usage_errors_exit_two(self, tmp_path, args):
@@ -324,6 +326,14 @@ class TestProfile:
         res = cli(args, tmp_path)
         assert res.returncode == 2
         assert "error:" in res.stderr
+
+    def test_truncated_trace_row_exits_two(self, tmp_path):
+        self.seed_traces(tmp_path)
+        with open(tmp_path / "traces.csv", "a") as fh:
+            fh.write("b,1,2\n")
+        res = cli(["profile", "--traces", "traces.csv", "--target", "1.0"], tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == "error: malformed trace row ['b', '1', '2'] in traces.csv at line 10\n"
 
     def test_missing_trace_file(self, tmp_path):
         res = cli(["profile", "--traces", "gone.csv", "--target", "1.0"], tmp_path)

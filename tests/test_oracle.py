@@ -167,3 +167,63 @@ class TestFullGradient:
     def test_shape_check(self):
         with pytest.raises(ConfigurationError, match="shape"):
             full_gradient_fd(isotropic_quadratic(3), np.ones(4), FdScheme())
+
+
+def loop_probes(x, cols, h, kind):
+    """Probe points built one column at a time: what the oracle must equal bit for bit."""
+    norms = np.linalg.norm(cols, axis=0)
+    units = cols / np.where(norms > 0.0, norms, 1.0)
+    plus = [x + h * units[:, j] for j in range(cols.shape[1])]
+    if kind == "forward":
+        return [x] + plus
+    return plus + [x - h * units[:, j] for j in range(cols.shape[1])]
+
+
+def loop_shifts(x, h, kind):
+    """Coordinate probes built one copy at a time: the full-gradient reference."""
+
+    def shifted(i, delta):
+        p = x.copy()
+        p[i] += delta
+        return p
+
+    plus = [shifted(i, h) for i in range(x.size)]
+    if kind == "forward":
+        return [x] + plus
+    return plus + [shifted(i, -h) for i in range(x.size)]
+
+
+def recording_objective(d):
+    seen = []
+
+    def f(x):
+        seen.append(x.tobytes())
+        return float(np.arange(1.0, d + 1.0) @ np.sin(x))
+
+    return Objective(d, f), seen
+
+
+class TestProbesMatchLoopReference:
+    @pytest.mark.parametrize("kind", ["forward", "centered"])
+    @pytest.mark.parametrize("d,ell", [(1, 1), (7, 3), (7, 7), (101, 3)])
+    def test_directional_probes(self, kind, d, ell):
+        gen = np.random.default_rng(d * 10 + ell)
+        for trial in range(3):
+            cols = gen.standard_normal((d, ell)) * 10.0 ** gen.integers(-3, 4)
+            if trial == 1:
+                cols[:, 0] = 0.0  # zero column: zero direction
+            x = gen.standard_normal(d)
+            x[0] = -0.0
+            obj, seen = recording_objective(d)
+            directional_derivatives(obj, x, Sketch(cols, d, ell, "gaussian"), FdScheme(kind))
+            h = default_step(x, kind)
+            assert seen == [p.tobytes() for p in loop_probes(x, cols, h, kind)]
+
+    @pytest.mark.parametrize("kind", ["forward", "centered"])
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_coordinate_probes(self, kind, d):
+        x = np.random.default_rng(d).standard_normal(d)
+        x[-1] = -0.0
+        obj, seen = recording_objective(d)
+        full_gradient_fd(obj, x, FdScheme(kind, step=1e-3))
+        assert seen == [p.tobytes() for p in loop_shifts(x, 1e-3, kind)]

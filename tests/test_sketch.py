@@ -190,7 +190,46 @@ class TestDispatchAndErrors:
             sk.apply_transpose(np.ones(2))
 
 
+def reference_signed_qr(x):
+    """np.linalg.qr with the R-diagonal sign flip: the map the frame must equal."""
+    q, r = np.linalg.qr(x)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(diag < 0, -1.0, 1.0)[..., None, :], diag
+
+
+def outcome(fn, x):
+    try:
+        q, diag = fn(x)
+    except Exception as exc:  # the failure itself is compared
+        return type(exc), str(exc)
+    return q.shape, q.tobytes(), diag.shape, diag.tobytes()
+
+
 class TestOrthonormalSigned:
+    # ell = 1, ell = d and d = 1, alone and stacked, up to the d = 1000
+    # frames where OpenBLAS runs threaded.
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (6, 1), (6, 6), (101, 3), (200, 10), (1000, 10),
+         (4, 1, 1), (5, 7, 2), (3, 4, 4), (64, 101, 3)],
+    )
+    def test_bit_equal_to_numpy_qr(self, shape):
+        gen = np.random.default_rng(sum(shape))
+        for _ in range(3):
+            x = gen.standard_normal(shape)
+            before = x.copy()
+            assert outcome(orthonormal_signed, x) == outcome(reference_signed_qr, x)
+            assert np.array_equal(x, before)
+
+    def test_integer_input_is_factored_as_float(self):
+        x = np.arange(12).reshape(4, 3) - 5
+        assert outcome(orthonormal_signed, x) == outcome(reference_signed_qr, x)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)])
+    def test_all_nan_input_behaves_like_numpy_qr(self, shape):
+        x = np.full(shape, np.nan)
+        assert outcome(orthonormal_signed, x) == outcome(reference_signed_qr, x)
+
     def test_nonnegative_pivots(self):
         gen = np.random.default_rng(15)
         x = gen.standard_normal((8, 3))
