@@ -10,12 +10,15 @@ ell / (d lambda), and Armijo backtracking whose sufficient-decrease test
 uses s^T s (already available from the sketch) so it needs no extra
 derivative information.
 
-Every solver in the package runs on one driver, ``_drive``: it sets up the
-start point, budget and trace, charges the first evaluation, steps through
-``_loop`` with the solver's direction proposer, and closes the run with its
-terminal status.  ``run_ssd`` proposes sketched directions, the baselines
-propose full-gradient and quasi-Newton ones, and the variance-reduced
-solver runs its anchored epochs inside the same driver.
+Every solver in the package runs on one driver, ``_drive``.  The state of a
+run (step plan, budget, trace entries and current iterate) is one ``_Run``
+object, and ``_Run.observe`` is the one place where a newly known value
+resolves a deferred entry, becomes current and is tested against the
+target.  The driver charges the first evaluation, steps through ``_loop``
+with the solver's direction proposer, and closes the run with its terminal
+status.  ``run_ssd`` proposes sketched directions, the baselines propose
+full-gradient and quasi-Newton ones, and the variance-reduced solver runs
+its anchored epochs inside the same driver.
 """
 
 from __future__ import annotations
@@ -147,66 +150,6 @@ def convex_bound(ell: int, d: int, lam: float, radius: float, k: int) -> float:
 # run machinery shared with the variance-reduced solver and the baselines
 
 
-class _Budget:
-    """Evaluation budget relative to the objective's count at run start."""
-
-    def __init__(self, obj: Objective, limit: Optional[int]):
-        self._obj = obj
-        self._start = obj.eval_count
-        self._limit = limit
-
-    def used(self) -> int:
-        return self._obj.eval_count - self._start
-
-    def remaining(self) -> float:
-        if self._limit is None:
-            return math.inf
-        return self._limit - self.used()
-
-    def ensure(self, n: int) -> None:
-        if self._limit is not None and self.used() + n > self._limit:
-            raise BudgetError(f"needs {n} more evaluations, {self.remaining()} left")
-
-
-class _Tracer:
-    """Collects entries; a fixed-rule step defers its f value until the next
-    shared evaluation at the new iterate resolves it."""
-
-    def __init__(self):
-        self.entries: List[TraceEntry] = []
-        self._pending = None
-
-    def known(self, iteration, evals, f, step, dirnorm):
-        self.entries.append(
-            TraceEntry(int(iteration), int(evals), float(f), float(step), float(dirnorm))
-        )
-
-    def defer(self, iteration, evals, step, dirnorm):
-        self._pending = (iteration, evals, step, dirnorm)
-
-    @property
-    def pending(self) -> bool:
-        return self._pending is not None
-
-    def resolve(self, f):
-        iteration, evals, step, dirnorm = self._pending
-        self._pending = None
-        self.known(iteration, evals, f, step, dirnorm)
-
-
-@dataclass
-class _Plan:
-    step_rule: StepRule
-    alpha_fixed: Optional[float]
-    step_cost: int
-    supplies_value: bool
-    target: Optional[float]
-
-
-def _met(target: Optional[float], f: float) -> bool:
-    return target is not None and f <= target
-
-
 def _fixed_alpha(rule: StepRule, obj: Objective, ell: int) -> Optional[float]:
     if isinstance(rule, FixedStep):
         return rule.alpha
@@ -219,12 +162,64 @@ def _fixed_alpha(rule: StepRule, obj: Objective, ell: int) -> Optional[float]:
     return None
 
 
-def _armijo(obj, x, direction, f0, decrease, rule: ArmijoStep, budget: _Budget):
+class _Run:
+    """The state of one run: its step plan, budget, entries and iterate.
+
+    ``x`` is the current iterate after ``k`` steps and ``f`` its value, or
+    None while that value is unknown.  A new iterate's entry waits in
+    ``deferred`` until its value is observed: Armijo knows it at once, while
+    a fixed-rule step leaves it to the next shared evaluation at ``x``.
+    """
+
+    def __init__(self, obj: Objective, cfg: SsdConfig, n_dirs: int, x: np.ndarray):
+        self.obj = obj
+        self.rule = cfg.step_rule
+        self.alpha_fixed = _fixed_alpha(cfg.step_rule, obj, n_dirs)
+        self.step_cost = _step_cost(cfg, n_dirs)
+        self.supplies_value = _supplies_value(cfg)
+        self.target = cfg.target_value
+        self.start = obj.eval_count
+        self.limit = cfg.eval_budget
+        self.entries: List[TraceEntry] = []
+        self.deferred: Optional[Tuple[int, int, float, float]] = None
+        self.x = x
+        self.f: Optional[float] = None
+        self.k = 0
+
+    def used(self) -> int:
+        return self.obj.eval_count - self.start
+
+    def ensure(self, n: int) -> None:
+        """Raise :class:`BudgetError` unless ``n`` more evaluations fit."""
+        if self.used() + n > self.limit:
+            raise BudgetError(f"needs {n} more evaluations, {self.limit - self.used()} left")
+
+    def record(self, f: Optional[float], step: float, dirnorm: float) -> bool:
+        """Enter iterate ``k`` at the evaluations charged so far; its value is
+        ``f``, or the next one observed when ``f`` is None.  Returns whether
+        the target is met."""
+        self.deferred = (self.k, self.used(), float(step), float(dirnorm))
+        self.f = None
+        return f is not None and self.observe(f)
+
+    def observe(self, f: float) -> bool:
+        """Take ``f`` as the value at ``x``: it resolves a deferred entry and
+        becomes current.  Returns whether it meets the target."""
+        if self.deferred is not None:
+            k, evals, step, dirnorm = self.deferred
+            self.entries.append(TraceEntry(k, evals, float(f), step, dirnorm))
+            self.deferred = None
+        self.f = f
+        return self.target is not None and f <= self.target
+
+
+def _armijo(obj, x, direction, f0, decrease, rule: ArmijoStep, ensure: Callable[[int], None]):
     """Largest alpha in {alpha_init shrink^n} with
-    f(x - alpha g) <= f0 - c1 alpha decrease.  Every trial is charged."""
+    f(x - alpha g) <= f0 - c1 alpha decrease.  Every trial is charged after
+    ``ensure(1)`` admits it."""
     alpha = rule.alpha_init
     for _ in range(rule.max_backtracks):
-        budget.ensure(1)
+        ensure(1)
         trial = obj.evaluate(x - alpha * direction)
         if trial <= f0 - rule.c1 * alpha * decrease:
             return alpha, trial
@@ -238,60 +233,37 @@ def _armijo(obj, x, direction, f0, decrease, rule: ArmijoStep, budget: _Budget):
 Propose = Callable[[np.ndarray, int], Tuple[np.ndarray, float, Optional[float], float]]
 
 
-def _loop(obj, x, f_curr, k, stop_k, budget, tracer, plan: _Plan, propose: Propose,
-          observer=None):
-    """Advance until ``stop_k`` steps, target, budget, or line-search failure.
+def _loop(run: _Run, stop_k: int, propose: Propose, observer=None) -> Optional[str]:
+    """Step ``run`` with ``propose`` until ``stop_k`` steps or the target.
 
-    Returns ``(x, f_curr, k, status_or_None)``; ``f_curr`` is None when the
-    value at the current iterate has not been evaluated yet (fixed-rule steps
-    defer it to the next shared forward evaluation).
+    Returns ``target_reached`` or None.  Budget and line-search failures
+    propagate to :func:`_drive`, which turns them into statuses.
+    ``observer(x, f)`` sees every new iterate that does not meet the target.
     """
-    armijo = isinstance(plan.step_rule, ArmijoStep)
+    armijo = isinstance(run.rule, ArmijoStep)
     # One evaluation is reserved after every fixed-rule step so the final
     # iterate's value can always be recorded, even on a budget stop.
     reserve = 0 if armijo else 1
-    while k < stop_k:
-        try:
-            if f_curr is None and not plan.supplies_value:
-                budget.ensure(1)
-                f_curr = obj.evaluate(x)
-                # No pending entry right after an epoch restarts elsewhere.
-                if tracer.pending:
-                    tracer.resolve(f_curr)
-                if _met(plan.target, f_curr):
-                    return x, f_curr, k, STATUS_TARGET
-            budget.ensure(plan.step_cost + reserve)
-            g, decrease, fx, dirnorm = propose(x, k)
-            if fx is not None:
-                if tracer.pending:
-                    tracer.resolve(fx)
-                f_curr = fx
-                if _met(plan.target, f_curr):
-                    return x, f_curr, k, STATUS_TARGET
-            if armijo:
-                alpha, f_new = _armijo(
-                    obj, x, g, f_curr, decrease, plan.step_rule, budget
-                )
-                x = x - alpha * g
-                k += 1
-                tracer.known(k, budget.used(), f_new, alpha, dirnorm)
-                f_curr = f_new
-                if observer is not None:
-                    observer(x, f_curr)
-                if _met(plan.target, f_curr):
-                    return x, f_curr, k, STATUS_TARGET
-            else:
-                x = x - plan.alpha_fixed * g
-                k += 1
-                tracer.defer(k, budget.used(), plan.alpha_fixed, dirnorm)
-                f_curr = None
-                if observer is not None:
-                    observer(x, f_curr)
-        except BudgetError:
-            return x, f_curr, k, STATUS_BUDGET
-        except LineSearchError:
-            return x, f_curr, k, STATUS_LINE_SEARCH
-    return x, f_curr, k, None
+    while run.k < stop_k:
+        if run.f is None and not run.supplies_value:
+            run.ensure(1)
+            if run.observe(run.obj.evaluate(run.x)):
+                return STATUS_TARGET
+        run.ensure(run.step_cost + reserve)
+        g, decrease, fx, dirnorm = propose(run.x, run.k)
+        if fx is not None and run.observe(fx):
+            return STATUS_TARGET
+        if armijo:
+            alpha, f_new = _armijo(run.obj, run.x, g, run.f, decrease, run.rule, run.ensure)
+        else:
+            alpha, f_new = run.alpha_fixed, None
+        run.x = run.x - alpha * g
+        run.k += 1
+        if run.record(f_new, alpha, dirnorm):
+            return STATUS_TARGET
+        if observer is not None:
+            observer(run.x, run.f)
+    return None
 
 
 def _start_point(obj: Objective, x0) -> np.ndarray:
@@ -349,8 +321,6 @@ def validate_config(cfg: SsdConfig, obj: Optional[Objective] = None) -> None:
 
 def _sketch_derivatives(obj, x, cfg: SsdConfig, P: Sketch):
     if cfg.exact_gradient:
-        if obj.reference_gradient is None:
-            raise ConfigurationError("exact_gradient requires a reference gradient")
         return P.apply_transpose(obj.reference_gradient(np.asarray(x, float))), None
     return directional_derivatives(obj, x, P, cfg.fd, return_value=True)
 
@@ -400,58 +370,46 @@ def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction):
     alpha = _fixed_alpha(cfg.step_rule, obj, cfg.ell)
     if alpha is None:
         f0 = fx if fx is not None else obj.evaluate(x)
-        alpha, f_entry = _armijo(obj, x, g, f0, decrease, cfg.step_rule, _Budget(obj, None))
+        alpha, f_entry = _armijo(obj, x, g, f0, decrease, cfg.step_rule, lambda n: None)
     else:
         f_entry = fx if fx is not None else math.nan
     entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha, dirnorm)
     return x - alpha * g, entry
 
 
-# epochs(x, f0, budget, tracer, plan) -> (x, status_or_None)
-Epochs = Callable[[np.ndarray, float, _Budget, _Tracer, _Plan], Tuple[np.ndarray, Optional[str]]]
-
-
 def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
-           propose: Optional[Propose] = None, epochs: Optional[Epochs] = None) -> RunTrace:
+           propose: Optional[Propose] = None,
+           epochs: Optional[Callable[[_Run], Optional[str]]] = None) -> RunTrace:
     """The run lifecycle every solver shares.
 
     Each step differences ``n_dirs`` directions (``ell`` sketched or ``d``
     coordinate ones), which sets its evaluation cost and the theoretical
-    step.  The driver charges the first evaluation and checks the target
-    there, then steps through :func:`_loop` with ``propose`` until a stop;
-    a solver with its own outer structure passes ``epochs`` instead, which
-    continues the started run and returns ``(x, status_or_None)``.  A run
-    that ends without a stop is ``max_iters``, and a value still deferred
-    at the final iterate is evaluated before the trace is returned.
+    step.  The driver builds the :class:`_Run`, charges the first
+    evaluation and checks the target there, then steps through
+    :func:`_loop` with ``propose`` until a stop; a solver with its own outer
+    structure passes ``epochs`` instead, which continues the started run and
+    returns its status or None.  Budget and line-search failures raised
+    anywhere in the run end it here with their status.  A run that ends
+    without a stop is ``max_iters``, and a value still deferred at the final
+    iterate is evaluated before the trace is returned.
     """
-    x = _start_point(obj, x0)
-    plan = _Plan(
-        step_rule=cfg.step_rule,
-        alpha_fixed=_fixed_alpha(cfg.step_rule, obj, n_dirs),
-        step_cost=_step_cost(cfg, n_dirs),
-        supplies_value=_supplies_value(cfg),
-        target=cfg.target_value,
-    )
-    budget = _Budget(obj, cfg.eval_budget)
-    tracer = _Tracer()
+    run = _Run(obj, cfg, n_dirs, _start_point(obj, x0))
     try:
-        budget.ensure(1)
+        run.ensure(1)
+        if run.record(obj.evaluate(run.x), 0.0, 0.0):
+            status = STATUS_TARGET
+        elif epochs is None:
+            status = _loop(run, cfg.max_iters, propose)
+        else:
+            status = epochs(run)
     except BudgetError:
-        return RunTrace([], STATUS_BUDGET)
-    f0 = obj.evaluate(x)
-    tracer.known(0, budget.used(), f0, 0.0, 0.0)
-    if _met(plan.target, f0):
-        return RunTrace(tracer.entries, STATUS_TARGET)
-    if epochs is None:
-        x, _, _, status = _loop(obj, x, f0, 0, cfg.max_iters, budget, tracer, plan, propose)
-    else:
-        x, status = epochs(x, f0, budget, tracer, plan)
-    if status is None:
-        status = STATUS_MAX_ITERS
+        status = STATUS_BUDGET
+    except LineSearchError:
+        status = STATUS_LINE_SEARCH
     # The reserve taken in _loop guarantees this evaluation still fits.
-    if tracer.pending:
-        tracer.resolve(obj.evaluate(x))
-    return RunTrace(tracer.entries, status)
+    if run.deferred is not None:
+        run.observe(obj.evaluate(run.x))
+    return RunTrace(run.entries, status or STATUS_MAX_ITERS)
 
 
 def ssd_step(obj: Objective, x, cfg: SsdConfig, rng: RngStream, iteration: int = 0):

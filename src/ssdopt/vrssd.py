@@ -24,17 +24,16 @@ knows about warmup, anchors and the option-two restart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .errors import BudgetError, ConfigurationError
+from .errors import ConfigurationError
 from .oracle import full_gradient_fd
 from .problems import Objective
 from .sketch import EPOCH_CHANNEL, RngStream, SKETCH_CHANNEL, draw
 from .ssd import (
-    STATUS_BUDGET,
     STATUS_TARGET,
     Propose,
     RunTrace,
@@ -42,7 +41,6 @@ from .ssd import (
     _drive,
     _full_derivatives,
     _loop,
-    _met,
     _single_step,
     _sketch_derivatives,
     _ssd_propose,
@@ -234,48 +232,34 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     validate_vrssd_config(cfg, obj)
     anchor_cost = _step_cost(cfg, obj.d)
 
-    def epochs(x, f_curr, budget, tracer, plan):
-        k = 0
+    def epochs(run):
         status = None
         if cfg.warmup_iters > 0:
-            x, f_curr, k, status = _loop(
-                obj, x, f_curr, k, min(cfg.warmup_iters, cfg.max_iters),
-                budget, tracer, plan, _ssd_propose(obj, cfg),
-            )
+            status = _loop(run, min(cfg.warmup_iters, cfg.max_iters), _ssd_propose(obj, cfg))
         if cfg.eta_mode == "exact":
-            plan = replace(plan, step_cost=plan.step_cost + anchor_cost)
+            run.step_cost += anchor_cost
         epoch = 0
-        while status is None and k < cfg.max_iters:
-            try:
-                budget.ensure(anchor_cost)
-                g_anchor, f_anchor = _full_derivatives(obj, x, cfg)
-            except BudgetError:
-                return x, STATUS_BUDGET
-            anchor = AnchorState(x.copy(), g_anchor, epoch)
-            if f_anchor is not None:
-                if tracer.pending:
-                    tracer.resolve(f_anchor)
-                f_curr = f_anchor
-                if _met(cfg.target_value, f_curr):
-                    return x, STATUS_TARGET
+        while status is None and run.k < cfg.max_iters:
+            run.ensure(anchor_cost)
+            g_anchor, f_anchor = _full_derivatives(obj, run.x, cfg)
+            anchor = AnchorState(run.x.copy(), g_anchor, epoch)
+            if f_anchor is not None and run.observe(f_anchor):
+                return STATUS_TARGET
             inner: List = []
             observer = (lambda xi, fi: inner.append((xi, fi))) if cfg.option == "two" else None
-            x, f_curr, k, status = _loop(
-                obj, x, f_curr, k, min(k + cfg.m, cfg.max_iters),
-                budget, tracer, plan, _vr_propose(obj, cfg, anchor), observer,
-            )
+            status = _loop(run, min(run.k + cfg.m, cfg.max_iters),
+                           _vr_propose(obj, cfg, anchor), observer)
             if status is None and cfg.option == "two" and len(inner) == cfg.m:
                 # The next epoch restarts from a uniformly chosen inner iterate.
                 # Resolve the deferred last entry at the pre-jump point first.
-                if tracer.pending:
-                    f_last = obj.evaluate(x)
-                    tracer.resolve(f_last)
+                if run.deferred is not None:
+                    run.observe(obj.evaluate(run.x))
                 j = int(
                     RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator().integers(1, cfg.m + 1)
                 )
-                x, f_curr = inner[j - 1]
-                x = x.copy()
+                x, run.f = inner[j - 1]
+                run.x = x.copy()
             epoch += 1
-        return x, status
+        return status
 
     return _drive(obj, x0, cfg, cfg.ell, epochs=epochs)
