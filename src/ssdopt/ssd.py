@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import BudgetError, ConfigurationError, LineSearchError
+from .errors import BudgetError, ConfigurationError, EvaluationError, LineSearchError
 from .oracle import FdScheme, directional_derivatives, full_gradient_fd, validate_scheme
 from .problems import Objective
 from .sketch import DISTRIBUTIONS, RngStream, SKETCH_CHANNEL, Sketch, draw
@@ -38,6 +38,7 @@ STATUS_BUDGET = "budget_exhausted"
 STATUS_TARGET = "target_reached"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_LINE_SEARCH = "line_search_failed"
+STATUS_EVALUATION = "evaluation_failed"
 
 
 @dataclass(frozen=True)
@@ -236,8 +237,8 @@ Propose = Callable[[np.ndarray, int], Tuple[np.ndarray, float, Optional[float], 
 def _loop(run: _Run, stop_k: int, propose: Propose, observer=None) -> Optional[str]:
     """Step ``run`` with ``propose`` until ``stop_k`` steps or the target.
 
-    Returns ``target_reached`` or None.  Budget and line-search failures
-    propagate to :func:`_drive`, which turns them into statuses.
+    Returns ``target_reached`` or None.  Budget, line-search and evaluation
+    failures propagate to :func:`_drive`, which turns them into statuses.
     ``observer(x, f)`` sees every new iterate that does not meet the target.
     """
     armijo = isinstance(run.rule, ArmijoStep)
@@ -388,10 +389,11 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
     evaluation and checks the target there, then steps through
     :func:`_loop` with ``propose`` until a stop; a solver with its own outer
     structure passes ``epochs`` instead, which continues the started run and
-    returns its status or None.  Budget and line-search failures raised
-    anywhere in the run end it here with their status.  A run that ends
-    without a stop is ``max_iters``, and a value still deferred at the final
-    iterate is evaluated before the trace is returned.
+    returns its status or None.  Budget, line-search and evaluation failures
+    raised anywhere in the run end it here with their status.  A run that
+    ends without a stop is ``max_iters``.  A value still deferred at the
+    final iterate is evaluated before the trace is returned, unless the
+    objective has just failed.
     """
     run = _Run(obj, cfg, n_dirs, _start_point(obj, x0))
     try:
@@ -406,6 +408,9 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
         status = STATUS_BUDGET
     except LineSearchError:
         status = STATUS_LINE_SEARCH
+    except EvaluationError:
+        # No evaluation is charged after the objective failed.
+        return RunTrace(run.entries, STATUS_EVALUATION)
     # The reserve taken in _loop guarantees this evaluation still fits.
     if run.deferred is not None:
         run.observe(obj.evaluate(run.x))
@@ -431,8 +436,10 @@ def run_ssd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
 
     Terminal statuses: ``target_reached`` (f fell to ``cfg.target_value``),
     ``budget_exhausted`` (the next operation would not fit; a partial step is
-    discarded), ``max_iters``, or ``line_search_failed``.  The trace carries
-    one entry per iterate with cumulative evaluation counts.
+    discarded), ``max_iters``, ``line_search_failed``, or
+    ``evaluation_failed`` (a finite-difference probe returned NaN or inf;
+    the iterate it was probing keeps no entry).  The trace carries one entry
+    per iterate with cumulative evaluation counts.
     """
     validate_config(cfg, obj)
     return _drive(obj, x0, cfg, cfg.ell, _ssd_propose(obj, cfg))

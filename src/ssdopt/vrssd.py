@@ -252,8 +252,8 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
             if status is None and cfg.option == "two" and len(inner) == cfg.m:
                 # The next epoch restarts from a uniformly chosen inner iterate.
                 # Resolve the deferred last entry at the pre-jump point first.
-                if run.deferred is not None:
-                    run.observe(obj.evaluate(run.x))
+                if run.deferred is not None and run.observe(obj.evaluate(run.x)):
+                    return STATUS_TARGET
                 j = int(
                     RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator().integers(1, cfg.m + 1)
                 )

@@ -68,6 +68,13 @@ class TestRun:
         evals = int(re.search(r"^evals = (\d+)$", res.stdout, re.M).group(1))
         assert evals <= 20000
 
+    def test_diverging_run_reports_evaluation_failure(self, tmp_path):
+        res = cli(["run", "--problem", "quadratic:d=4", "--step", "fixed:1e10",
+                   "--x0", "gaussian:1"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "status = evaluation_failed" in res.stdout
+        assert "Traceback" not in res.stderr
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -192,6 +199,18 @@ class TestSweep:
         assert [(r.solver, r.trial) for r in records] == [
             ("ssd2", 0), ("ssd2", 1), ("ssd2", 2), ("gd", 0), ("gd", 1), ("gd", 2),
         ]
+
+    def test_diverging_solver_keeps_the_other_rows(self, tmp_path):
+        self.write(tmp_path, SWEEP_INI + "\n[solver wild]\nkind = ssd\nstep = fixed:1e10\n")
+        res = cli(["sweep", "sweep.ini", "--out", "wild"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert re.search(r"^wild 3 0\.000 -$", res.stdout, re.M)
+        self.write(tmp_path)
+        cli(["sweep", "sweep.ini", "--out", "tame"], tmp_path)
+        wild = import_traces(tmp_path / "wild" / "traces.csv")
+        tame = import_traces(tmp_path / "tame" / "traces.csv")
+        assert [r for r in wild if r.solver != "wild"] == tame
+        assert [r.trial for r in wild if r.solver == "wild"] == [0, 1, 2]
 
     def test_parallel_jobs_are_byte_identical(self, tmp_path):
         self.write(tmp_path)

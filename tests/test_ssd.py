@@ -10,6 +10,7 @@ from ssdopt import (
     ConfigurationError,
     FdScheme,
     FixedStep,
+    Objective,
     RngStream,
     SsdConfig,
     TheoreticalStep,
@@ -271,6 +272,25 @@ class TestTermination:
         trace = run_ssd(obj, np.ones(4), SsdConfig(ell=2, step_rule=FixedStep(0.01), max_iters=3))
         assert trace.terminal_status == "max_iters"
         assert len(trace.entries) == 4
+
+    def test_non_finite_probe_ends_the_run(self):
+        # A step of 1e10 leaves the region where f is finite; the probes at
+        # the first such iterate end the run, and nothing is charged after
+        # them, so that iterate's deferred entry stays unrecorded.
+        seen = []
+
+        def f(x):
+            seen.append(0.5 * float(x @ x) if np.max(np.abs(x)) < 1e30 else math.inf)
+            return seen[-1]
+
+        obj = Objective(4, f)
+        trace = run_ssd(obj, np.ones(4), SsdConfig(ell=1, step_rule=FixedStep(1e10)))
+        assert trace.terminal_status == "evaluation_failed"
+        assert not math.isfinite(seen[-1])
+        assert all(math.isfinite(e.f) for e in trace.entries)
+        # The last entry's value came from the next step's ell + 1 probes;
+        # the step after that spent ell + 1 more and failed.
+        assert obj.eval_count == trace.entries[-1].evals + 2 * 2
 
 
 class TestStepSizeAdmissibility:

@@ -1,6 +1,7 @@
 """Variance-reduced runs: control variates, epochs, anchor options."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ssdopt import (
     ConfigurationError,
     FdScheme,
     FixedStep,
+    Objective,
     RngStream,
     SsdConfig,
     VrssdConfig,
@@ -429,6 +431,31 @@ class TestTermination:
         trace = run_vrssd(obj, np.ones(4), cfg)
         assert trace.terminal_status == "target_reached"
         assert trace.entries[-1].f <= 1e-3 * f0
+
+    def test_target_met_before_a_restart_ends_the_run(self):
+        # Option "two" learns the last inner iterate's value just before the
+        # restart jumps away from it; meeting the target there ends the run.
+        cfg = VrssdConfig(ell=2, m=3, option="two", exact_gradient=True,
+                          step_rule=FixedStep(0.5), max_iters=30, seed=3)
+        free = run_vrssd(isotropic_quadratic(4), np.ones(4), cfg)
+        target = free.entries[3].f
+        assert all(e.f > target for e in free.entries[:3])
+        trace = run_vrssd(isotropic_quadratic(4), np.ones(4), replace(cfg, target_value=target))
+        assert trace.terminal_status == "target_reached"
+        assert trace.entries == free.entries[:4]
+
+    def test_non_finite_anchor_probe_ends_the_run(self):
+        # The objective turns NaN after 7 calls: the start (1) and two warmup
+        # steps (3 each) are finite, the first anchor's d + 1 probes are not.
+        calls = iter(range(10**6))
+        obj = Objective(6, lambda x: 0.5 * float(x @ x) if next(calls) < 7 else math.nan)
+        cfg = VrssdConfig(ell=2, m=3, step_rule=FixedStep(0.1), warmup_iters=2)
+        trace = run_vrssd(obj, np.ones(6), cfg)
+        assert trace.terminal_status == "evaluation_failed"
+        assert obj.eval_count == 7 + 7
+        # The second warmup step's value was to come from the anchor, so its
+        # entry stays unrecorded.
+        assert [e.iteration for e in trace.entries] == [0, 1]
 
     def test_max_iters_counts_inner_steps(self):
         obj = isotropic_quadratic(6)
