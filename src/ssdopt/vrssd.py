@@ -30,7 +30,6 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .oracle import full_gradient_fd
 from .problems import Objective
 from .sketch import EPOCH_CHANNEL, RngStream, SKETCH_CHANNEL, draw
 from .ssd import (
@@ -184,14 +183,15 @@ def rate_bound_vrssd(alpha: float, gamma: float, lam: float, m: int, rho: float,
 def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng: RngStream):
     """Proposal ``(v, s^T s, f(x) or None, ||v||)`` for a sketch drawn from ``rng``.
 
-    The exact eta mode charges a full gradient estimate on top of the
-    sketched one.
+    The exact eta mode adds a full gradient estimate to the sketched one,
+    charged as the run's step cost counts it (nothing with the exact
+    gradient).
     """
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
     s_vec, fx = _sketch_derivatives(obj, x, cfg, P)
     t = P.apply_transpose(anchor.gradient)
     if cfg.eta_mode == "exact":
-        g_full = full_gradient_fd(obj, x, cfg.fd)
+        g_full, _ = _full_derivatives(obj, x, cfg)
         eta = eta_value("exact", s_vec, t, anchor.gradient, g_full)
     else:
         eta = eta_value(cfg.eta_mode, s_vec, t, anchor.gradient)

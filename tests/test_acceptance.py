@@ -18,6 +18,7 @@ import pytest
 
 from conftest import child_env
 from ssdopt import (
+    ArmijoStep,
     FdScheme,
     FixedStep,
     NoSuccessError,
@@ -35,6 +36,7 @@ from ssdopt import (
     isotropic_quadratic,
     nesterov_worst,
     profile_from_counts,
+    run_fd_bfgs,
     run_fd_gd,
     run_ssd,
     run_vrssd,
@@ -367,6 +369,38 @@ def test_09_evaluation_charges_are_exact():
         return o.eval_count
 
     assert total(2) - total(1) == (d + 1) + m * (ell + 1)
+
+
+BUDGET_CASES = [
+    (kind, rule, grad, extra)
+    for kind in ("ssd", "gd", "bfgs", "vrssd")
+    for rule in ("fixed", "armijo")
+    for grad in ("forward", "centered", "exact")
+    for extra in (
+        [dict(option=o, eta_mode=e) for o in ("one", "two") for e in ("approx", "exact")]
+        if kind == "vrssd" else [{}]
+    )
+    if not (kind == "bfgs" and rule == "fixed")
+]
+
+
+@pytest.mark.parametrize(
+    "kind,rule,grad,extra", BUDGET_CASES,
+    ids=["-".join([k, r, g, *map(str, e.values())]) for k, r, g, e in BUDGET_CASES],
+)
+def test_09b_no_run_charges_more_than_its_budget(kind, rule, grad, extra):
+    # Every budget from 1 to 60 on a small chain: the runner may stop early,
+    # but never after charging a single evaluation beyond the budget.
+    runner = {"ssd": run_ssd, "gd": run_fd_gd, "bfgs": run_fd_bfgs, "vrssd": run_vrssd}[kind]
+    config = VrssdConfig if kind == "vrssd" else SsdConfig
+    step = {"fixed": FixedStep(0.02), "armijo": ArmijoStep()}[rule]
+    source = dict(exact_gradient=True) if grad == "exact" else dict(fd=FdScheme(grad))
+    for budget in range(1, 61):
+        obj = nesterov_worst(8.0, 6, 16)
+        cfg = config(ell=3, step_rule=step, eval_budget=budget, max_iters=100,
+                     **source, **(dict(m=4, **extra) if kind == "vrssd" else {}))
+        trace = runner(obj, np.linspace(-1.0, 1.0, 16), cfg)
+        assert obj.eval_count <= budget, (budget, trace.terminal_status)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ Each case runs one configuration and hashes
 hooks, the returned entry and next point) with SHA-256.  The digests were
 recorded before ``run_ssd``, ``run_vrssd``, ``run_fd_gd`` and
 ``run_fd_bfgs`` were moved onto one shared run driver, so a case fails as
-soon as any entry, stop status or evaluation count moves.
+soon as any entry, stop status or evaluation count moves.  The seven vrssd
+cases with exact eta and the exact gradient were re-pinned when their
+per-step full gradient stopped charging d + 1 evaluations that the budget
+did not count.
 
 The matrix covers the step rules and difference schemes of ssd and gd, the
 anchor options, eta modes and warmup of vrssd, every gradient source of
@@ -214,7 +217,7 @@ DIGESTS = {
     "step-vrssd-armijo-centered-one": "b0dd181b75db877d00d79a8e62e26ee52e90904875ec87d3c9f2298014867335",
     "step-vrssd-armijo-centered-zero": "4579a856727538833f2ad39541a72e45cf79dc0fe2a108ad6178a36e1b23c3b2",
     "step-vrssd-armijo-exact-approx": "aabb23729f03b379327fd1c5872f7bb089799cee06ce63fdc36f094a34bc388d",
-    "step-vrssd-armijo-exact-exact": "444f38d03fa72f979d9cb39722251ccf3e228eda74806e6376db683cf37b53ae",
+    "step-vrssd-armijo-exact-exact": "6750d9666ee0191cc717186a44e5ba60b0ff19a7592ff694bb10923551d08029",
     "step-vrssd-armijo-exact-one": "affb75e17c12770aeea5bc9761a0d592438bd1a33054671dafc3558a2d0190be",
     "step-vrssd-armijo-exact-zero": "1c0017b5c25b5a6380b4e56d6734eae623031d316d6d61c1dfc373ed34936d74",
     "step-vrssd-armijo-forward-approx": "9ebca96091e2cb4cdc9c4fd4305b3c65745a2191f2da2083089cc951c28ed46b",
@@ -226,7 +229,7 @@ DIGESTS = {
     "step-vrssd-fixed-centered-one": "09c8e7f33163a532df7a6cdd1d35dcb2574bd5f6bd3679780dd389480d72d345",
     "step-vrssd-fixed-centered-zero": "2df97408ce0faa28516665c6e34cc6ebc5a11a8b9b6379ad2d424fcad5b02717",
     "step-vrssd-fixed-exact-approx": "55c9279e11166d444c8b4c61c2b2f2824e91d7f3d43dd24c69c42467fe988658",
-    "step-vrssd-fixed-exact-exact": "781467515b66de8e04b688ce0f55f2356adf91a292fe406d5842043d6c383e99",
+    "step-vrssd-fixed-exact-exact": "dd01b60022a5b323bf2fd5fdc3a506e3f7825ad0d11601b3b7a53e000c830f32",
     "step-vrssd-fixed-exact-one": "cd75ab222f62884054deccbd27e27abc6f54b6dc8f5aa03639a2c93543db76e4",
     "step-vrssd-fixed-exact-zero": "b847ad34f2aac5459149a8f950fdb1f33e19d0b25a65ec1a6a22613cf6eee6ea",
     "step-vrssd-fixed-forward-approx": "a433fb1672ba98059d2957e16aa7b51522c70e03a79d9f438c73261d1d17341c",
@@ -238,7 +241,7 @@ DIGESTS = {
     "step-vrssd-theory-centered-one": "3ab4e24033cdf419c3c68d8854f461f99f6535ff9b34e384c593a7a15ddf2081",
     "step-vrssd-theory-centered-zero": "b7c7b2851e397b62254aceee89ddfbafbdfb7ee2f367646db789b38d2cd2e663",
     "step-vrssd-theory-exact-approx": "6c3f9b19c3fc2bf039ad7cbc15d6aa0bc72108cefaec343b4ac22407113107be",
-    "step-vrssd-theory-exact-exact": "f58a4c7a361dafd77139fa6330b8ed7008e7335dae1760967e87c0c5778161ab",
+    "step-vrssd-theory-exact-exact": "d7e8924e64d23557a47bcec1ba9dac25209453f21c6663627bbbc91c32b9f509",
     "step-vrssd-theory-exact-one": "eeba19aa6a79ffed9e184a8566dc601e5098a342d19989d514871792b5a6d3ed",
     "step-vrssd-theory-exact-zero": "fab83e8c0912e2b7686a3e36c0e9911f9323aa6719a0a093892ab2d124e6430b",
     "step-vrssd-theory-forward-approx": "49bb85b9859d6d2cfc18929b950a04574bd0dd5fb6bca3157e948bdd088886fc",
@@ -292,10 +295,10 @@ DIGESTS = {
     "vrssd-one-approx-w3-theory-exact": "542b6a71d7ae3916d631b657b910da8247f510b823fc760da6982b2ab811d756",
     "vrssd-one-exact-w0-armijo-centered": "2f5e4cde88015d31a368b9798692fc44cb5cd2255806dc0847beba4bbb3b7c6b",
     "vrssd-one-exact-w0-fixed-forward": "c8bf41f5abcf3cbeab3087b98514f6e29d5e33fd7051e65e79a5e58262a3452a",
-    "vrssd-one-exact-w0-theory-exact": "a44a0e2c88b6b27d19d068dc7aa4d649ac646fb58df9ae6ed2b38e95332ef2d2",
+    "vrssd-one-exact-w0-theory-exact": "4d94aa8f7c178714365b938adf6c44b9fd6c0116c7a6a9a170368845312368d4",
     "vrssd-one-exact-w3-armijo-centered": "2ee2ad8b9a7ef777b904aa8b60037e0b1f4c6f32d0453106057b6e7549d4f9c9",
     "vrssd-one-exact-w3-fixed-forward": "eeec72be4d89dfafe7d9d9596959df560629ad1941948343bffad553072bbb25",
-    "vrssd-one-exact-w3-theory-exact": "db32f8e8cae9a63ac04d442b9c79d4dfd598c99d403d0000e5090b65c58aad8b",
+    "vrssd-one-exact-w3-theory-exact": "e987bc55fbb7d1fdbab94134a45976c46074d200cba7fe8603b05e4ada0e2544",
     "vrssd-one-one-w0-armijo-centered": "e78931b78177a6add63041a61f33b91d44dc6b6092baad65cf541f177e4782b3",
     "vrssd-one-one-w0-fixed-forward": "8d1f58c9225a5098f01950fd072358417d888a4648a8334ad19a3ee6ce9bfcff",
     "vrssd-one-one-w0-theory-exact": "289cd5591aa259592c58ef13c38d66d9074a100887c8a432da6892e5e41fd597",
@@ -316,10 +319,10 @@ DIGESTS = {
     "vrssd-two-approx-w3-theory-exact": "4992c7058784e949bb3e2876c8366a835611eed0d0092be5b2eb5dfe41e8d6d5",
     "vrssd-two-exact-w0-armijo-centered": "f295d30f7fe5a93da63110dab640cedee07f7d462a0b5f37baa98e7ae123e456",
     "vrssd-two-exact-w0-fixed-forward": "b48d8ceb60d32ad8b8114508a5e132189dc5a833d65e5446afc9c72638544d98",
-    "vrssd-two-exact-w0-theory-exact": "dba002121bef02952069d2307bb7eac5ad126a60e20d49d4346c2a520061f909",
+    "vrssd-two-exact-w0-theory-exact": "48038de643d31d86641eb550aa7048579b4e3d62562b1a1210477e50a47627b1",
     "vrssd-two-exact-w3-armijo-centered": "d43e1de0c2563a160c2d207c392b9e0892a76bc6d977c1618914110dd3b0838b",
     "vrssd-two-exact-w3-fixed-forward": "ceeee969da70ac66dd79d89e2e3943647e465abf371c3404c1e41d15994293e9",
-    "vrssd-two-exact-w3-theory-exact": "9274db24ae2184ac04e11bf8bb92a82adccd2184d75288e779e94f84b7a79d25",
+    "vrssd-two-exact-w3-theory-exact": "c4d83296a1b71881f8d9bca2c9dc729b056a210cc3897c3ed97d99eea7adbca9",
     "vrssd-two-one-w0-armijo-centered": "3ba13bda8002313ab1a8ae5a8bcfb7580ec0b27a3194eb3ed399d0542a0fd3be",
     "vrssd-two-one-w0-fixed-forward": "628588422fef2070941122641cc36150851e7615675fb8f597cfeb58c393a044",
     "vrssd-two-one-w0-theory-exact": "18c8d490e54917595adf361c8c7d2f91ca346e561d18954df20a590dd2cbfdbb",
