@@ -405,7 +405,8 @@ def import_traces(path, fmt: Optional[str] = None) -> List[TraceRecord]:
     """Read traces written by :func:`export_traces`.
 
     CSV carries no terminal status, so traces read back from it have
-    ``terminal_status=None``.
+    ``terminal_status=None``.  A malformed file raises
+    :class:`ConfigurationError` naming it (and the line, for CSV).
     """
     path = Path(path)
     if not path.exists():
@@ -440,18 +441,23 @@ def import_traces(path, fmt: Optional[str] = None) -> List[TraceRecord]:
             for solver, trial in order
         ]
     if fmt == "json":
-        with open(path) as fh:
-            payload = json.load(fh)
-        return [
-            TraceRecord(
-                item["solver"],
-                int(item["trial"]),
-                RunTrace(
-                    [TraceEntry(int(e[0]), int(e[1]), float(e[2]), float(e[3]), float(e[4]))
-                     for e in item["entries"]],
-                    item["terminal_status"],
-                ),
-            )
-            for item in payload["traces"]
-        ]
+        try:
+            with open(path) as fh:
+                items = json.load(fh)["traces"]
+            return [
+                TraceRecord(
+                    item["solver"],
+                    int(item["trial"]),
+                    RunTrace(
+                        [TraceEntry(int(e[0]), int(e[1]), float(e[2]), float(e[3]), float(e[4]))
+                         for e in item["entries"]],
+                        item["terminal_status"],
+                    ),
+                )
+                for item in items
+            ]
+        except (ValueError, TypeError, KeyError, IndexError) as exc:
+            raise ConfigurationError(
+                f"malformed JSON trace file {path}: {type(exc).__name__}: {exc}"
+            ) from None
     raise ConfigurationError(f"unknown trace format {fmt!r}; expected csv or json")

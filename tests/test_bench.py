@@ -412,12 +412,26 @@ class TestTraceFiles:
             import_traces(path)
 
     @pytest.mark.parametrize(
-        "row", ["ssd,0,1", "ssd,0,1,2,abc,0.0,0.0"], ids=["short", "non-numeric"]
+        "name,text",
+        [
+            ("bad.csv", "ssd,0,1\n"),
+            ("bad.csv", "ssd,0,1,2,abc,0.0,0.0\n"),
+            ("bad.json", '[{"solver": "a", "tr'),
+            ("bad.json", '[{"solver": "a", "trial": 0}]'),
+            ("bad.json", '{"traces": [{"solver": "a", "trial": 0}]}'),
+        ],
+        ids=["short", "non-numeric", "json-truncated", "json-no-traces-key", "json-no-entries"],
     )
-    def test_malformed_row_names_file_and_line(self, tmp_path, row):
-        path = tmp_path / "bad.csv"
-        export_traces(self.records(), path)
-        path.write_text(path.read_text() + row + "\n")
-        lines = len(path.read_text().splitlines())
-        with pytest.raises(ConfigurationError, match=rf"bad\.csv at line {lines}$"):
+    def test_malformed_row_names_file_and_line(self, tmp_path, name, text):
+        # A CSV row is appended to a good export and named by its line; a
+        # JSON file is named as a whole.
+        path = tmp_path / name
+        if name.endswith(".csv"):
+            export_traces(self.records(), path)
+            text = path.read_text() + text
+            where = rf"bad\.csv at line {len(text.splitlines())}$"
+        else:
+            where = r"malformed JSON trace file .*bad\.json: "
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=where):
             import_traces(path)

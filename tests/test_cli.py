@@ -354,6 +354,13 @@ class TestProfile:
         assert res.returncode == 2
         assert res.stderr == "error: malformed trace row ['b', '1', '2'] in traces.csv at line 10\n"
 
+    def test_truncated_json_trace_exits_two(self, tmp_path):
+        (tmp_path / "traces.json").write_text('[{"solver": "a", "tr')
+        res = cli(["profile", "--traces", "traces.json", "--target", "1.0"], tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: malformed JSON trace file traces.json: ")
+        assert res.stderr.count("\n") == 1
+
     def test_missing_trace_file(self, tmp_path):
         res = cli(["profile", "--traces", "gone.csv", "--target", "1.0"], tmp_path)
         assert res.returncode == 2
