@@ -177,7 +177,8 @@ class _Run:
         self.rule = cfg.step_rule
         self.alpha_fixed = _fixed_alpha(cfg.step_rule, obj, n_dirs)
         self.step_cost = _step_cost(cfg, n_dirs)
-        self.supplies_value = _supplies_value(cfg)
+        # Forward differences evaluate f(x) as their base point.
+        self.supplies_value = not cfg.exact_gradient and cfg.fd.kind == "forward"
         self.target = cfg.target_value
         self.start = obj.eval_count
         self.limit = cfg.eval_budget
@@ -340,10 +341,6 @@ def _step_cost(cfg: SsdConfig, n_dirs: int) -> int:
     return n_dirs + 1 if cfg.fd.kind == "forward" else 2 * n_dirs
 
 
-def _supplies_value(cfg: SsdConfig) -> bool:
-    return (not cfg.exact_gradient) and cfg.fd.kind == "forward"
-
-
 def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng: RngStream):
     """Proposal ``(P s, s^T s, f(x) or None, ||P s||)`` for a sketch drawn from ``rng``."""
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
@@ -438,8 +435,8 @@ def run_ssd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     ``budget_exhausted`` (the next operation would not fit; a partial step is
     discarded), ``max_iters``, ``line_search_failed``, or
     ``evaluation_failed`` (a finite-difference probe returned NaN or inf;
-    the iterate it was probing keeps no entry).  The trace carries one entry
-    per iterate with cumulative evaluation counts.
+    an entry still waiting for its value is dropped).  The trace carries one
+    entry per iterate with cumulative evaluation counts.
     """
     validate_config(cfg, obj)
     return _drive(obj, x0, cfg, cfg.ell, _ssd_propose(obj, cfg))
