@@ -156,13 +156,15 @@ def _sample_x0(rule: Tuple, d: int, stream: RngStream) -> np.ndarray:
     gen = stream.generator()
     if kind == "uniform":
         lo, hi = float(rule[1]), float(rule[2])
-        if not lo < hi:
-            raise ConfigurationError(f"need lo < hi for uniform x0, got [{lo}, {hi}]")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ConfigurationError(
+                f"need lo < hi with a finite width for uniform x0, got [{lo}, {hi}]"
+            )
         return gen.uniform(lo, hi, size=d)
     if kind == "gaussian":
         sigma = float(rule[1])
-        if not sigma > 0:
-            raise ConfigurationError(f"gaussian x0 needs sigma > 0, got {sigma}")
+        if not 0 < sigma < math.inf:
+            raise ConfigurationError(f"gaussian x0 needs a finite sigma > 0, got {sigma}")
         return sigma * gen.standard_normal(d)
     raise ConfigurationError(f"unknown x0 sampler {kind!r}")
 
@@ -258,6 +260,29 @@ def _threshold_for_trace(rule: Tuple, trace: RunTrace, fstar: Optional[float]) -
     )
 
 
+def _counts_to_threshold(
+    records: List[TraceRecord],
+    threshold: Optional[Tuple],
+    fstar: Optional[float] = None,
+    targets: Optional[Dict[str, Optional[float]]] = None,
+) -> Dict[str, Dict[int, float]]:
+    """{solver: {trial: evaluations to success}} of the records.
+
+    Success is crossing the ``threshold`` rule's level or, when the rule is
+    None, the solver's own target in ``targets`` (never, without one).
+    """
+    counts: Dict[str, Dict[int, float]] = {}
+    for record in records:
+        if threshold is None:
+            level = targets.get(record.solver)
+        else:
+            level = _threshold_for_trace(threshold, record.trace, fstar)
+        counts.setdefault(record.solver, {})[record.trial] = (
+            math.inf if level is None else evals_to_threshold(record.trace, level)
+        )
+    return counts
+
+
 @dataclass
 class PerformanceProfile:
     """Per-solver curves tau -> fraction of trials solved within tau times
@@ -312,14 +337,8 @@ def performance_profile(
     """
     if not records:
         raise ConfigurationError("no traces to profile")
-    counts: Dict[str, Dict[int, float]] = {}
-    for record in records:
-        level = _threshold_for_trace(threshold, record.trace, fstar)
-        counts.setdefault(record.solver, {})[record.trial] = evals_to_threshold(
-            record.trace, level
-        )
     try:
-        return profile_from_counts(counts)
+        return profile_from_counts(_counts_to_threshold(records, threshold, fstar))
     except NoSuccessError:
         raise NoSuccessError(f"no run reached the threshold {threshold!r}") from None
 

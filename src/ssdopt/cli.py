@@ -7,6 +7,17 @@ and seed included, so the printed block is enough to reproduce it.  All
 randomness flows from ``--seed`` (or the ``SSD_SEED`` environment variable
 when the flag is absent); nothing is taken from the clock.
 
+Every solver option is one row of ``_OPTIONS``: its flag and INI key, its
+default text, its parser, its printed form, its help text and the solver
+kinds that take it.  The ``run`` flags, the keys a ``[solver NAME]`` section
+accepts, the config built from either and the printed ``[run]`` and
+``[solver NAME]`` blocks all come from that table, so ``run`` and ``sweep``
+cannot disagree on a default, and an option that a solver kind does not take
+is an error rather than ignored.  Problems, step rules, x0 samplers and
+thresholds are spec strings (``theory``, ``fixed:0.001``,
+``uniform:-1.0,1.0``, ``nesterov:d=101,l=8,r=10``) read by one parser,
+``_parse_spec``, and written back by one formatter, ``_format_spec``.
+
 Exit codes: 0 success, 1 no run reached the requested threshold,
 2 configuration or usage error.
 """
@@ -15,37 +26,36 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import statistics
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, Optional
 
 from . import __version__
 from .bench import (
+    _PROBLEM_BUILDERS,
     ExperimentSpec,
     ProblemSpec,
     RUNNERS,
     SolverSetup,
     TraceRecord,
+    _counts_to_threshold,
     _int_param,
     _sample_x0,
-    _threshold_for_trace,
-    evals_to_threshold,
     export_traces,
     import_traces,
     performance_profile,
     run_experiment,
 )
 from .errors import ConfigurationError, NoSuccessError
-from .oracle import FdScheme
+from .oracle import _KINDS as _FD_KINDS, FdScheme
 from .sketch import DISTRIBUTIONS, RngStream, X0_CHANNEL
 from .ssd import ArmijoStep, FixedStep, SsdConfig, TheoreticalStep
 from .vrssd import VrssdConfig
-
-_ETA_ALIASES = {"0": "zero", "1": "one", "zero": "zero", "one": "one",
-                "exact": "exact", "approx": "approx"}
-_OPTION_ALIASES = {"1": "one", "2": "two", "one": "one", "two": "two"}
 
 
 def _int(text, what: str) -> int:
@@ -62,135 +72,192 @@ def _float(text, what: str) -> float:
         raise ConfigurationError(f"{what} must be a number, got {text!r}") from None
 
 
-def _parse_spec_string(text: str, what: str):
-    """Split ``name:k=v,k=v`` into a name and a key-value dict."""
+# ---------------------------------------------------------------------------
+# spec strings
+
+# The arguments each spec name takes: a tuple names its positional numbers,
+# a set lists the keys it takes as k=v.
+_PROBLEM_FORMS = {name: required | optional
+                  for name, (_, required, optional) in _PROBLEM_BUILDERS.items()}
+_STEP_FORMS = {"theory": (), "fixed": ("alpha",),
+               "armijo": {f.name for f in fields(ArmijoStep)}}
+_X0_FORMS = {"zeros": (), "uniform": ("lo", "hi"), "gaussian": ("sigma",)}
+_THRESHOLD_FORMS = {"absolute": ("value",), "fraction": ("p",)}
+
+
+def _parse_spec(text: str, what: str, forms: dict):
+    """Read ``name``, ``name:a,b`` or ``name:k=v,k=v`` as ``forms`` allows.
+
+    Returns the name and its numbers: a tuple in the positional form, a dict
+    in the keyword form.
+    """
     name, _, tail = text.partition(":")
-    if not name:
-        raise ConfigurationError(f"empty {what} specification {text!r}")
+    if name not in forms:
+        raise ConfigurationError(f"unknown {what} {name!r}; expected one of {sorted(forms)}")
+    form = forms[name]
+    pieces = tail.split(",") if tail else []
+    if isinstance(form, tuple):
+        if len(pieces) != len(form):
+            usage = name + (":" + ",".join(form) if form else "")
+            raise ConfigurationError(f"{what} {name!r} is written {usage!r}, got {text!r}")
+        return name, tuple(_float(p, f"{what} {name!r} {arg}") for p, arg in zip(pieces, form))
     params = {}
-    if tail:
-        for piece in tail.split(","):
-            key, sep, value = piece.partition("=")
-            if not sep or not key:
-                raise ConfigurationError(
-                    f"malformed {what} parameter {piece!r} in {text!r}"
-                )
-            try:
-                params[key] = float(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{what} parameter {key!r} has non-numeric value {value!r}"
-                ) from None
+    for piece in pieces:
+        key, sep, value = piece.partition("=")
+        if not sep or key not in form:
+            raise ConfigurationError(
+                f"bad {what} parameter {piece!r} in {text!r}; expected k=v with k in {sorted(form)}"
+            )
+        params[key] = _float(value, f"{what} parameter {key!r}")
     return name, params
 
 
+def _format_spec(name: str, args=()) -> str:
+    """The spec string ``_parse_spec`` reads back as ``(name, args)``."""
+    if isinstance(args, dict):
+        pieces = [f"{k}={v!r}" for k, v in args.items()]
+    else:
+        pieces = [repr(v) for v in args]
+    return name + (":" + ",".join(pieces) if pieces else "")
+
+
 def _parse_problem(text: str) -> ProblemSpec:
-    name, params = _parse_spec_string(text, "problem")
-    spec = ProblemSpec.make(name, params)
+    spec = ProblemSpec.make(*_parse_spec(text, "problem", _PROBLEM_FORMS))
     spec.build()  # validate eagerly so errors surface before any run
     return spec
 
 
-def _parse_step(text: str):
-    name, _, tail = text.partition(":")
+def _format_problem(spec: ProblemSpec) -> str:
+    # Integer-valued parameters print without a decimal point.
+    return _format_spec(spec.name, {k: int(v) if v.is_integer() else v for k, v in spec.params})
+
+
+def _parse_step(text: str, what: str):
+    name, args = _parse_spec(text, what, _STEP_FORMS)
     if name == "theory":
-        if tail:
-            raise ConfigurationError("the theory step rule takes no parameters")
         return TheoreticalStep()
     if name == "fixed":
-        try:
-            return FixedStep(float(tail))
-        except ValueError:
-            raise ConfigurationError(
-                f"fixed step needs a numeric size, got {tail!r}"
-            ) from None
-    if name == "armijo":
-        rule = ArmijoStep()
-        if tail:
-            _, params = _parse_spec_string("armijo:" + tail, "step rule")
-            known = {"c1", "shrink", "alpha_init", "max_backtracks"}
-            unknown = params.keys() - known
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown armijo parameters {sorted(unknown)}"
-                )
-            if "max_backtracks" in params:
-                params["max_backtracks"] = _int_param(
-                    params, "max_backtracks", what="armijo parameter"
-                )
-            rule = replace(rule, **params)
-        return rule
-    raise ConfigurationError(
-        f"unknown step rule {name!r}; expected fixed:<alpha>, theory, or armijo"
-    )
+        return FixedStep(*args)
+    if "max_backtracks" in args:
+        args["max_backtracks"] = _int_param(args, "max_backtracks", what="armijo parameter")
+    return ArmijoStep(**args)
 
 
 def _format_step(rule) -> str:
     if isinstance(rule, TheoreticalStep):
         return "theory"
     if isinstance(rule, FixedStep):
-        return f"fixed:{rule.alpha!r}"
-    return (
-        f"armijo:c1={rule.c1!r},shrink={rule.shrink!r},"
-        f"alpha_init={rule.alpha_init!r},max_backtracks={rule.max_backtracks}"
-    )
+        return _format_spec("fixed", (rule.alpha,))
+    return _format_spec("armijo", asdict(rule))
 
 
-def _parse_x0(text: str):
-    name, _, tail = text.partition(":")
-    if name == "zeros":
-        return ("zeros",)
-    if name == "uniform":
-        parts = tail.split(",")
-        if len(parts) != 2:
-            raise ConfigurationError("uniform x0 needs uniform:lo,hi")
-        return ("uniform", _float(parts[0], "uniform x0 bound"),
-                _float(parts[1], "uniform x0 bound"))
-    if name == "gaussian":
-        try:
-            return ("gaussian", float(tail))
-        except ValueError:
-            raise ConfigurationError("gaussian x0 needs gaussian:<sigma>") from None
-    raise ConfigurationError(f"unknown x0 sampler {name!r}")
+def _parse_rule(text: str, what: str, forms: dict) -> tuple:
+    """An x0 sampler or threshold rule as the tuple ``(name, *numbers)``."""
+    name, args = _parse_spec(text, what, forms)
+    return (name, *args)
 
 
-def _parse_threshold(text: str):
-    name, _, tail = text.partition(":")
-    if name in ("absolute", "fraction"):
-        try:
-            return (name, float(tail))
-        except ValueError:
-            raise ConfigurationError(
-                f"{name} threshold needs a numeric value, got {tail!r}"
-            ) from None
-    raise ConfigurationError(f"unknown threshold rule {name!r}")
+def _format_rule(rule: tuple) -> str:
+    return _format_spec(rule[0], rule[1:])
 
 
-def _parse_fd_step(text: str):
-    if text == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"fd-step must be 'auto' or a number, got {text!r}"
-        ) from None
+# ---------------------------------------------------------------------------
+# solver options
 
 
-def _format_params(params) -> str:
-    def fmt(v: float) -> str:
-        return str(int(v)) if float(v) == int(v) else repr(v)
+def _choice(*names, **aliases):
+    """Parser for one of ``names``, or an alias mapped to one."""
+    table = {**{n: n for n in names}, **aliases}
 
-    return ",".join(f"{k}={fmt(v)}" for k, v in params)
+    def parse(text, what):
+        if text not in table:
+            raise ConfigurationError(f"unknown {what} {text!r}; expected one of {sorted(table)}")
+        return table[text]
+
+    return parse
 
 
-def _format_problem(spec: ProblemSpec) -> str:
-    return spec.name + (":" + _format_params(spec.params) if spec.params else "")
+def _parse_fd_step(text, what):
+    return None if text == "auto" else _float(text, what)
+
+
+def _parse_target(text, what):
+    return None if text in (None, "", "none") else _float(text, what)
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One solver option: its ``run`` flag and INI key, the config field it
+    sets, its default text, ``parse(text, key)``, ``show(cfg)`` for the
+    printed block (the field's value when None), help, and the solver kinds
+    that take it."""
+
+    key: str
+    field: str
+    default: Optional[str]
+    parse: Callable
+    help: str
+    show: Optional[Callable] = None
+    kinds: frozenset = frozenset(RUNNERS)
+
+    def shown(self, cfg: SsdConfig):
+        return getattr(cfg, self.field) if self.show is None else self.show(cfg)
+
+
+_VRSSD = frozenset({"vrssd"})
+_OPTIONS = {o.key: o for o in (
+    _Option("ell", "ell", "1", _int, "sketch size (ssd/vrssd)"),
+    _Option("sketch", "distribution", "haar", _choice(*DISTRIBUTIONS),
+            "sketch distribution: " + " | ".join(DISTRIBUTIONS)),
+    _Option("step", "step_rule", "armijo", _parse_step,
+            "fixed:<alpha> | theory | armijo[:k=v,..]", show=lambda c: _format_step(c.step_rule)),
+    _Option("fd", "fd", "forward", _choice(*_FD_KINDS),
+            "finite differences: " + " | ".join(_FD_KINDS), show=lambda c: c.fd.kind),
+    # The fd and fd-step texts are combined into one FdScheme.
+    _Option("fd-step", "fd_step", "auto", _parse_fd_step,
+            "finite-difference offset, 'auto' or a number",
+            show=lambda c: "auto" if c.fd.step is None else repr(c.fd.step)),
+    _Option("iters", "max_iters", "1000", _int, "iteration limit"),
+    _Option("budget", "eval_budget", "100000", _int, "evaluation budget"),
+    _Option("target", "target_value", None, _parse_target, "stop once f falls to this value",
+            show=lambda c: None if c.target_value is None else repr(c.target_value)),
+    _Option("m", "m", "10", _int, "inner steps per epoch (vrssd)", kinds=_VRSSD),
+    _Option("option", "option", "one", _choice("one", "two", **{"1": "one", "2": "two"}),
+            "anchor choice: one|two (vrssd)", kinds=_VRSSD),
+    _Option("eta", "eta_mode", "approx",
+            _choice("zero", "one", "exact", "approx", **{"0": "zero", "1": "one"}),
+            "control-variate weight: 0|1|exact|approx (vrssd)", kinds=_VRSSD),
+    _Option("warmup", "warmup_iters", "0", _int,
+            "plain steps before the first epoch (vrssd)", kinds=_VRSSD),
+)}
+
+
+def _config_from_options(kind: str, texts: dict, label: Callable[[str], str]) -> SsdConfig:
+    """The ``kind`` solver's config from option texts keyed by option key
+    (flags or INI keys); absent options take their default.  ``label(key)``
+    names a given option in an error message."""
+    for key in texts:
+        if key not in _OPTIONS:
+            raise ConfigurationError(f"unknown solver {label(key)}")
+        if kind not in _OPTIONS[key].kinds:
+            raise ConfigurationError(f"solver {label(key)} does not apply to kind {kind!r}")
+    values = {o.field: o.parse(texts.get(key, o.default), key)
+              for key, o in _OPTIONS.items() if kind in o.kinds}
+    values["fd"] = FdScheme(values["fd"], values.pop("fd_step"))
+    return (VrssdConfig if kind == "vrssd" else SsdConfig)(**values)
+
+
+def _solver_mapping(kind: str, cfg: SsdConfig) -> dict:
+    return {key: o.shown(cfg) for key, o in _OPTIONS.items() if kind in o.kinds}
+
+
+# ---------------------------------------------------------------------------
+# output
 
 
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
-        return int(flag_value)
+        return _int(flag_value, "--seed")
     return _int(os.environ.get("SSD_SEED", "0"), "SSD_SEED")
 
 
@@ -202,65 +269,13 @@ def _print_section(title: str, mapping: dict) -> None:
     print()
 
 
-def _solver_mapping(kind: str, cfg: SsdConfig) -> dict:
-    mapping = {
-        "kind": kind,
-        "ell": cfg.ell,
-        "sketch": cfg.distribution,
-        "step": _format_step(cfg.step_rule),
-        "fd": cfg.fd.kind,
-        "fd-step": "auto" if cfg.fd.step is None else repr(cfg.fd.step),
-        "iters": cfg.max_iters,
-        "budget": cfg.eval_budget,
-        "target": None if cfg.target_value is None else repr(cfg.target_value),
-    }
-    if isinstance(cfg, VrssdConfig):
-        mapping.update(
-            m=cfg.m, option=cfg.option, eta=cfg.eta_mode, warmup=cfg.warmup_iters
-        )
-    return mapping
-
-
-def _config_from_options(kind: str, opts: dict) -> SsdConfig:
-    """Build a solver config from string-keyed options (flags or file keys)."""
-    common = dict(
-        ell=_int(opts["ell"], "ell"),
-        distribution=opts["sketch"],
-        step_rule=_parse_step(opts["step"]),
-        fd=FdScheme(opts["fd"], _parse_fd_step(opts["fd-step"])),
-        max_iters=_int(opts["iters"], "iters"),
-        eval_budget=_int(opts["budget"], "budget"),
-        target_value=(None if opts["target"] in (None, "", "none")
-                      else _float(opts["target"], "target")),
-    )
-    if kind == "vrssd":
-        eta = _ETA_ALIASES.get(str(opts["eta"]))
-        if eta is None:
-            raise ConfigurationError(f"unknown eta mode {opts['eta']!r}")
-        option = _OPTION_ALIASES.get(str(opts["option"]))
-        if option is None:
-            raise ConfigurationError(f"unknown anchor option {opts['option']!r}")
-        return VrssdConfig(
-            m=_int(opts["m"], "m"), option=option, eta_mode=eta,
-            warmup_iters=_int(opts["warmup"], "warmup"), **common,
-        )
-    return SsdConfig(**common)
-
-
-_SOLVER_DEFAULTS = {
-    "ell": "1",
-    "sketch": "haar",
-    "step": "armijo",
-    "fd": "forward",
-    "fd-step": "auto",
-    "iters": "1000",
-    "budget": "100000",
-    "target": None,
-    "m": "10",
-    "option": "one",
-    "eta": "approx",
-    "warmup": "0",
-}
+@contextmanager
+def _writing(path):
+    """Report a failure to write ``path`` as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -270,38 +285,21 @@ _SOLVER_DEFAULTS = {
 def cmd_run(args) -> int:
     problem = _parse_problem(args.problem)
     seed = _resolve_seed(args.seed)
-    opts = {
-        "ell": args.ell,
-        "sketch": args.sketch,
-        "step": args.step,
-        "fd": args.fd,
-        "fd-step": args.fd_step,
-        "iters": args.iters,
-        "budget": args.budget,
-        "target": args.target,
-        "m": args.m,
-        "option": args.option,
-        "eta": args.eta,
-        "warmup": args.warmup,
-    }
-    cfg = replace(_config_from_options(args.solver, opts), seed=seed)
+    given = {key: vars(args)[key] for key in _OPTIONS if vars(args)[key] is not None}
+    cfg = _config_from_options(args.solver, given, lambda key: f"option --{key}")
+    cfg = replace(cfg, seed=seed)
     out = Path(args.out)
     fmt = args.format or (out.suffix.lstrip(".") or "csv")
-    mapping = {
-        "problem": _format_problem(problem),
-        "solver": args.solver,
-        "seed": seed,
-        "x0": args.x0,
-        "out": str(out),
-        "format": fmt,
-    }
-    mapping.update(_solver_mapping(args.solver, cfg))
-    del mapping["kind"]
-    _print_section("run", mapping)
+    _print_section("run", {
+        "problem": _format_problem(problem), "solver": args.solver, "seed": seed,
+        "x0": args.x0, "out": str(out), "format": fmt, **_solver_mapping(args.solver, cfg),
+    })
     obj = problem.build()
-    x0 = _sample_x0(_parse_x0(args.x0), obj.d, RngStream(seed, X0_CHANNEL, 0))
+    x0_rule = _parse_rule(args.x0, "x0 sampler", _X0_FORMS)
+    x0 = _sample_x0(x0_rule, obj.d, RngStream(seed, X0_CHANNEL, 0))
     trace = RUNNERS[args.solver](obj, x0, cfg)
-    export_traces([TraceRecord(args.solver, 0, trace)], out, fmt)
+    with _writing(out):
+        export_traces([TraceRecord(args.solver, 0, trace)], out, fmt)
     final = trace.entries[-1] if trace.entries else None
     print(f"status = {trace.terminal_status}")
     print(f"f = {'nan' if final is None else repr(final.f)}")
@@ -327,9 +325,8 @@ def _key_line(path: Path, key: str, section: str) -> int:
 
 
 def _read_sweep_config(path: Path) -> ExperimentSpec:
-    parser = configparser.ConfigParser(
-        interpolation=None, delimiters=("=",), comment_prefixes=("#", ";")
-    )
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
+                                       comment_prefixes=("#", ";"))
     parser.optionxform = str
     try:
         with open(path) as fh:
@@ -342,21 +339,19 @@ def _read_sweep_config(path: Path) -> ExperimentSpec:
     if "experiment" not in parser:
         raise ConfigurationError("config file is missing the [experiment] section")
     exp = dict(parser["experiment"])
-    known_exp = {"problem", "trials", "x0", "threshold", "seed"}
     for key in exp:
-        if key not in known_exp:
+        if key not in {"problem", "trials", "x0", "threshold", "seed"}:
             line = _key_line(path, key, "experiment")
-            raise ConfigurationError(
-                f"unknown experiment key {key!r} (line {line})"
-            )
+            raise ConfigurationError(f"unknown experiment key {key!r} (line {line})")
     if "problem" not in exp:
         raise ConfigurationError("[experiment] needs a problem")
     if "trials" not in exp:
         raise ConfigurationError("[experiment] needs a trial count")
     problem = _parse_problem(exp["problem"])
     trials = _int(exp["trials"], "trials")
-    x0 = _parse_x0(exp.get("x0", "zeros"))
-    threshold = _parse_threshold(exp["threshold"]) if "threshold" in exp else None
+    x0 = _parse_rule(exp.get("x0", "zeros"), "x0 sampler", _X0_FORMS)
+    threshold = (_parse_rule(exp["threshold"], "threshold rule", _THRESHOLD_FORMS)
+                 if "threshold" in exp else None)
     base_seed = _int(exp.get("seed", "0"), "seed")
     solvers = []
     for section in parser.sections():
@@ -372,32 +367,16 @@ def _read_sweep_config(path: Path) -> ExperimentSpec:
         raw = dict(parser[section])
         kind = raw.pop("kind", "ssd")
         if kind not in RUNNERS:
-            raise ConfigurationError(
-                f"unknown solver kind {kind!r} in [{section}]"
-            )
-        for key in raw:
-            if key not in _SOLVER_DEFAULTS:
-                line = _key_line(path, key, section)
-                raise ConfigurationError(
-                    f"unknown solver key {key!r} in [{section}] (line {line})"
-                )
-        opts = dict(_SOLVER_DEFAULTS)
-        opts.update(raw)
-        solvers.append(SolverSetup(label, kind, _config_from_options(kind, opts)))
+            raise ConfigurationError(f"unknown solver kind {kind!r} in [{section}]")
+        cfg = _config_from_options(
+            kind, raw,
+            lambda key: f"key {key!r} in [{section}] (line {_key_line(path, key, section)})",
+        )
+        solvers.append(SolverSetup(label, kind, cfg))
     if not solvers:
         raise ConfigurationError("config file defines no solvers")
-    return ExperimentSpec(
-        problem=problem,
-        solvers=tuple(solvers),
-        trials=trials,
-        x0=x0,
-        threshold=threshold,
-        base_seed=base_seed,
-    )
-
-
-def _format_rule(rule) -> str:
-    return rule[0] + ":" + ",".join(repr(v) for v in rule[1:]) if len(rule) > 1 else rule[0]
+    return ExperimentSpec(problem=problem, solvers=tuple(solvers), trials=trials, x0=x0,
+                          threshold=threshold, base_seed=base_seed)
 
 
 def cmd_sweep(args) -> int:
@@ -405,47 +384,33 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     path = Path(args.config)
     spec = _read_sweep_config(path)
-    _print_section(
-        "experiment",
-        {
-            "problem": _format_problem(spec.problem),
-            "trials": spec.trials,
-            "x0": _format_rule(spec.x0),
-            "threshold": None if spec.threshold is None else _format_rule(spec.threshold),
-            "seed": spec.base_seed,
-            "jobs": args.jobs,
-            "out": args.out,
-        },
-    )
+    _print_section("experiment", {
+        "problem": _format_problem(spec.problem), "trials": spec.trials,
+        "x0": _format_rule(spec.x0),
+        "threshold": None if spec.threshold is None else _format_rule(spec.threshold),
+        "seed": spec.base_seed, "jobs": args.jobs, "out": args.out,
+    })
     for setup in spec.solvers:
-        _print_section(f"solver {setup.label}", _solver_mapping(setup.kind, setup.config))
+        _print_section(f"solver {setup.label}",
+                       {"kind": setup.kind, **_solver_mapping(setup.kind, setup.config)})
     records = run_experiment(spec, jobs=args.jobs)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     trace_path = outdir / "traces.csv"
-    export_traces(records, trace_path, "csv")
-    fstar = spec.problem.build().minimum_value
+    with _writing(trace_path):
+        outdir.mkdir(parents=True, exist_ok=True)
+        export_traces(records, trace_path, "csv")
+    # Without a threshold rule, success is each solver's own target.
+    counts = _counts_to_threshold(
+        records, spec.threshold, spec.problem.build().minimum_value,
+        {setup.label: setup.config.target_value for setup in spec.solvers},
+    )
     print("[summary]")
     print("solver trials success median_evals")
     for setup in spec.solvers:
-        mine = [r for r in records if r.solver == setup.label]
-        if spec.threshold is None:
-            finite = [
-                float(r.trace.entries[-1].evals)
-                for r in mine
-                if r.trace.terminal_status == "target_reached" and r.trace.entries
-            ]
-        else:
-            levels = [
-                _threshold_for_trace(spec.threshold, r.trace, fstar) for r in mine
-            ]
-            counts = [
-                evals_to_threshold(r.trace, level) for r, level in zip(mine, levels)
-            ]
-            finite = [c for c in counts if c != float("inf")]
-        fraction = len(finite) / len(mine) if mine else 0.0
+        mine = list(counts[setup.label].values())
+        finite = [c for c in mine if c != math.inf]
         median = repr(statistics.median(finite)) if finite else "-"
-        print(f"{setup.label} {len(mine)} {fraction:.3f} {median}")
+        print(f"{setup.label} {len(mine)} {len(finite) / len(mine):.3f} {median}")
     print()
     print(f"traces written to {trace_path}")
     return 0
@@ -460,20 +425,11 @@ def cmd_profile(args) -> int:
         raise ConfigurationError("pass exactly one of --target or --fraction")
     if args.fraction is not None and args.fstar is None:
         raise ConfigurationError("--fraction needs --fstar")
-    rule = (
-        ("absolute", args.target)
-        if args.target is not None
-        else ("fraction", args.fraction)
-    )
-    _print_section(
-        "profile",
-        {
-            "traces": args.traces,
-            "threshold": _format_rule(rule),
-            "fstar": None if args.fstar is None else repr(args.fstar),
-            "out": args.out,
-        },
-    )
+    rule = ("absolute", args.target) if args.target is not None else ("fraction", args.fraction)
+    _print_section("profile", {
+        "traces": args.traces, "threshold": _format_rule(rule),
+        "fstar": None if args.fstar is None else repr(args.fstar), "out": args.out,
+    })
     records = import_traces(args.traces)
     try:
         profile = performance_profile(records, rule, args.fstar)
@@ -484,7 +440,8 @@ def cmd_profile(args) -> int:
     for solver in sorted(profile.curves):
         for tau, rho in profile.curves[solver]:
             lines.append(f"{solver},{tau!r},{rho!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    with _writing(args.out):
+        Path(args.out).write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)
     print(f"profile written to {args.out}")
@@ -507,21 +464,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--problem", required=True,
                      help="nesterov:l=..,r=..,d=.. | quadratic:d=.. | lstsq:m=..,d=..[,rank=..,seed=..]")
     run.add_argument("--solver", choices=sorted(RUNNERS), default="ssd")
-    run.add_argument("--ell", type=int, default=1, help="sketch size (ssd/vrssd)")
-    run.add_argument("--sketch", choices=DISTRIBUTIONS, default="haar")
-    run.add_argument("--step", default="armijo", help="fixed:<alpha> | theory | armijo[:k=v,..]")
-    run.add_argument("--fd", choices=("forward", "centered"), default="forward")
-    run.add_argument("--fd-step", default="auto", help="finite-difference offset, 'auto' or a number")
-    run.add_argument("--iters", type=int, default=1000)
-    run.add_argument("--budget", type=int, default=100_000)
-    run.add_argument("--target", type=float, default=None)
-    run.add_argument("--seed", type=int, default=None,
+    for key, o in _OPTIONS.items():
+        # None marks a flag not given, so a solver kind can refuse the given ones.
+        run.add_argument(f"--{key}", dest=key, default=None,
+                         help=f"{o.help} (default: {o.default or 'none'})")
+    run.add_argument("--seed", default=None,
                      help="defaults to the SSD_SEED environment variable, then 0")
     run.add_argument("--x0", default="zeros", help="zeros | uniform:lo,hi | gaussian:sigma")
-    run.add_argument("--m", type=int, default=10, help="inner steps per epoch (vrssd)")
-    run.add_argument("--option", default="one", help="anchor choice: one|two (vrssd)")
-    run.add_argument("--eta", default="approx", help="control-variate weight: 0|1|exact|approx (vrssd)")
-    run.add_argument("--warmup", type=int, default=0, help="plain steps before the first epoch (vrssd)")
     run.add_argument("--out", default="trace.csv")
     run.add_argument("--format", choices=("csv", "json"), default=None)
     run.set_defaults(func=cmd_run)

@@ -79,14 +79,14 @@ def nesterov_worst(lam: float, r: int, d: int) -> Objective:
     Parameters
     ----------
     lam : float
-        Gradient Lipschitz constant of the function (must be positive).
+        Gradient Lipschitz constant of the function (positive and finite).
     r : int
         Intrinsic dimension, ``1 <= r < d``.
     d : int
         Ambient dimension.
     """
-    if lam <= 0:
-        raise ConfigurationError(f"lam must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ConfigurationError(f"lam must be positive and finite, got {lam}")
     if not 1 <= r < d:
         raise ConfigurationError(f"need 1 <= r < d, got r={r}, d={d}")
     lam = float(lam)

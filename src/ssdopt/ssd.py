@@ -13,12 +13,12 @@ derivative information.
 Every solver in the package runs on one driver, ``_drive``.  The state of a
 run (step plan, budget, trace entries and current iterate) is one ``_Run``
 object, and ``_Run.observe`` is the one place where a newly known value
-resolves a deferred entry, becomes current and is tested against the
-target.  The driver charges the first evaluation, steps through ``_loop``
-with the solver's direction proposer, and closes the run with its terminal
-status.  ``run_ssd`` proposes sketched directions, the baselines propose
-full-gradient and quasi-Newton ones, and the variance-reduced solver runs
-its anchored epochs inside the same driver.
+is checked to be finite, resolves a deferred entry, becomes current and is
+tested against the target.  The driver charges the first evaluation, steps
+through ``_loop`` with the solver's direction proposer, and closes the run
+with its terminal status.  ``run_ssd`` proposes sketched directions, the
+baselines propose full-gradient and quasi-Newton ones, and the
+variance-reduced solver runs its anchored epochs inside the same driver.
 """
 
 from __future__ import annotations
@@ -206,7 +206,10 @@ class _Run:
 
     def observe(self, f: float) -> bool:
         """Take ``f`` as the value at ``x``: it resolves a deferred entry and
-        becomes current.  Returns whether it meets the target."""
+        becomes current.  Returns whether it meets the target; a NaN or inf
+        value raises :class:`EvaluationError` and is not recorded."""
+        if not math.isfinite(f):
+            raise EvaluationError("objective returned a non-finite value at an iterate", self.x)
         if self.deferred is not None:
             k, evals, step, dirnorm = self.deferred
             self.entries.append(TraceEntry(k, evals, float(f), step, dirnorm))
@@ -317,6 +320,8 @@ def validate_config(cfg: SsdConfig, obj: Optional[Objective] = None) -> None:
         )
     if cfg.seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {cfg.seed}")
+    if cfg.target_value is not None and math.isnan(cfg.target_value):
+        raise ConfigurationError("target value must be a number, got nan")
     if cfg.exact_gradient and obj is not None and obj.reference_gradient is None:
         raise ConfigurationError("exact_gradient requires a reference gradient")
 
@@ -390,27 +395,29 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
     raised anywhere in the run end it here with their status.  A run that
     ends without a stop is ``max_iters``.  A value still deferred at the
     final iterate is evaluated before the trace is returned, unless the
-    objective has just failed.
+    objective has just failed; a non-finite value there also ends the run
+    with ``evaluation_failed``.
     """
     run = _Run(obj, cfg, n_dirs, _start_point(obj, x0))
     try:
-        run.ensure(1)
-        if run.record(obj.evaluate(run.x), 0.0, 0.0):
-            status = STATUS_TARGET
-        elif epochs is None:
-            status = _loop(run, cfg.max_iters, propose)
-        else:
-            status = epochs(run)
-    except BudgetError:
-        status = STATUS_BUDGET
-    except LineSearchError:
-        status = STATUS_LINE_SEARCH
+        try:
+            run.ensure(1)
+            if run.record(obj.evaluate(run.x), 0.0, 0.0):
+                status = STATUS_TARGET
+            elif epochs is None:
+                status = _loop(run, cfg.max_iters, propose)
+            else:
+                status = epochs(run)
+        except BudgetError:
+            status = STATUS_BUDGET
+        except LineSearchError:
+            status = STATUS_LINE_SEARCH
+        # The reserve taken in _loop guarantees this evaluation still fits.
+        if run.deferred is not None:
+            run.observe(obj.evaluate(run.x))
     except EvaluationError:
         # No evaluation is charged after the objective failed.
         return RunTrace(run.entries, STATUS_EVALUATION)
-    # The reserve taken in _loop guarantees this evaluation still fits.
-    if run.deferred is not None:
-        run.observe(obj.evaluate(run.x))
     return RunTrace(run.entries, status or STATUS_MAX_ITERS)
 
 
@@ -434,9 +441,11 @@ def run_ssd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     Terminal statuses: ``target_reached`` (f fell to ``cfg.target_value``),
     ``budget_exhausted`` (the next operation would not fit; a partial step is
     discarded), ``max_iters``, ``line_search_failed``, or
-    ``evaluation_failed`` (a finite-difference probe returned NaN or inf;
-    an entry still waiting for its value is dropped).  The trace carries one
-    entry per iterate with cumulative evaluation counts.
+    ``evaluation_failed`` (a finite-difference probe or the value at an
+    iterate was NaN or inf; that value is not recorded, and an entry still
+    waiting for its value is dropped).  Line-search trials are not checked:
+    a NaN or inf trial fails the decrease test and backtracks.  The trace
+    carries one entry per iterate with cumulative evaluation counts.
     """
     validate_config(cfg, obj)
     return _drive(obj, x0, cfg, cfg.ell, _ssd_propose(obj, cfg))

@@ -182,6 +182,10 @@ class TestRunExperiment:
             _sample_x0(("gaussian", 0.0), 3, s)
         with pytest.raises(ConfigurationError, match="unknown x0"):
             _sample_x0(("sphere",), 3, s)
+        for rule in [("uniform", -math.inf, math.inf), ("uniform", -1e308, 1e308),
+                     ("uniform", 0.0, math.inf), ("gaussian", math.inf)]:
+            with pytest.raises(ConfigurationError, match="finite"):
+                _sample_x0(rule, 3, s)
 
     def test_threshold_rules(self):
         from ssdopt.bench import _resolve_threshold
@@ -221,6 +225,16 @@ class TestEvalsToThreshold:
     def test_unreached_is_infinite(self):
         t = trace_of([5.0, 3.0, 1.0])
         assert evals_to_threshold(t, 0.5) == INF
+
+    def test_counts_without_a_rule_use_each_solvers_own_target(self):
+        from ssdopt.bench import _counts_to_threshold
+
+        t = trace_of([5.0, 3.0, 1.0], evals=[1, 4, 7])
+        records = [TraceRecord(name, 0, t) for name in ("a", "b", "c")]
+        counts = _counts_to_threshold(records, None, targets={"a": 3.0, "b": None, "c": 0.5})
+        assert counts == {"a": {0: 4.0}, "b": {0: INF}, "c": {0: INF}}
+        ruled = _counts_to_threshold(records, ("absolute", 1.0), targets={"a": 3.0})
+        assert ruled == {name: {0: 7.0} for name in "abc"}
 
 
 class TestProfiles:

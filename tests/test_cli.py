@@ -18,6 +18,24 @@ SMOKE = [
 ]
 
 
+# Inputs that once ran silently, ended in a traceback or printed argparse
+# usage; each must exit 2 with a single error line.
+REJECTED_RUNS = [
+    ["run", "--problem", "quadratic:d=4", "--solver", "ssd", "--m", "5", "--eta", "7",
+     "--option", "9"],
+    ["run", "--problem", "quadratic:d=4", "--solver", "gd", "--warmup", "1"],
+    ["run", "--problem", "quadratic:d=4", "--out", os.path.join("no-such-dir", "x.csv")],
+    ["run", "--problem", "quadratic:d=4", "--x0", "uniform:-inf,inf"],
+    ["run", "--problem", "quadratic:d=4", "--x0", "uniform:-1e308,1e308"],
+    ["run", "--problem", "quadratic:d=4", "--x0", "gaussian:inf"],
+    ["run", "--problem", "nesterov:l=nan,r=2,d=4"],
+    ["run", "--problem", "nesterov:l=inf,r=2,d=4"],
+    ["run", "--problem", "quadratic:d=4", "--target", "nan"],
+    ["run", "--problem", "quadratic:d=4", "--seed", "x"],
+    ["run", "--problem", "quadratic:d=4", "--ell", "x"],
+]
+
+
 def cli(args, cwd, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "ssdopt", *args],
@@ -143,12 +161,20 @@ class TestRun:
             ["run", "--problem", "quadratic:d=4.5"],
             ["run", "--problem", "quadratic:d=4", "--step", "armijo:max_backtracks=2.5"],
             ["run", "--problem", "lstsq:m=5,d=5,seed=-1"],
+            *REJECTED_RUNS,
         ],
     )
     def test_usage_errors_exit_two(self, tmp_path, args):
         res = cli(args, tmp_path)
         assert res.returncode == 2
         assert res.stderr
+
+    @pytest.mark.parametrize("args", REJECTED_RUNS)
+    def test_rejection_is_one_error_line(self, tmp_path, args):
+        res = cli(args, tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
 
     def test_non_integer_seed_environment_exits_two(self, tmp_path):
         res = cli(["run", "--problem", "quadratic:d=4"], tmp_path, env_extra={"SSD_SEED": "abc"})
@@ -264,6 +290,22 @@ class TestSweep:
                 "[experiment]\nproblem = quadratic:d=4\ntrials = 2\n\n[solver s]\nell = x\n",
                 "ell must be an integer",
             ),
+            (
+                "[experiment]\nproblem = quadratic:d=4\ntrials = 2\n\n[solver s]\nkind = ssd\nm = 5\n",
+                "key 'm' in [solver s] (line 7) does not apply to kind 'ssd'",
+            ),
+            (
+                "[experiment]\nproblem = quadratic:d=4\ntrials = 2\n\n[solver s]\nkind = gd\nwarmup = 2\n",
+                "key 'warmup' in [solver s] (line 7) does not apply to kind 'gd'",
+            ),
+            (
+                "[experiment]\nproblem = quadratic:d=4\ntrials = 2\n\n[solver s]\nkind = bfgs\neta = 1\n",
+                "key 'eta' in [solver s] (line 7) does not apply to kind 'bfgs'",
+            ),
+            (
+                "[experiment]\nproblem = quadratic:d=4\ntrials = 2\n\n[solver s]\noption = two\n",
+                "key 'option' in [solver s] (line 6) does not apply to kind 'ssd'",
+            ),
         ],
     )
     def test_config_errors(self, tmp_path, text, fragment):
@@ -277,6 +319,15 @@ class TestSweep:
         res = cli(["sweep", "sweep.ini", "--jobs", "0"], tmp_path)
         assert res.returncode == 2
         assert res.stderr == "error: --jobs must be at least 1, got 0\n"
+
+    def test_unwritable_out_exits_two(self, tmp_path):
+        self.write(tmp_path)
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        res = cli(["sweep", "sweep.ini", "--out", os.path.join("blocker", "sub")], tmp_path)
+        assert res.returncode == 2
+        path = os.path.join("blocker", "sub", "traces.csv")
+        assert res.stderr.startswith(f"error: cannot write {path}: ")
+        assert res.stderr.count("\n") == 1
 
     def test_missing_config_file(self, tmp_path):
         res = cli(["sweep", "nothing.ini"], tmp_path)
@@ -359,6 +410,14 @@ class TestProfile:
         res = cli(["profile", "--traces", "traces.json", "--target", "1.0"], tmp_path)
         assert res.returncode == 2
         assert res.stderr.startswith("error: malformed JSON trace file traces.json: ")
+        assert res.stderr.count("\n") == 1
+
+    def test_unwritable_out_exits_two(self, tmp_path):
+        self.seed_traces(tmp_path)
+        out = os.path.join("no-such-dir", "p.csv")
+        res = cli(["profile", "--traces", "traces.csv", "--target", "1.0", "--out", out], tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: cannot write {out}: ")
         assert res.stderr.count("\n") == 1
 
     def test_missing_trace_file(self, tmp_path):

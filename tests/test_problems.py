@@ -87,7 +87,11 @@ class TestNesterovWorst:
         assert obj.d == 9
         assert obj.lipschitz_constant == 6.0
 
-    @pytest.mark.parametrize("lam,r,d", [(0.0, 2, 5), (-1.0, 2, 5), (5.0, 0, 5), (5.0, 5, 5), (5.0, 6, 5)])
+    @pytest.mark.parametrize(
+        "lam,r,d",
+        [(0.0, 2, 5), (-1.0, 2, 5), (5.0, 0, 5), (5.0, 5, 5), (5.0, 6, 5),
+         (float("nan"), 2, 5), (float("inf"), 2, 5)],
+    )
     def test_rejects_bad_parameters(self, lam, r, d):
         with pytest.raises(ConfigurationError):
             nesterov_worst(lam, r, d)

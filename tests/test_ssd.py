@@ -14,12 +14,16 @@ from ssdopt import (
     RngStream,
     SsdConfig,
     TheoreticalStep,
+    VrssdConfig,
     convex_bound,
     isotropic_quadratic,
     nesterov_worst,
     rank_deficient_least_squares,
     rate_bound_pl,
+    run_fd_bfgs,
+    run_fd_gd,
     run_ssd,
+    run_vrssd,
     ssd_step,
     estimate_linear_rate,
     theoretical_step,
@@ -85,6 +89,7 @@ class TestConfigValidation:
             {"max_iters": 0},
             {"eval_budget": 0},
             {"seed": -1},
+            {"target_value": math.nan},
         ],
     )
     def test_rejected_configs(self, kw):
@@ -291,6 +296,33 @@ class TestTermination:
         # The last entry's value came from the next step's ell + 1 probes;
         # the step after that spent ell + 1 more and failed.
         assert obj.eval_count == trace.entries[-1].evals + 2 * 2
+
+    @pytest.mark.parametrize(
+        "gradient",
+        [dict(exact_gradient=True), dict(fd=FdScheme("forward")), dict(fd=FdScheme("centered"))],
+        ids=["exact", "forward", "centered"],
+    )
+    def test_non_finite_iterate_value_ends_the_run(self, gradient):
+        # The iterates grow until 0.5 x.x overflows.  Whichever evaluation
+        # first sees inf (the value at an iterate, or a forward probe at its
+        # base point) ends the run, and inf never enters the trace.
+        cfg = SsdConfig(ell=2, step_rule=FixedStep(1e10), max_iters=200, **gradient)
+        with np.errstate(over="ignore"):
+            trace = run_ssd(isotropic_quadratic(4), np.ones(4), cfg)
+        assert trace.terminal_status == "evaluation_failed"
+        assert len(trace.entries) == 16
+        assert all(math.isfinite(e.f) for e in trace.entries)
+
+    @pytest.mark.parametrize("runner", ["ssd", "gd", "bfgs", "vrssd"])
+    def test_nan_objective_ends_every_runner_at_the_start(self, runner):
+        obj = Objective(3, lambda x: math.nan)
+        cfg = SsdConfig(ell=1)
+        if runner == "vrssd":
+            cfg = VrssdConfig(ell=1, step_rule=FixedStep(0.1))
+        run = {"ssd": run_ssd, "gd": run_fd_gd, "bfgs": run_fd_bfgs, "vrssd": run_vrssd}[runner]
+        trace = run(obj, np.ones(3), cfg)
+        assert (trace.terminal_status, trace.entries, obj.eval_count) == ("evaluation_failed", [], 1)
+
 
 
 class TestStepSizeAdmissibility:
