@@ -14,6 +14,20 @@ Channel conventions used across the package:
 * outer 2: initial-point sampling in experiments,
 * outer 3: synthetic problem instances built by the CLI.
 
+A solver run draws its step sketches from one :class:`SketchStream` rather
+than building ``RngStream(seed, 0, k).generator()`` afresh at every step;
+building a ``SeedSequence``, a ``Philox`` and a ``Generator`` per step cost
+more than the draw itself at the sizes used here.  The stream owns one
+Philox and one Generator.  At step k it sets the Philox key to the key
+``SeedSequence(entropy=seed, spawn_key=(0, k))`` would give it, with the
+counter zeroed and the buffer empty, which is exactly the state
+``Philox(SeedSequence(...))`` starts in, so every sketch is the byte-for-byte
+sketch of ``RngStream(seed, 0, k)``.  The keys come from
+:func:`philox_keys`, a port of SeedSequence's hashing that derives them for
+:data:`KEY_BLOCK` consecutive steps in one vectorized pass.  The stream is
+mutable state: each run builds its own, and no stream is ever shared
+between runs or threads.
+
 The Haar frame comes from a thin QR factorization that calls the two
 LAPACK gufuncs behind :func:`numpy.linalg.qr` (``qr_r_raw``, then
 ``qr_reduced``) directly, under the same floating-point error state.  A
@@ -25,6 +39,7 @@ are bit-for-bit those of ``np.linalg.qr``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,6 +76,118 @@ class RngStream:
         # addresses are independent regardless of draw order elsewhere.
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.outer, self.inner))
         return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+KEY_BLOCK = 64
+
+
+def _words(n: int) -> list:
+    """Little-endian 32-bit words of a nonnegative int, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _mix(x, y):
+    r = (x * _MIX_L - y * _MIX_R) & _MASK32
+    return r ^ (r >> 16)
+
+
+def philox_keys(seed: int, outer: int, start: int, count: int) -> np.ndarray:
+    """Philox keys of the streams ``(seed, outer, start + i)``, i < count.
+
+    Row i equals ``SeedSequence(entropy=seed, spawn_key=(outer, start + i))
+    .generate_state(2, np.uint64)``.  The entropy SeedSequence hashes is the
+    seed's words (zero-padded to the pool size), the outer words, then one
+    word for the inner index; only that last word varies over the block, so
+    the seed and outer words are hashed once as Python ints and the last
+    word as a uint64 array held to 32 bits.  A block that reaches
+    ``inner >= 2**32``, where the inner index takes two words, is derived by
+    SeedSequence itself.
+    """
+    seed, outer = operator.index(seed), operator.index(outer)
+    if min(seed, outer, start) < 0 or start + count > 2**32:
+        # SeedSequence also raises for a negative seed or address.
+        return np.array([
+            np.random.SeedSequence(entropy=seed, spawn_key=(outer, i)).generate_state(2, np.uint64)
+            for i in range(start, start + count)
+        ], dtype=np.uint64).reshape(count, 2)
+    run = _words(seed)
+    entropy = run + [0] * (_POOL - len(run)) + _words(outer)
+    h = [_INIT_A]
+
+    def hashmix(v):
+        c = h[0]
+        h[0] = c * _MULT_A & _MASK32
+        v = (v ^ c) * h[0] & _MASK32
+        return v ^ (v >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    inner = np.arange(start, start + count, dtype=np.uint64)
+    words = [_mix(pool[dst], hashmix(inner)) for dst in range(_POOL)]
+    h = _INIT_B
+    for i in range(_POOL):
+        h_next = h * _MULT_B & _MASK32
+        v = (words[i] ^ h) * h_next & _MASK32
+        words[i] = v ^ (v >> 16)
+        h = h_next
+    keys = np.empty((count, 2), dtype=np.uint64)
+    keys[:, 0] = words[0] | (words[1] << 32)
+    keys[:, 1] = words[2] | (words[3] << 32)
+    return keys
+
+
+class SketchStream:
+    """One run's sketch generators, all from one reused Philox.
+
+    ``at(k)`` addresses step k and returns the stream itself, which
+    :func:`draw` takes in place of ``RngStream(seed, outer, k)``.  Its
+    ``generator()`` sets the Philox key to that stream's key with the
+    counter zeroed and the buffer empty, the state ``Philox(SeedSequence)``
+    starts in, so it yields the same bytes.  The returned generator is the
+    same object every time and is only valid until the next call, so a
+    stream belongs to one run and is never shared between runs or threads.
+    """
+
+    def __init__(self, seed: int, outer: int = SKETCH_CHANNEL):
+        self.seed, self.outer, self.inner = seed, outer, 0
+        self._bitgen = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bitgen)
+        self._start, self._keys = 0, []
+        self._key_state = {"counter": (0, 0, 0, 0), "key": None}
+        self._state = {"bit_generator": "Philox", "state": self._key_state,
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+
+    def at(self, inner: int) -> "SketchStream":
+        self.inner = inner
+        return self
+
+    def generator(self) -> np.random.Generator:
+        j = self.inner - self._start
+        if not 0 <= j < len(self._keys):
+            self._start = self.inner - self.inner % KEY_BLOCK
+            self._keys = philox_keys(self.seed, self.outer, self._start, KEY_BLOCK).tolist()
+            j = self.inner - self._start
+        self._key_state["key"] = self._keys[j]
+        self._bitgen.state = self._state
+        return self._gen
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import BudgetError, ConfigurationError, EvaluationError, LineSearchError
 from .oracle import FdScheme, directional_derivatives, full_gradient_fd, validate_scheme
 from .problems import Objective
-from .sketch import DISTRIBUTIONS, RngStream, SKETCH_CHANNEL, Sketch, draw
+from .sketch import DISTRIBUTIONS, RngStream, Sketch, SketchStream, draw
 
 STATUS_BUDGET = "budget_exhausted"
 STATUS_TARGET = "target_reached"
@@ -346,18 +346,21 @@ def _step_cost(cfg: SsdConfig, n_dirs: int) -> int:
     return n_dirs + 1 if cfg.fd.kind == "forward" else 2 * n_dirs
 
 
-def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng: RngStream):
-    """Proposal ``(P s, s^T s, f(x) or None, ||P s||)`` for a sketch drawn from ``rng``."""
+def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng):
+    """Proposal ``(P s, s^T s, f(x) or None, ||P s||)`` for a sketch drawn from
+    ``rng`` (an :class:`RngStream` or a positioned :class:`SketchStream`)."""
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
     s, fx = _sketch_derivatives(obj, x, cfg, P)
     g = P.matrix @ s
     return g, float(s @ s), fx, math.sqrt(g.dot(g))
 
 
-def _ssd_propose(obj: Objective, cfg: SsdConfig) -> Propose:
-    return lambda x, k: _sketched_direction(
-        obj, x, cfg, RngStream(cfg.seed, SKETCH_CHANNEL, k)
-    )
+def _ssd_propose(obj: Objective, cfg: SsdConfig,
+                 stream: Optional[SketchStream] = None) -> Propose:
+    """Proposer drawing step k's sketch from ``stream`` (a new one for the run
+    when None)."""
+    stream = stream or SketchStream(cfg.seed)
+    return lambda x, k: _sketched_direction(obj, x, cfg, stream.at(k))
 
 
 def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .problems import Objective
-from .sketch import EPOCH_CHANNEL, RngStream, SKETCH_CHANNEL, draw
+from .sketch import EPOCH_CHANNEL, RngStream, SketchStream, draw
 from .ssd import (
     STATUS_TARGET,
     Propose,
@@ -180,7 +180,7 @@ def rate_bound_vrssd(alpha: float, gamma: float, lam: float, m: int, rho: float,
     raise ConfigurationError(f"part must be 'i' or 'ii', got {part!r}")
 
 
-def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng: RngStream):
+def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng):
     """Proposal ``(v, s^T s, f(x) or None, ||v||)`` for a sketch drawn from ``rng``.
 
     The exact eta mode adds a full gradient estimate to the sketched one,
@@ -199,10 +199,9 @@ def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng: RngStream)
     return v, float(s_vec @ s_vec), fx, float(np.linalg.norm(v))
 
 
-def _vr_propose(obj: Objective, cfg: VrssdConfig, anchor: AnchorState) -> Propose:
-    return lambda x, k: _vr_direction(
-        obj, x, anchor, cfg, RngStream(cfg.seed, SKETCH_CHANNEL, k)
-    )
+def _vr_propose(obj: Objective, cfg: VrssdConfig, anchor: AnchorState,
+                stream: SketchStream) -> Propose:
+    return lambda x, k: _vr_direction(obj, x, anchor, cfg, stream.at(k))
 
 
 def vrssd_inner_step(obj: Objective, x, anchor: AnchorState, cfg: VrssdConfig,
@@ -234,8 +233,10 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
 
     def epochs(run):
         status = None
+        stream = SketchStream(cfg.seed)
         if cfg.warmup_iters > 0:
-            status = _loop(run, min(cfg.warmup_iters, cfg.max_iters), _ssd_propose(obj, cfg))
+            status = _loop(run, min(cfg.warmup_iters, cfg.max_iters),
+                           _ssd_propose(obj, cfg, stream))
         if cfg.eta_mode == "exact":
             run.step_cost += anchor_cost
         epoch = 0
@@ -248,7 +249,7 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
             inner: List = []
             observer = (lambda xi, fi: inner.append((xi, fi))) if cfg.option == "two" else None
             status = _loop(run, min(run.k + cfg.m, cfg.max_iters),
-                           _vr_propose(obj, cfg, anchor), observer)
+                           _vr_propose(obj, cfg, anchor, stream), observer)
             if status is None and cfg.option == "two" and len(inner) == cfg.m:
                 # The next epoch restarts from a uniformly chosen inner iterate.
                 # Resolve the deferred last entry at the pre-jump point first.
