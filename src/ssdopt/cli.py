@@ -380,20 +380,21 @@ def _read_sweep_config(path: Path) -> ExperimentSpec:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = _int(args.jobs, "--jobs")
+    if jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {jobs}")
     path = Path(args.config)
     spec = _read_sweep_config(path)
     _print_section("experiment", {
         "problem": _format_problem(spec.problem), "trials": spec.trials,
         "x0": _format_rule(spec.x0),
         "threshold": None if spec.threshold is None else _format_rule(spec.threshold),
-        "seed": spec.base_seed, "jobs": args.jobs, "out": args.out,
+        "seed": spec.base_seed, "jobs": jobs, "out": args.out,
     })
     for setup in spec.solvers:
         _print_section(f"solver {setup.label}",
                        {"kind": setup.kind, **_solver_mapping(setup.kind, setup.config)})
-    records = run_experiment(spec, jobs=args.jobs)
+    records = run_experiment(spec, jobs=jobs)
     outdir = Path(args.out)
     trace_path = outdir / "traces.csv"
     with _writing(trace_path):
@@ -421,18 +422,27 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    if (args.target is None) == (args.fraction is None):
+    target, fraction, fstar = (
+        None if text is None else _float(text, flag)
+        for flag, text in (("--target", args.target), ("--fraction", args.fraction),
+                           ("--fstar", args.fstar))
+    )
+    if target is not None and math.isnan(target):
+        raise ConfigurationError("--target must be a number, got nan")
+    if fstar is not None and not math.isfinite(fstar):
+        raise ConfigurationError(f"--fstar must be finite, got {fstar!r}")
+    if (target is None) == (fraction is None):
         raise ConfigurationError("pass exactly one of --target or --fraction")
-    if args.fraction is not None and args.fstar is None:
+    if fraction is not None and fstar is None:
         raise ConfigurationError("--fraction needs --fstar")
-    rule = ("absolute", args.target) if args.target is not None else ("fraction", args.fraction)
+    rule = ("absolute", target) if target is not None else ("fraction", fraction)
     _print_section("profile", {
         "traces": args.traces, "threshold": _format_rule(rule),
-        "fstar": None if args.fstar is None else repr(args.fstar), "out": args.out,
+        "fstar": None if fstar is None else repr(fstar), "out": args.out,
     })
     records = import_traces(args.traces)
     try:
-        profile = performance_profile(records, rule, args.fstar)
+        profile = performance_profile(records, rule, fstar)
     except NoSuccessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -478,15 +488,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run every solver/trial pair of a config file")
     sweep.add_argument("config", help="INI file with [experiment] and [solver NAME] sections")
     sweep.add_argument("--out", default=".", help="directory for traces.csv")
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sweep.add_argument("--jobs", default=1, help="worker processes")
     sweep.set_defaults(func=cmd_sweep)
 
     profile = sub.add_parser("profile", help="performance profile of saved traces")
     profile.add_argument("--traces", required=True, help="trace file written by run or sweep")
-    profile.add_argument("--target", type=float, default=None, help="absolute success threshold")
-    profile.add_argument("--fraction", type=float, default=None,
+    profile.add_argument("--target", default=None, help="absolute success threshold")
+    profile.add_argument("--fraction", default=None,
                          help="success = closing this fraction of the gap f(x0) - fstar")
-    profile.add_argument("--fstar", type=float, default=None, help="minimum value, for --fraction")
+    profile.add_argument("--fstar", default=None, help="minimum value, for --fraction")
     profile.add_argument("--out", default="profile.csv")
     profile.set_defaults(func=cmd_profile)
     return parser

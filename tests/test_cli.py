@@ -33,6 +33,7 @@ REJECTED_RUNS = [
     ["run", "--problem", "quadratic:d=4", "--target", "nan"],
     ["run", "--problem", "quadratic:d=4", "--seed", "x"],
     ["run", "--problem", "quadratic:d=4", "--ell", "x"],
+    ["sweep", "s.ini", "--jobs", "x"],
 ]
 
 
@@ -396,6 +397,24 @@ class TestProfile:
         res = cli(args, tmp_path)
         assert res.returncode == 2
         assert "error:" in res.stderr
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--target", "x"], "--target must be a number, got 'x'"),
+            (["--fraction", "x", "--fstar", "0"], "--fraction must be a number, got 'x'"),
+            (["--fraction", "0.5", "--fstar", "x"], "--fstar must be a number, got 'x'"),
+            (["--target", "nan"], "--target must be a number, got nan"),
+            (["--fraction", "0.5", "--fstar", "inf"], "--fstar must be finite, got inf"),
+            (["--fraction", "0.5", "--fstar", "nan"], "--fstar must be finite, got nan"),
+        ],
+        ids=["target-x", "fraction-x", "fstar-x", "target-nan", "fstar-inf", "fstar-nan"],
+    )
+    def test_bad_number_is_one_error_line(self, tmp_path, flags, message):
+        self.seed_traces(tmp_path)
+        res = cli(["profile", "--traces", "traces.csv", *flags], tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == f"error: {message}\n"
 
     def test_truncated_trace_row_exits_two(self, tmp_path):
         self.seed_traces(tmp_path)
