@@ -141,12 +141,13 @@ def philox_keys(seed: int, outer: int, start: int, count: int) -> np.ndarray:
             pool[dst] = _mix(pool[dst], hashmix(w))
     inner = np.arange(start, start + count, dtype=np.uint64)
     words = [_mix(pool[dst], hashmix(inner)) for dst in range(_POOL)]
-    h = _INIT_B
+    # generate_state(2, np.uint64): four output words, one per pool word.
+    c = _INIT_B
     for i in range(_POOL):
-        h_next = h * _MULT_B & _MASK32
-        v = (words[i] ^ h) * h_next & _MASK32
+        c_next = c * _MULT_B & _MASK32
+        v = (words[i] ^ c) * c_next & _MASK32
         words[i] = v ^ (v >> 16)
-        h = h_next
+        c = c_next
     keys = np.empty((count, 2), dtype=np.uint64)
     keys[:, 0] = words[0] | (words[1] << 32)
     keys[:, 1] = words[2] | (words[3] << 32)
