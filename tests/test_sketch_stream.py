@@ -153,4 +153,5 @@ def test_runs_stepped_in_alternation_keep_their_serial_traces(kind, monkeypatch)
         t.start()
     for t in threads:
         t.join(timeout=60)
+        assert not t.is_alive()
     assert results == serial
