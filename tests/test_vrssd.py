@@ -421,6 +421,18 @@ class TestTermination:
         assert len(trace.entries) == 2
         assert all(np.isfinite(e.f) for e in trace.entries)
 
+    @pytest.mark.parametrize("eta_mode", ["zero", "approx", "exact"])
+    def test_centered_fixed_step_never_charges_past_the_budget(self, eta_mode):
+        # Centered differences do not supply the value at an iterate, so an
+        # anchor that fits exactly must still leave one evaluation for the
+        # last inner iterate's value, which the close records.
+        for budget in range(1, 81):
+            obj = isotropic_quadratic(4)
+            cfg = VrssdConfig(ell=1, m=1, fd=FdScheme("centered"), eta_mode=eta_mode,
+                              step_rule=FixedStep(0.05), eval_budget=budget, max_iters=50)
+            run_vrssd(obj, np.ones(4), cfg)
+            assert obj.eval_count <= budget, f"budget {budget}"
+
     def test_target_reached(self):
         obj = isotropic_quadratic(4)
         f0 = 0.5 * 4.0
