@@ -219,11 +219,16 @@ class Sketch:
         return self.matrix.T @ v
 
 
+def _check_ell(d: int, ell: int) -> None:
+    """The sketch size rule every ell and d pair in the package obeys."""
+    if not 1 <= ell <= d:
+        raise ConfigurationError(f"need 1 <= ell <= d, got ell={ell}, d={d}")
+
+
 def _check_dims(d: int, ell: int) -> None:
     if d < 1:
         raise ConfigurationError(f"dimension must be positive, got {d}")
-    if not 1 <= ell <= d:
-        raise ConfigurationError(f"need 1 <= ell <= d, got ell={ell}, d={d}")
+    _check_ell(d, ell)
 
 
 def orthonormal_signed(x: np.ndarray):

@@ -12,13 +12,15 @@ derivative information.
 
 Every solver in the package runs on one driver, ``_drive``.  The state of a
 run (step plan, budget, trace entries and current iterate) is one ``_Run``
-object, and ``_Run.observe`` is the one place where a newly known value
-is checked to be finite, resolves a deferred entry, becomes current and is
-tested against the target.  The driver charges the first evaluation, steps
-through ``_loop`` with the solver's direction proposer, and closes the run
-with its terminal status.  ``run_ssd`` proposes sketched directions, the
-baselines propose full-gradient and quasi-Newton ones, and the
-variance-reduced solver runs its anchored epochs inside the same driver.
+object.  ``_Run.evaluate`` admits and charges every single evaluation a run
+makes outside the oracle, and ``_Run.observe`` is the one place where a
+newly known value is checked to be finite, resolves a deferred entry,
+becomes current and is tested against the target.  The driver charges the
+first evaluation, steps through ``_loop`` with the solver's direction
+proposer, and closes the run with its terminal status.  ``run_ssd``
+proposes sketched directions, the baselines propose full-gradient and
+quasi-Newton ones, and the variance-reduced solver runs its anchored epochs
+inside the same driver.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import BudgetError, ConfigurationError, EvaluationError, LineSearchError
 from .oracle import FdScheme, directional_derivatives, full_gradient_fd, validate_scheme
 from .problems import Objective
-from .sketch import DISTRIBUTIONS, RngStream, Sketch, SketchStream, draw
+from .sketch import DISTRIBUTIONS, RngStream, Sketch, SketchStream, _check_ell, draw
 
 STATUS_BUDGET = "budget_exhausted"
 STATUS_TARGET = "target_reached"
@@ -112,8 +114,7 @@ class RunTrace:
 
 def theoretical_step(ell: int, d: int, lam: float) -> float:
     """Step size ell / (d lambda), half the divergence boundary 2 ell / (d lambda)."""
-    if not 1 <= ell <= d:
-        raise ConfigurationError(f"need 1 <= ell <= d, got ell={ell}, d={d}")
+    _check_ell(d, ell)
     if lam <= 0:
         raise ConfigurationError(f"lambda must be positive, got {lam}")
     return ell / (d * lam)
@@ -125,8 +126,7 @@ def rate_bound_pl(ell: int, d: int, lam: float, gamma: float) -> float:
     Valid for gradient-dominated f with constants gamma <= lam when the step
     is :func:`theoretical_step`.
     """
-    if not 1 <= ell <= d:
-        raise ConfigurationError(f"need 1 <= ell <= d, got ell={ell}, d={d}")
+    _check_ell(d, ell)
     if lam <= 0 or gamma <= 0:
         raise ConfigurationError("constants must be positive")
     if gamma > lam:
@@ -138,8 +138,7 @@ def rate_bound_pl(ell: int, d: int, lam: float, gamma: float) -> float:
 
 def convex_bound(ell: int, d: int, lam: float, radius: float, k: int) -> float:
     """After k iterations on a convex f: E[f(x_k) - fmin] <= 2 d lam R^2 / (k ell)."""
-    if not 1 <= ell <= d:
-        raise ConfigurationError(f"need 1 <= ell <= d, got ell={ell}, d={d}")
+    _check_ell(d, ell)
     if lam <= 0 or radius < 0:
         raise ConfigurationError("need lam > 0 and radius >= 0")
     if k < 1:
@@ -161,6 +160,10 @@ def _fixed_alpha(rule: StepRule, obj: Objective, ell: int) -> Optional[float]:
             )
         return theoretical_step(ell, obj.d, obj.lipschitz_constant)
     return None
+
+
+class _TargetReached(Exception):
+    """Raised by :meth:`_Run.observe` once a recorded value meets the target."""
 
 
 class _Run:
@@ -196,18 +199,23 @@ class _Run:
         if self.used() + n > self.limit:
             raise BudgetError(f"needs {n} more evaluations, {self.limit - self.used()} left")
 
-    def record(self, f: Optional[float], step: float, dirnorm: float) -> bool:
+    def evaluate(self, x: np.ndarray) -> float:
+        """Admit and charge one evaluation of f at ``x``; its value is not checked."""
+        self.ensure(1)
+        return self.obj.evaluate(x)
+
+    def record(self, f: Optional[float], step: float, dirnorm: float) -> None:
         """Enter iterate ``k`` at the evaluations charged so far; its value is
-        ``f``, or the next one observed when ``f`` is None.  Returns whether
-        the target is met."""
+        ``f``, or the next one observed when ``f`` is None."""
         self.deferred = (self.k, self.used(), float(step), float(dirnorm))
         self.f = None
-        return f is not None and self.observe(f)
+        if f is not None:
+            self.observe(f)
 
-    def observe(self, f: float) -> bool:
+    def observe(self, f: float) -> None:
         """Take ``f`` as the value at ``x``: it resolves a deferred entry and
-        becomes current.  Returns whether it meets the target; a NaN or inf
-        value raises :class:`EvaluationError` and is not recorded."""
+        becomes current, then raises :class:`_TargetReached` if it meets the
+        target.  A NaN or inf value raises :class:`EvaluationError` instead."""
         if not math.isfinite(f):
             raise EvaluationError("objective returned a non-finite value at an iterate", self.x)
         if self.deferred is not None:
@@ -215,17 +223,16 @@ class _Run:
             self.entries.append(TraceEntry(k, evals, float(f), step, dirnorm))
             self.deferred = None
         self.f = f
-        return self.target is not None and f <= self.target
+        if self.target is not None and f <= self.target:
+            raise _TargetReached
 
 
-def _armijo(obj, x, direction, f0, decrease, rule: ArmijoStep, ensure: Callable[[int], None]):
+def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease, rule: ArmijoStep):
     """Largest alpha in {alpha_init shrink^n} with
-    f(x - alpha g) <= f0 - c1 alpha decrease.  Every trial is charged after
-    ``ensure(1)`` admits it."""
+    f(x - alpha g) <= f0 - c1 alpha decrease; ``evaluate`` values each trial."""
     alpha = rule.alpha_init
     for _ in range(rule.max_backtracks):
-        ensure(1)
-        trial = obj.evaluate(x - alpha * direction)
+        trial = evaluate(x - alpha * direction)
         if trial <= f0 - rule.c1 * alpha * decrease:
             return alpha, trial
         alpha *= rule.shrink
@@ -238,11 +245,11 @@ def _armijo(obj, x, direction, f0, decrease, rule: ArmijoStep, ensure: Callable[
 Propose = Callable[[np.ndarray, int], Tuple[np.ndarray, float, Optional[float], float]]
 
 
-def _loop(run: _Run, stop_k: int, propose: Propose, observer=None) -> Optional[str]:
-    """Step ``run`` with ``propose`` until ``stop_k`` steps or the target.
+def _loop(run: _Run, stop_k: int, propose: Propose, observer=None) -> None:
+    """Step ``run`` with ``propose`` until ``stop_k`` steps.
 
-    Returns ``target_reached`` or None.  Budget, line-search and evaluation
-    failures propagate to :func:`_drive`, which turns them into statuses.
+    Every stop (the target, the budget, a failed line search or evaluation)
+    is raised to :func:`_drive`, which turns it into a status.
     ``observer(x, f)`` sees every new iterate that does not meet the target.
     """
     armijo = isinstance(run.rule, ArmijoStep)
@@ -251,24 +258,20 @@ def _loop(run: _Run, stop_k: int, propose: Propose, observer=None) -> Optional[s
     reserve = 0 if armijo else 1
     while run.k < stop_k:
         if run.f is None and not run.supplies_value:
-            run.ensure(1)
-            if run.observe(run.obj.evaluate(run.x)):
-                return STATUS_TARGET
+            run.observe(run.evaluate(run.x))
         run.ensure(run.step_cost + reserve)
         g, decrease, fx, dirnorm = propose(run.x, run.k)
-        if fx is not None and run.observe(fx):
-            return STATUS_TARGET
+        if fx is not None:
+            run.observe(fx)
         if armijo:
-            alpha, f_new = _armijo(run.obj, run.x, g, run.f, decrease, run.rule, run.ensure)
+            alpha, f_new = _armijo(run.evaluate, run.x, g, run.f, decrease, run.rule)
         else:
             alpha, f_new = run.alpha_fixed, None
         run.x = run.x - alpha * g
         run.k += 1
-        if run.record(f_new, alpha, dirnorm):
-            return STATUS_TARGET
+        run.record(f_new, alpha, dirnorm)
         if observer is not None:
             observer(run.x, run.f)
-    return None
 
 
 def _start_point(obj: Objective, x0) -> np.ndarray:
@@ -376,7 +379,7 @@ def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction):
     alpha = _fixed_alpha(cfg.step_rule, obj, cfg.ell)
     if alpha is None:
         f0 = fx if fx is not None else obj.evaluate(x)
-        alpha, f_entry = _armijo(obj, x, g, f0, decrease, cfg.step_rule, lambda n: None)
+        alpha, f_entry = _armijo(obj.evaluate, x, g, f0, decrease, cfg.step_rule)
     else:
         f_entry = fx if fx is not None else math.nan
     entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha, dirnorm)
@@ -385,43 +388,47 @@ def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction):
 
 def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
            propose: Optional[Propose] = None,
-           epochs: Optional[Callable[[_Run], Optional[str]]] = None) -> RunTrace:
+           epochs: Optional[Callable[[_Run], None]] = None) -> RunTrace:
     """The run lifecycle every solver shares.
 
     Each step differences ``n_dirs`` directions (``ell`` sketched or ``d``
     coordinate ones), which sets its evaluation cost and the theoretical
     step.  The driver builds the :class:`_Run`, charges the first
-    evaluation and checks the target there, then steps through
-    :func:`_loop` with ``propose`` until a stop; a solver with its own outer
-    structure passes ``epochs`` instead, which continues the started run and
-    returns its status or None.  Budget, line-search and evaluation failures
-    raised anywhere in the run end it here with their status.  A run that
-    ends without a stop is ``max_iters``.  A value still deferred at the
-    final iterate is evaluated before the trace is returned, unless the
-    objective has just failed; a non-finite value there also ends the run
-    with ``evaluation_failed``.
+    evaluation, then steps through :func:`_loop` with ``propose``; a solver
+    with its own outer structure passes ``epochs`` instead, which continues
+    the started run.  The four stops (target, budget, line search,
+    evaluation) are raised anywhere in the run and end it here with their
+    status; a run that ends without one is ``max_iters``.  After any stop
+    but a failed evaluation, a value still deferred at the final iterate is
+    evaluated, admitted like any other: every fixed-rule step keeps one
+    evaluation back for it.  It leaves the status as it is, unless it is NaN
+    or inf, which ends the run with ``evaluation_failed``.
     """
     run = _Run(obj, cfg, n_dirs, _start_point(obj, x0))
     try:
-        try:
-            run.ensure(1)
-            if run.record(obj.evaluate(run.x), 0.0, 0.0):
-                status = STATUS_TARGET
-            elif epochs is None:
-                status = _loop(run, cfg.max_iters, propose)
-            else:
-                status = epochs(run)
-        except BudgetError:
-            status = STATUS_BUDGET
-        except LineSearchError:
-            status = STATUS_LINE_SEARCH
-        # The reserve taken in _loop guarantees this evaluation still fits.
-        if run.deferred is not None:
-            run.observe(obj.evaluate(run.x))
+        run.record(run.evaluate(run.x), 0.0, 0.0)
+        if epochs is None:
+            _loop(run, cfg.max_iters, propose)
+        else:
+            epochs(run)
+        status = STATUS_MAX_ITERS
+    except _TargetReached:
+        status = STATUS_TARGET
+    except BudgetError:
+        status = STATUS_BUDGET
+    except LineSearchError:
+        status = STATUS_LINE_SEARCH
     except EvaluationError:
         # No evaluation is charged after the objective failed.
         return RunTrace(run.entries, STATUS_EVALUATION)
-    return RunTrace(run.entries, status or STATUS_MAX_ITERS)
+    if run.deferred is not None:
+        # Meeting the target with the value at the close changes no status.
+        run.target = None
+        try:
+            run.observe(run.evaluate(run.x))
+        except EvaluationError:
+            status = STATUS_EVALUATION
+    return RunTrace(run.entries, status)
 
 
 def ssd_step(obj: Objective, x, cfg: SsdConfig, rng: RngStream, iteration: int = 0):

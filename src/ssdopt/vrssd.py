@@ -33,8 +33,6 @@ from .errors import ConfigurationError
 from .problems import Objective
 from .sketch import EPOCH_CHANNEL, RngStream, SketchStream, draw
 from .ssd import (
-    STATUS_TARGET,
-    Propose,
     RunTrace,
     SsdConfig,
     _drive,
@@ -199,11 +197,6 @@ def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng):
     return v, float(s_vec @ s_vec), fx, float(np.linalg.norm(v))
 
 
-def _vr_propose(obj: Objective, cfg: VrssdConfig, anchor: AnchorState,
-                stream: SketchStream) -> Propose:
-    return lambda x, k: _vr_direction(obj, x, anchor, cfg, stream.at(k))
-
-
 def vrssd_inner_step(obj: Objective, x, anchor: AnchorState, cfg: VrssdConfig,
                      rng: RngStream, iteration: int = 0):
     """One variance-reduced step with an explicitly supplied stream.
@@ -226,41 +219,41 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
 
     With option "two" and a fixed step rule, recording the value of the last
     inner iterate before the anchor jumps costs one extra evaluation per
-    epoch; Armijo runs already know it.
+    epoch; Armijo runs already know it.  An anchor that does not supply the
+    last inner iterate's value (centered differences, exact gradient) keeps
+    one evaluation back for it, so the run never charges past its budget.
     """
     validate_vrssd_config(cfg, obj)
     anchor_cost = _step_cost(cfg, obj.d)
 
     def epochs(run):
-        status = None
         stream = SketchStream(cfg.seed)
         if cfg.warmup_iters > 0:
-            status = _loop(run, min(cfg.warmup_iters, cfg.max_iters),
-                           _ssd_propose(obj, cfg, stream))
+            _loop(run, min(cfg.warmup_iters, cfg.max_iters), _ssd_propose(obj, cfg, stream))
         if cfg.eta_mode == "exact":
             run.step_cost += anchor_cost
         epoch = 0
-        while status is None and run.k < cfg.max_iters:
-            run.ensure(anchor_cost)
+        while run.k < cfg.max_iters:
+            # Keep back the reserved evaluation for a value the anchor will not supply.
+            run.ensure(anchor_cost + (run.deferred is not None and not run.supplies_value))
             g_anchor, f_anchor = _full_derivatives(obj, run.x, cfg)
             anchor = AnchorState(run.x.copy(), g_anchor, epoch)
-            if f_anchor is not None and run.observe(f_anchor):
-                return STATUS_TARGET
+            if f_anchor is not None:
+                run.observe(f_anchor)
             inner: List = []
             observer = (lambda xi, fi: inner.append((xi, fi))) if cfg.option == "two" else None
-            status = _loop(run, min(run.k + cfg.m, cfg.max_iters),
-                           _vr_propose(obj, cfg, anchor, stream), observer)
-            if status is None and cfg.option == "two" and len(inner) == cfg.m:
+            _loop(run, min(run.k + cfg.m, cfg.max_iters),
+                  lambda x, k: _vr_direction(obj, x, anchor, cfg, stream.at(k)), observer)
+            if cfg.option == "two" and len(inner) == cfg.m:
                 # The next epoch restarts from a uniformly chosen inner iterate.
                 # Resolve the deferred last entry at the pre-jump point first.
-                if run.deferred is not None and run.observe(obj.evaluate(run.x)):
-                    return STATUS_TARGET
+                if run.deferred is not None:
+                    run.observe(run.evaluate(run.x))
                 j = int(
                     RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator().integers(1, cfg.m + 1)
                 )
                 x, run.f = inner[j - 1]
                 run.x = x.copy()
             epoch += 1
-        return status
 
     return _drive(obj, x0, cfg, cfg.ell, epochs=epochs)
