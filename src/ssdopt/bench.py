@@ -228,13 +228,16 @@ def _run_single(spec: ExperimentSpec, task: Tuple[int, int]) -> TraceRecord:
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> List[TraceRecord]:
     """All (solver, trial) runs of the experiment, in deterministic order.
 
-    ``jobs > 1`` fans the runs out to worker processes; results are assembled
-    in task order, so the output is identical either way.
+    ``jobs > 1`` fans the runs out to that many worker processes, or one per
+    run when there are fewer runs; results are assembled in task order, so
+    the output is identical either way.
     """
     _validate_experiment(spec)
     tasks = [
         (si, t) for si in range(len(spec.solvers)) for t in range(spec.trials)
     ]
+    # Fork starts every worker at the first submit: ask for no more than runs.
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [_run_single(spec, task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -373,51 +376,49 @@ def estimate_linear_rate(trace: RunTrace, fstar: float) -> Tuple[float, float]:
 # persistence
 
 
+def _trace_format(path: Path, fmt: Optional[str]) -> str:
+    """``fmt``, else the suffix of ``path`` (csv without one); csv or json."""
+    fmt = fmt or (path.suffix.lstrip(".") or "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigurationError(f"unknown trace format {fmt!r}; expected csv or json")
+    return fmt
+
+
 def export_traces(records: List[TraceRecord], path, fmt: Optional[str] = None) -> None:
     """Write traces as CSV (columns solver,trial,iter,evals,f,step,dirnorm)
     or JSON (entries plus terminal status).  Floats are written as their
     shortest round-tripping decimal, so import reproduces them bit-exactly.
     """
     path = Path(path)
-    fmt = fmt or (path.suffix.lstrip(".") or "csv")
+    fmt = _trace_format(path, fmt)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for record in records:
-                for e in record.trace.entries:
-                    writer.writerow(
-                        [
-                            record.solver,
-                            record.trial,
-                            e.iteration,
-                            e.evals,
-                            repr(e.f),
-                            repr(e.step),
-                            repr(e.dirnorm),
-                        ]
-                    )
+                writer.writerows(
+                    [record.solver, record.trial, e.iteration, e.evals,
+                     repr(e.f), repr(e.step), repr(e.dirnorm)]
+                    for e in record.trace.entries
+                )
         return
-    if fmt == "json":
-        payload = {
-            "traces": [
-                {
-                    "solver": record.solver,
-                    "trial": record.trial,
-                    "terminal_status": record.trace.terminal_status,
-                    "entries": [
-                        [e.iteration, e.evals, e.f, e.step, e.dirnorm]
-                        for e in record.trace.entries
-                    ],
-                }
-                for record in records
-            ]
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return
-    raise ConfigurationError(f"unknown trace format {fmt!r}; expected csv or json")
+    payload = {
+        "traces": [
+            {
+                "solver": record.solver,
+                "trial": record.trial,
+                "terminal_status": record.trace.terminal_status,
+                "entries": [
+                    [e.iteration, e.evals, e.f, e.step, e.dirnorm]
+                    for e in record.trace.entries
+                ],
+            }
+            for record in records
+        ]
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def import_traces(path, fmt: Optional[str] = None) -> List[TraceRecord]:
@@ -430,9 +431,8 @@ def import_traces(path, fmt: Optional[str] = None) -> List[TraceRecord]:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"trace file {path} does not exist")
-    fmt = fmt or (path.suffix.lstrip(".") or "csv")
+    fmt = _trace_format(path, fmt)
     if fmt == "csv":
-        order: List[Tuple[str, int]] = []
         grouped: Dict[Tuple[str, int], List[TraceEntry]] = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -450,33 +450,26 @@ def import_traces(path, fmt: Optional[str] = None) -> List[TraceRecord]:
                     raise ConfigurationError(
                         f"malformed trace row {row!r} in {path} at line {reader.line_num}"
                     ) from None
-                key = (solver, trial)
-                if key not in grouped:
-                    grouped[key] = []
-                    order.append(key)
-                grouped[key].append(entry)
+                grouped.setdefault((solver, trial), []).append(entry)
+        # Runs come back in the order their first rows appear.
+        return [TraceRecord(solver, trial, RunTrace(entries, None))
+                for (solver, trial), entries in grouped.items()]
+    try:
+        with open(path) as fh:
+            items = json.load(fh)["traces"]
         return [
-            TraceRecord(solver, trial, RunTrace(grouped[(solver, trial)], None))
-            for solver, trial in order
+            TraceRecord(
+                item["solver"],
+                int(item["trial"]),
+                RunTrace(
+                    [TraceEntry(int(e[0]), int(e[1]), float(e[2]), float(e[3]), float(e[4]))
+                     for e in item["entries"]],
+                    item["terminal_status"],
+                ),
+            )
+            for item in items
         ]
-    if fmt == "json":
-        try:
-            with open(path) as fh:
-                items = json.load(fh)["traces"]
-            return [
-                TraceRecord(
-                    item["solver"],
-                    int(item["trial"]),
-                    RunTrace(
-                        [TraceEntry(int(e[0]), int(e[1]), float(e[2]), float(e[3]), float(e[4]))
-                         for e in item["entries"]],
-                        item["terminal_status"],
-                    ),
-                )
-                for item in items
-            ]
-        except (ValueError, TypeError, KeyError, IndexError) as exc:
-            raise ConfigurationError(
-                f"malformed JSON trace file {path}: {type(exc).__name__}: {exc}"
-            ) from None
-    raise ConfigurationError(f"unknown trace format {fmt!r}; expected csv or json")
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise ConfigurationError(
+            f"malformed JSON trace file {path}: {type(exc).__name__}: {exc}"
+        ) from None

@@ -46,6 +46,7 @@ from .bench import (
     _counts_to_threshold,
     _int_param,
     _sample_x0,
+    _trace_format,
     export_traces,
     import_traces,
     performance_profile,
@@ -289,7 +290,7 @@ def cmd_run(args) -> int:
     cfg = _config_from_options(args.solver, given, lambda key: f"option --{key}")
     cfg = replace(cfg, seed=seed)
     out = Path(args.out)
-    fmt = args.format or (out.suffix.lstrip(".") or "csv")
+    fmt = _trace_format(out, args.format)
     _print_section("run", {
         "problem": _format_problem(problem), "solver": args.solver, "seed": seed,
         "x0": args.x0, "out": str(out), "format": fmt, **_solver_mapping(args.solver, cfg),

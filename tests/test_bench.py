@@ -116,6 +116,31 @@ class TestRunExperiment:
         for ra, rb in zip(a, b):
             assert [e.f for e in ra.trace.entries] == [e.f for e in rb.trace.entries]
 
+    def test_worker_pool_is_capped_at_the_number_of_runs(self, monkeypatch):
+        # A fake pool that maps in-process stands in for the real one, so no
+        # process is started whatever worker count is asked for.
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("ssdopt.bench.ProcessPoolExecutor", InProcessPool)
+        spec = small_experiment()
+        serial = run_experiment(spec, jobs=1)
+        wide = run_experiment(spec, jobs=10**6)
+        assert asked == [len(spec.solvers) * spec.trials]
+        assert wide == serial
+
     def test_trial_seeds_are_base_plus_offset(self):
         spec3 = small_experiment()
         spec4 = ExperimentSpec(

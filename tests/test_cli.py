@@ -177,6 +177,13 @@ class TestRun:
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1
 
+    def test_unknown_out_suffix_is_refused_before_the_run(self, tmp_path):
+        res = cli(["run", "--problem", "quadratic:d=4", "--out", "t.txt"], tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == "error: unknown trace format 'txt'; expected csv or json\n"
+        assert res.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_integer_seed_environment_exits_two(self, tmp_path):
         res = cli(["run", "--problem", "quadratic:d=4"], tmp_path, env_extra={"SSD_SEED": "abc"})
         assert res.returncode == 2
