@@ -30,7 +30,7 @@ def run_fd_gd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
 
     def propose(x, k):
         g, fx = _full_derivatives(obj, x, cfg)
-        return g, float(g @ g), fx, float(np.linalg.norm(g))
+        return g, float(g @ g), fx
 
     return _drive(obj, x0, cfg, obj.d, propose)
 
@@ -73,7 +73,7 @@ def _bfgs_propose(obj: Objective, cfg: SsdConfig) -> Propose:
             H = np.eye(obj.d)
             direction = g.copy()
             decrease = float(g @ g)
-        return direction, decrease, fx, float(np.linalg.norm(direction))
+        return direction, decrease, fx
 
     return propose
 

@@ -287,15 +287,10 @@ def sample_haar(d: int, ell: int, size: int, gen: np.random.Generator) -> np.nda
     return np.sqrt(d / ell) * q
 
 
-def coordinate_indices(d: int, ell: int, gen: np.random.Generator) -> np.ndarray:
-    """ell distinct coordinates drawn without replacement."""
-    return gen.choice(d, size=ell, replace=False)
-
-
 def draw_coordinate_block(d: int, ell: int, rng: RngStream) -> Sketch:
     """Columns sqrt(d/ell) e_i at ell distinct random coordinates."""
     _check_dims(d, ell)
-    idx = coordinate_indices(d, ell, rng.generator())
+    idx = rng.generator().choice(d, size=ell, replace=False)
     m = np.zeros((d, ell))
     m[idx, np.arange(ell)] = np.sqrt(d / ell)
     return Sketch(m, d, ell, "coordinate")
@@ -321,12 +316,16 @@ _DRAWERS = {
 }
 
 
-def draw(distribution: str, d: int, ell: int, rng: RngStream) -> Sketch:
-    """Dispatch to the named family."""
+def _drawer(distribution: str):
+    """The draw function of the named family."""
     try:
-        drawer = _DRAWERS[distribution]
+        return _DRAWERS[distribution]
     except KeyError:
         raise ConfigurationError(
             f"unknown sketch distribution {distribution!r}; expected one of {DISTRIBUTIONS}"
         ) from None
-    return drawer(d, ell, rng)
+
+
+def draw(distribution: str, d: int, ell: int, rng: RngStream) -> Sketch:
+    """Dispatch to the named family."""
+    return _drawer(distribution)(d, ell, rng)

@@ -17,10 +17,12 @@ makes outside the oracle, and ``_Run.observe`` is the one place where a
 newly known value is checked to be finite, resolves a deferred entry,
 becomes current and is tested against the target.  The driver charges the
 first evaluation, steps through ``_loop`` with the solver's direction
-proposer, and closes the run with its terminal status.  ``run_ssd``
-proposes sketched directions, the baselines propose full-gradient and
-quasi-Newton ones, and the variance-reduced solver runs its anchored epochs
-inside the same driver.
+proposer, and closes the run with its terminal status.  A proposer returns
+``(direction, decrease, f(x) or None)``; the loop takes the direction norm
+itself.  ``run_ssd`` proposes sketched directions, the baselines propose
+full-gradient and quasi-Newton ones, and the variance-reduced solver runs
+its anchored epochs inside the same driver, one ``_loop`` call per stretch
+of steps.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import BudgetError, ConfigurationError, EvaluationError, LineSearchError
 from .oracle import FdScheme, directional_derivatives, full_gradient_fd, validate_scheme
 from .problems import Objective
-from .sketch import DISTRIBUTIONS, RngStream, Sketch, SketchStream, _check_ell, draw
+from .sketch import RngStream, Sketch, SketchStream, _check_ell, _drawer, draw
 
 STATUS_BUDGET = "budget_exhausted"
 STATUS_TARGET = "target_reached"
@@ -241,16 +243,18 @@ def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease,
     )
 
 
-# propose(x, k) -> (direction, decrease, f_at_x_or_None, dirnorm)
-Propose = Callable[[np.ndarray, int], Tuple[np.ndarray, float, Optional[float], float]]
+# propose(x, k) -> (direction g, decrease for the Armijo test, f(x) or None)
+Propose = Callable[[np.ndarray, int], Tuple[np.ndarray, float, Optional[float]]]
 
 
-def _loop(run: _Run, stop_k: int, propose: Propose, observer=None) -> None:
+def _loop(run: _Run, stop_k: int, propose: Propose) -> None:
     """Step ``run`` with ``propose`` until ``stop_k`` steps.
 
-    Every stop (the target, the budget, a failed line search or evaluation)
-    is raised to :func:`_drive`, which turns it into a status.
-    ``observer(x, f)`` sees every new iterate that does not meet the target.
+    ``propose(x, k)`` returns the direction, the decrease the Armijo test
+    scales, and f(x) when its probes evaluated it (None otherwise); each
+    entry records the direction's norm.  Every stop (the target, the budget,
+    a failed line search or evaluation) is raised to :func:`_drive`, which
+    turns it into a status.
     """
     armijo = isinstance(run.rule, ArmijoStep)
     # One evaluation is reserved after every fixed-rule step so the final
@@ -260,7 +264,7 @@ def _loop(run: _Run, stop_k: int, propose: Propose, observer=None) -> None:
         if run.f is None and not run.supplies_value:
             run.observe(run.evaluate(run.x))
         run.ensure(run.step_cost + reserve)
-        g, decrease, fx, dirnorm = propose(run.x, run.k)
+        g, decrease, fx = propose(run.x, run.k)
         if fx is not None:
             run.observe(fx)
         if armijo:
@@ -269,9 +273,7 @@ def _loop(run: _Run, stop_k: int, propose: Propose, observer=None) -> None:
             alpha, f_new = run.alpha_fixed, None
         run.x = run.x - alpha * g
         run.k += 1
-        run.record(f_new, alpha, dirnorm)
-        if observer is not None:
-            observer(run.x, run.f)
+        run.record(f_new, alpha, math.sqrt(g.dot(g)))
 
 
 def _start_point(obj: Objective, x0) -> np.ndarray:
@@ -283,18 +285,10 @@ def _start_point(obj: Objective, x0) -> np.ndarray:
     return x
 
 
-def validate_config(cfg: SsdConfig, obj: Optional[Objective] = None) -> None:
+def validate_config(cfg: SsdConfig, obj: Objective) -> None:
     """Reject inconsistent options before any evaluation is charged."""
-    if cfg.ell < 1:
-        raise ConfigurationError(f"sketch size must be positive, got {cfg.ell}")
-    if obj is not None and cfg.ell > obj.d:
-        raise ConfigurationError(
-            f"sketch size {cfg.ell} exceeds problem dimension {obj.d}"
-        )
-    if cfg.distribution not in DISTRIBUTIONS:
-        raise ConfigurationError(
-            f"unknown sketch distribution {cfg.distribution!r}; expected one of {DISTRIBUTIONS}"
-        )
+    _check_ell(obj.d, cfg.ell)
+    _drawer(cfg.distribution)
     validate_scheme(cfg.fd)
     rule = cfg.step_rule
     if isinstance(rule, FixedStep):
@@ -325,7 +319,7 @@ def validate_config(cfg: SsdConfig, obj: Optional[Objective] = None) -> None:
         raise ConfigurationError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.target_value is not None and math.isnan(cfg.target_value):
         raise ConfigurationError("target value must be a number, got nan")
-    if cfg.exact_gradient and obj is not None and obj.reference_gradient is None:
+    if cfg.exact_gradient and obj.reference_gradient is None:
         raise ConfigurationError("exact_gradient requires a reference gradient")
 
 
@@ -350,20 +344,11 @@ def _step_cost(cfg: SsdConfig, n_dirs: int) -> int:
 
 
 def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng):
-    """Proposal ``(P s, s^T s, f(x) or None, ||P s||)`` for a sketch drawn from
-    ``rng`` (an :class:`RngStream` or a positioned :class:`SketchStream`)."""
+    """Proposal ``(P s, s^T s, f(x) or None)`` for a sketch drawn from ``rng``
+    (an :class:`RngStream` or a positioned :class:`SketchStream`)."""
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
     s, fx = _sketch_derivatives(obj, x, cfg, P)
-    g = P.matrix @ s
-    return g, float(s @ s), fx, math.sqrt(g.dot(g))
-
-
-def _ssd_propose(obj: Objective, cfg: SsdConfig,
-                 stream: Optional[SketchStream] = None) -> Propose:
-    """Proposer drawing step k's sketch from ``stream`` (a new one for the run
-    when None)."""
-    stream = stream or SketchStream(cfg.seed)
-    return lambda x, k: _sketched_direction(obj, x, cfg, stream.at(k))
+    return P.matrix @ s, float(s @ s), fx
 
 
 def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction):
@@ -375,14 +360,15 @@ def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction):
     """
     x = _start_point(obj, x)
     before = obj.eval_count
-    g, decrease, fx, dirnorm = direction(x)
+    g, decrease, fx = direction(x)
     alpha = _fixed_alpha(cfg.step_rule, obj, cfg.ell)
     if alpha is None:
         f0 = fx if fx is not None else obj.evaluate(x)
         alpha, f_entry = _armijo(obj.evaluate, x, g, f0, decrease, cfg.step_rule)
     else:
         f_entry = fx if fx is not None else math.nan
-    entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha, dirnorm)
+    entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha,
+                       math.sqrt(g.dot(g)))
     return x - alpha * g, entry
 
 
@@ -458,4 +444,6 @@ def run_ssd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     carries one entry per iterate with cumulative evaluation counts.
     """
     validate_config(cfg, obj)
-    return _drive(obj, x0, cfg, cfg.ell, _ssd_propose(obj, cfg))
+    stream = SketchStream(cfg.seed)
+    return _drive(obj, x0, cfg, cfg.ell,
+                  lambda x, k: _sketched_direction(obj, x, cfg, stream.at(k)))

@@ -25,7 +25,6 @@ knows about warmup, anchors and the option-two restart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .ssd import (
     _loop,
     _single_step,
     _sketch_derivatives,
-    _ssd_propose,
+    _sketched_direction,
     _step_cost,
     validate_config,
 )
@@ -74,7 +73,7 @@ class AnchorState:
     epoch: int
 
 
-def validate_vrssd_config(cfg: VrssdConfig, obj: Optional[Objective] = None) -> None:
+def validate_vrssd_config(cfg: VrssdConfig, obj: Objective) -> None:
     validate_config(cfg, obj)
     if cfg.m < 1:
         raise ConfigurationError(f"epoch length must be positive, got {cfg.m}")
@@ -179,7 +178,7 @@ def rate_bound_vrssd(alpha: float, gamma: float, lam: float, m: int, rho: float,
 
 
 def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng):
-    """Proposal ``(v, s^T s, f(x) or None, ||v||)`` for a sketch drawn from ``rng``.
+    """Proposal ``(v, s^T s, f(x) or None)`` for a sketch drawn from ``rng``.
 
     The exact eta mode adds a full gradient estimate to the sketched one,
     charged as the run's step cost counts it (nothing with the exact
@@ -194,7 +193,7 @@ def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng):
     else:
         eta = eta_value(cfg.eta_mode, s_vec, t, anchor.gradient)
     v = P.apply(s_vec - eta * t) + eta * anchor.gradient
-    return v, float(s_vec @ s_vec), fx, float(np.linalg.norm(v))
+    return v, float(s_vec @ s_vec), fx
 
 
 def vrssd_inner_step(obj: Objective, x, anchor: AnchorState, cfg: VrssdConfig,
@@ -217,19 +216,23 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     run with ``eta_mode="zero"`` and option "one" revisits exactly the
     sketches of :func:`ssdopt.ssd.run_ssd` under the same seed.
 
-    With option "two" and a fixed step rule, recording the value of the last
-    inner iterate before the anchor jumps costs one extra evaluation per
-    epoch; Armijo runs already know it.  An anchor that does not supply the
-    last inner iterate's value (centered differences, exact gradient) keeps
-    one evaluation back for it, so the run never charges past its budget.
+    With option "two", the restart index j of each epoch is drawn from the
+    epoch channel before the epoch starts; the draw does not depend on the
+    trajectory.  The run keeps inner iterate j and, once the epoch is
+    complete, restarts there.
+    With a fixed step rule, recording the value of the last inner iterate
+    before the jump still costs one evaluation per completed epoch; Armijo
+    runs already know it.  An anchor that does not supply the last inner
+    iterate's value (centered differences, exact gradient) keeps one
+    evaluation back for it, so the run never charges past its budget.
     """
     validate_vrssd_config(cfg, obj)
     anchor_cost = _step_cost(cfg, obj.d)
 
     def epochs(run):
         stream = SketchStream(cfg.seed)
-        if cfg.warmup_iters > 0:
-            _loop(run, min(cfg.warmup_iters, cfg.max_iters), _ssd_propose(obj, cfg, stream))
+        _loop(run, min(cfg.warmup_iters, cfg.max_iters),
+              lambda x, k: _sketched_direction(obj, x, cfg, stream.at(k)))
         if cfg.eta_mode == "exact":
             run.step_cost += anchor_cost
         epoch = 0
@@ -240,20 +243,24 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
             anchor = AnchorState(run.x.copy(), g_anchor, epoch)
             if f_anchor is not None:
                 run.observe(f_anchor)
-            inner: List = []
-            observer = (lambda xi, fi: inner.append((xi, fi))) if cfg.option == "two" else None
-            _loop(run, min(run.k + cfg.m, cfg.max_iters),
-                  lambda x, k: _vr_direction(obj, x, anchor, cfg, stream.at(k)), observer)
-            if cfg.option == "two" and len(inner) == cfg.m:
+
+            def propose(x, k):
+                return _vr_direction(obj, x, anchor, cfg, stream.at(k))
+
+            start, end = run.k, run.k + cfg.m
+            if cfg.option == "two":
                 # The next epoch restarts from a uniformly chosen inner iterate.
-                # Resolve the deferred last entry at the pre-jump point first.
-                if run.deferred is not None:
-                    run.observe(run.evaluate(run.x))
                 j = int(
                     RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator().integers(1, cfg.m + 1)
                 )
-                x, run.f = inner[j - 1]
-                run.x = x.copy()
+                _loop(run, min(start + j, cfg.max_iters), propose)
+                restart = run.x, run.f
+            _loop(run, min(end, cfg.max_iters), propose)
+            if cfg.option == "two" and run.k == end:
+                # Resolve the deferred last entry at the pre-jump point first.
+                if run.deferred is not None:
+                    run.observe(run.evaluate(run.x))
+                run.x, run.f = restart
             epoch += 1
 
     return _drive(obj, x0, cfg, cfg.ell, epochs=epochs)
