@@ -174,7 +174,9 @@ class _Run:
     ``x`` is the current iterate after ``k`` steps and ``f`` its value, or
     None while that value is unknown.  A new iterate's entry waits in
     ``deferred`` until its value is observed: Armijo knows it at once, while
-    a fixed-rule step leaves it to the next shared evaluation at ``x``.
+    a fixed-rule step leaves it to the next shared evaluation at ``x``.  Once
+    the run has started, ``f`` is None exactly while an entry waits, which
+    is the one test for a value still owed.
     """
 
     def __init__(self, obj: Objective, cfg: SsdConfig, n_dirs: int, x: np.ndarray):
@@ -407,7 +409,7 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
     except EvaluationError:
         # No evaluation is charged after the objective failed.
         return RunTrace(run.entries, STATUS_EVALUATION)
-    if run.deferred is not None:
+    if run.f is None:
         # Meeting the target with the value at the close changes no status.
         run.target = None
         try:

@@ -219,7 +219,8 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     With option "two", the restart index j of each epoch is drawn from the
     epoch channel before the epoch starts; the draw does not depend on the
     trajectory.  The run keeps inner iterate j and, once the epoch is
-    complete, restarts there.
+    complete, restarts there with the value that iterate's trace entry
+    holds, so the restart point is never evaluated again.
     With a fixed step rule, recording the value of the last inner iterate
     before the jump still costs one evaluation per completed epoch; Armijo
     runs already know it.  An anchor that does not supply the last inner
@@ -238,7 +239,7 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
         epoch = 0
         while run.k < cfg.max_iters:
             # Keep back the reserved evaluation for a value the anchor will not supply.
-            run.ensure(anchor_cost + (run.deferred is not None and not run.supplies_value))
+            run.ensure(anchor_cost + (run.f is None and not run.supplies_value))
             g_anchor, f_anchor = _full_derivatives(obj, run.x, cfg)
             anchor = AnchorState(run.x.copy(), g_anchor, epoch)
             if f_anchor is not None:
@@ -254,13 +255,13 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
                     RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator().integers(1, cfg.m + 1)
                 )
                 _loop(run, min(start + j, cfg.max_iters), propose)
-                restart = run.x, run.f
+                restart = run.x
             _loop(run, min(end, cfg.max_iters), propose)
             if cfg.option == "two" and run.k == end:
                 # Resolve the deferred last entry at the pre-jump point first.
-                if run.deferred is not None:
+                if run.f is None:
                     run.observe(run.evaluate(run.x))
-                run.x, run.f = restart
+                run.x, run.f = restart, run.entries[start + j].f
             epoch += 1
 
     return _drive(obj, x0, cfg, cfg.ell, epochs=epochs)

@@ -8,7 +8,11 @@ longer than 128 steps, and for seeds that span several 32-bit words
 (2**32 + 5 and 2**130 + 1), where the seed-to-stream hashing takes its
 longer path.  The digests were recorded with numpy 2.4 and OpenBLAS 0.3.31
 on x86-64; another BLAS build may round the Haar QR differently in the
-last bit.
+last bit.  The nine ``vrssd-{haar,coordinate,gaussian}-{s5,s2p32,s2p130}-w70-theory-exact``
+cases were re-pinned when an option-two restart stopped evaluating f again
+at an inner iterate whose value its trace entry already held; their
+iterates and values are unchanged, and each run charges 6 fewer
+evaluations (201 instead of 207).
 """
 
 import hashlib
@@ -92,23 +96,23 @@ DIGESTS = {
     "ssd-haar-s5-armijo-forward": "ce34b774ec7fea5c3e660c29630883d1939f8b03dda1fbee82fb1d834f2fae2e",
     "ssd-haar-s5-fixed-centered": "7494b59e92aaec4faabdeb17e113f8211ed962d0b34cb76f169dd97e3d34d6f0",
     "vrssd-coordinate-s2p130-w3-fixed-forward": "48ca19e7277f7d822217d94b165bfae28a0428c322a0cbd134d0238ce61dbb75",
-    "vrssd-coordinate-s2p130-w70-theory-exact": "1203da921a72a61f6b873956ccdd89fd383a2f3c58e6c2ac9a7cbec4ceed47c1",
+    "vrssd-coordinate-s2p130-w70-theory-exact": "b9b39440329b3da11b1ebe7c8929c825cf5f166865d97c5a09cc651a30b4d708",
     "vrssd-coordinate-s2p32-w3-fixed-forward": "5098d7ceebd200d63cd9387e62b4dea1fdccaea4274bc818e4247a4df618b983",
-    "vrssd-coordinate-s2p32-w70-theory-exact": "102ddfad5df4b93cdd4fdeca6967766a224f7792f10a230e55c98a208161ee67",
+    "vrssd-coordinate-s2p32-w70-theory-exact": "bbb4c60f84be8295e841430218f864d8f1f95b7946fe8957fc6bb71e34f9fbb0",
     "vrssd-coordinate-s5-w3-fixed-forward": "313f4b0b85dbb3898763a064559761104cd9359cc6c9e9629ecc551fbcf8371e",
-    "vrssd-coordinate-s5-w70-theory-exact": "c8fab10538d5ab47d8cc7161cd93fd24f91cae3919809817ff621bdb2def60eb",
+    "vrssd-coordinate-s5-w70-theory-exact": "9413a3821ae6a8d2998c5d1b33fb7b1173c37bc0128085b9b1ab7c13be06088b",
     "vrssd-gaussian-s2p130-w3-fixed-forward": "9b24ef7a48e6db56ca488e013569f8f4c593334d60e4ae56a8d5ee3bc3407447",
-    "vrssd-gaussian-s2p130-w70-theory-exact": "383121aa4ca3ed32887276b3374428a77b0c2571818e823e0af0dd7c6106f4d4",
+    "vrssd-gaussian-s2p130-w70-theory-exact": "11926e477e16d61e162d07e477c4f927435a625a3553e792897a6b90deafe31d",
     "vrssd-gaussian-s2p32-w3-fixed-forward": "7d8f3d83eafef75d7ef16d7e51318e8f5cc3427af6fec9a18d8684b8a71e5cf1",
-    "vrssd-gaussian-s2p32-w70-theory-exact": "ed0b99db4cf0346176e8339c53c3ea7ee3236754f805b4f567638a4d7cb0c932",
+    "vrssd-gaussian-s2p32-w70-theory-exact": "e330b5494f0f1a5f6b8e70f3a14948e33322ce92da3caa88f9a4b09785853614",
     "vrssd-gaussian-s5-w3-fixed-forward": "54c7ed53e13b28db8ca63b78238810d1dfd4c51665ff29bbee38a8ea2270b457",
-    "vrssd-gaussian-s5-w70-theory-exact": "288dc360c62b0c851c69f90b3887857444688648681a3d6b45604558bdcbb735",
+    "vrssd-gaussian-s5-w70-theory-exact": "768ad30597780307d2e9937adcdaaad6a7b7989354d107d06065f912d5b639e0",
     "vrssd-haar-s2p130-w3-fixed-forward": "8b0074f89ee3d48b31b12582d31e89ab055467c3bcc99d7e207c74ffda6584ad",
-    "vrssd-haar-s2p130-w70-theory-exact": "a24183e11b829b288865ef410b58e971c6a1a7d815acece473cb4948dbf516c8",
+    "vrssd-haar-s2p130-w70-theory-exact": "38336ab8036f2bd0e63db2b0fab2ffc85dceaf01a6b34181a323a0daddb88c36",
     "vrssd-haar-s2p32-w3-fixed-forward": "6390cea15667fe9deaa5cc03c46d7d7fd35df11ee90d4bcd3a1e346364160667",
-    "vrssd-haar-s2p32-w70-theory-exact": "9ffbd9cfbbbc7359118e4a8efb4acac2d2b356396ca6b4b5b8f270356322ca5a",
+    "vrssd-haar-s2p32-w70-theory-exact": "f75099176bdb132c9f5b0c8fd51a2fdc17f533bb506ad01e8eb33ee799596ac0",
     "vrssd-haar-s5-w3-fixed-forward": "e7f5354760fb823d199ef284b92c5a6f1841a7d30a7947f17364a3087611dd06",
-    "vrssd-haar-s5-w70-theory-exact": "8fba54aa6cc4c39da5d802100a0c2be216f916eb4e8167abd567f76cffc8b45d",
+    "vrssd-haar-s5-w70-theory-exact": "56524a6e77708c027bab4d098285dcb4db3da52d536d7c0af8fb91b716657183",
 }
 
 

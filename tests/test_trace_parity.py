@@ -8,7 +8,11 @@ recorded before ``run_ssd``, ``run_vrssd``, ``run_fd_gd`` and
 soon as any entry, stop status or evaluation count moves.  The seven vrssd
 cases with exact eta and the exact gradient were re-pinned when their
 per-step full gradient stopped charging d + 1 evaluations that the budget
-did not count.
+did not count.  The eight ``vrssd-two-{zero,one,approx,exact}-w{0,3}-theory-exact``
+cases were re-pinned when an option-two restart stopped evaluating f again
+at an inner iterate whose value its trace entry already held: every entry
+keeps its iterate, value, step and direction norm, and only the cumulative
+evaluation counts drop.
 
 The matrix covers the step rules and difference schemes of ssd and gd, the
 anchor options, eta modes and warmup of vrssd, every gradient source of
@@ -313,28 +317,28 @@ DIGESTS = {
     "vrssd-one-zero-w3-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
     "vrssd-two-approx-w0-armijo-centered": "b6c1e5433560fe3c4c0b303d4f7b70e38d98bf6fee36d697f6f1cc3b9de2c90d",
     "vrssd-two-approx-w0-fixed-forward": "64a5110bac49c020966a3f9a82bb4b2bef8fedde852d18dc7e4a5869a0a96026",
-    "vrssd-two-approx-w0-theory-exact": "62877dd5f6cb1aa4a7fe7c7696f9963cd9f6530c7311d4635256fc2173a318ad",
+    "vrssd-two-approx-w0-theory-exact": "c43663a46cb238204fd10fa3703c4092a81bd60558b60ea6fdb7b5a92475214a",
     "vrssd-two-approx-w3-armijo-centered": "af9df431872832e8a7603586b8b77d3d28cd3df8af3c4b8e8b5e1b891ea4b290",
     "vrssd-two-approx-w3-fixed-forward": "25258128fba7e041032b4380f9d6818d1e13b9114e92d2f29a185076ed02b3f7",
-    "vrssd-two-approx-w3-theory-exact": "4992c7058784e949bb3e2876c8366a835611eed0d0092be5b2eb5dfe41e8d6d5",
+    "vrssd-two-approx-w3-theory-exact": "573de8d83af2912e0157db96f124604f98fd77b969a3fe282b1236679b9c5217",
     "vrssd-two-exact-w0-armijo-centered": "f295d30f7fe5a93da63110dab640cedee07f7d462a0b5f37baa98e7ae123e456",
     "vrssd-two-exact-w0-fixed-forward": "b48d8ceb60d32ad8b8114508a5e132189dc5a833d65e5446afc9c72638544d98",
-    "vrssd-two-exact-w0-theory-exact": "48038de643d31d86641eb550aa7048579b4e3d62562b1a1210477e50a47627b1",
+    "vrssd-two-exact-w0-theory-exact": "ea551cfa84d41f5685918cf7b7648c8a218a3a198d371fb0d56b1d2583371628",
     "vrssd-two-exact-w3-armijo-centered": "d43e1de0c2563a160c2d207c392b9e0892a76bc6d977c1618914110dd3b0838b",
     "vrssd-two-exact-w3-fixed-forward": "ceeee969da70ac66dd79d89e2e3943647e465abf371c3404c1e41d15994293e9",
-    "vrssd-two-exact-w3-theory-exact": "c4d83296a1b71881f8d9bca2c9dc729b056a210cc3897c3ed97d99eea7adbca9",
+    "vrssd-two-exact-w3-theory-exact": "f5c3827feb81d04a9f125bb7d09a9f9ed92178d6bf44fbee24d8c1b219736c5a",
     "vrssd-two-one-w0-armijo-centered": "3ba13bda8002313ab1a8ae5a8bcfb7580ec0b27a3194eb3ed399d0542a0fd3be",
     "vrssd-two-one-w0-fixed-forward": "628588422fef2070941122641cc36150851e7615675fb8f597cfeb58c393a044",
-    "vrssd-two-one-w0-theory-exact": "18c8d490e54917595adf361c8c7d2f91ca346e561d18954df20a590dd2cbfdbb",
+    "vrssd-two-one-w0-theory-exact": "2b208cb59e6757ea7ee6033180a05b8257bace9488620538b7b971831e25e77a",
     "vrssd-two-one-w3-armijo-centered": "cf346ad3432b0e2e5fd4bbbaaa5a64a49b5d26b5dce9e7f6995e3878ceb41259",
     "vrssd-two-one-w3-fixed-forward": "c2842704988d6a03dd24f16348671157a85f263cf1539f119ad52eeb015d38b8",
-    "vrssd-two-one-w3-theory-exact": "cc03a9813953398a3a48f819ad07bf616c7aba6e5ccc1abc5c824fce8d274692",
+    "vrssd-two-one-w3-theory-exact": "8e3adc72fe8f1bae5edda2a2b316ef59ef6ccc77b71c4565e14cd2bc4c9d664d",
     "vrssd-two-zero-w0-armijo-centered": "45ff955460ddfbd20c3f61e513ce6f2effc3cb0c9be40117ee6dbafffb1081b8",
     "vrssd-two-zero-w0-fixed-forward": "df9e55c1ebefa14509ab69a8d84537ea8a1dfdf46abc82b78051975b4631f259",
-    "vrssd-two-zero-w0-theory-exact": "3891dacd5083c96ad2aca8204c7f9476470bb0ab01ff86d244c1d8af72fd4791",
+    "vrssd-two-zero-w0-theory-exact": "c2d805269f895a2ff31b937e0a7342bc8a6fe98fabfa5a525a490ac6a0f697cc",
     "vrssd-two-zero-w3-armijo-centered": "d80b5edcdc65d0e65533f3b9b44eac075e4a6fb904e7096bdb174c099a30a2b5",
     "vrssd-two-zero-w3-fixed-forward": "c809489cbcd8ae69b1c1b35c5c8030e040fc1762c3329d3dfeda80f25cf49c7c",
-    "vrssd-two-zero-w3-theory-exact": "f67526f70b34bf95564072d780ac2fe892f7f0052571505f3e21970dc0a53d25",
+    "vrssd-two-zero-w3-theory-exact": "3c6c3572d5d21fa71c2c18b4f9e5d327f6fd2dee8a9075356fea2cad0a249ae8",
 }
 
 

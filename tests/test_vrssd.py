@@ -402,6 +402,28 @@ class TestOptionTwo:
         for epochs in (2, 3):
             assert total("two", epochs) == total("one", epochs) + epochs - 1
 
+    @pytest.mark.parametrize(
+        "grad, evals",
+        [({"exact_gradient": True}, 41), ({"fd": FdScheme("centered")}, 321)],
+        ids=["exact", "centered"],
+    )
+    def test_restart_point_is_not_evaluated_again(self, grad, evals):
+        # Neither source evaluates f at the iterate itself, so a point seen
+        # twice is a value the run had already paid for.
+        base = isotropic_quadratic(6)
+        seen = []
+
+        def evaluator(x):
+            seen.append(np.asarray(x, float).tobytes())
+            return base.evaluator(x)
+
+        obj = replace(base, evaluator=evaluator)
+        cfg = VrssdConfig(ell=2, m=4, option="two", step_rule=FixedStep(0.1),
+                          max_iters=40, seed=3, **grad)
+        trace = run_vrssd(obj, np.ones(6), cfg)
+        assert trace.terminal_status == "max_iters"
+        assert len(set(seen)) == len(seen) == obj.eval_count == evals
+
 
 class TestTermination:
     def test_budget_below_first_anchor(self):
