@@ -169,6 +169,12 @@ def _sample_x0(rule: Tuple, d: int, stream: RngStream) -> np.ndarray:
     raise ConfigurationError(f"unknown x0 sampler {kind!r}")
 
 
+def _seed_run(x0_rule: Tuple, d: int, cfg: SsdConfig,
+              seed: int) -> Tuple[np.ndarray, SsdConfig]:
+    """The start point and config of the run seeded ``seed``."""
+    return _sample_x0(x0_rule, d, RngStream(seed, X0_CHANNEL, 0)), replace(cfg, seed=seed)
+
+
 def _threshold_level(rule: Tuple, fmin: Optional[float], start) -> float:
     """Success level of ``("absolute", v)`` or ``("fraction", p)``.
 
@@ -215,9 +221,7 @@ def _run_single(spec: ExperimentSpec, task: Tuple[int, int]) -> TraceRecord:
     solver_index, trial = task
     setup = spec.solvers[solver_index]
     obj = spec.problem.build()
-    seed = spec.base_seed + trial
-    x0 = _sample_x0(spec.x0, obj.d, RngStream(seed, X0_CHANNEL, 0))
-    cfg = replace(setup.config, seed=seed)
+    x0, cfg = _seed_run(spec.x0, obj.d, setup.config, spec.base_seed + trial)
     threshold = _resolve_threshold(spec.threshold, obj, x0)
     if threshold is not None:
         cfg = replace(cfg, target_value=threshold)

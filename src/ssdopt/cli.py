@@ -31,7 +31,7 @@ import os
 import statistics
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -45,7 +45,7 @@ from .bench import (
     TraceRecord,
     _counts_to_threshold,
     _int_param,
-    _sample_x0,
+    _seed_run,
     _trace_format,
     export_traces,
     import_traces,
@@ -54,9 +54,9 @@ from .bench import (
 )
 from .errors import ConfigurationError, NoSuccessError
 from .oracle import _KINDS as _FD_KINDS, FdScheme
-from .sketch import DISTRIBUTIONS, RngStream, X0_CHANNEL
+from .sketch import DISTRIBUTIONS
 from .ssd import ArmijoStep, FixedStep, SsdConfig, TheoreticalStep
-from .vrssd import VrssdConfig
+from .vrssd import _ETA_MODES, _OPTIONS as _ANCHOR_OPTIONS, VrssdConfig
 
 
 def _int(text, what: str) -> int:
@@ -223,10 +223,9 @@ _OPTIONS = {o.key: o for o in (
     _Option("target", "target_value", None, _parse_target, "stop once f falls to this value",
             show=lambda c: None if c.target_value is None else repr(c.target_value)),
     _Option("m", "m", "10", _int, "inner steps per epoch (vrssd)", kinds=_VRSSD),
-    _Option("option", "option", "one", _choice("one", "two", **{"1": "one", "2": "two"}),
+    _Option("option", "option", "one", _choice(*_ANCHOR_OPTIONS, **{"1": "one", "2": "two"}),
             "anchor choice: one|two (vrssd)", kinds=_VRSSD),
-    _Option("eta", "eta_mode", "approx",
-            _choice("zero", "one", "exact", "approx", **{"0": "zero", "1": "one"}),
+    _Option("eta", "eta_mode", "approx", _choice(*_ETA_MODES, **{"0": "zero", "1": "one"}),
             "control-variate weight: 0|1|exact|approx (vrssd)", kinds=_VRSSD),
     _Option("warmup", "warmup_iters", "0", _int,
             "plain steps before the first epoch (vrssd)", kinds=_VRSSD),
@@ -288,16 +287,16 @@ def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
     given = {key: vars(args)[key] for key in _OPTIONS if vars(args)[key] is not None}
     cfg = _config_from_options(args.solver, given, lambda key: f"option --{key}")
-    cfg = replace(cfg, seed=seed)
+    x0_rule = _parse_rule(args.x0, "x0 sampler", _X0_FORMS)
+    obj = problem.build()
+    x0, cfg = _seed_run(x0_rule, obj.d, cfg, seed)
     out = Path(args.out)
     fmt = _trace_format(out, args.format)
     _print_section("run", {
         "problem": _format_problem(problem), "solver": args.solver, "seed": seed,
-        "x0": args.x0, "out": str(out), "format": fmt, **_solver_mapping(args.solver, cfg),
+        "x0": _format_rule(x0_rule), "out": str(out), "format": fmt,
+        **_solver_mapping(args.solver, cfg),
     })
-    obj = problem.build()
-    x0_rule = _parse_rule(args.x0, "x0 sampler", _X0_FORMS)
-    x0 = _sample_x0(x0_rule, obj.d, RngStream(seed, X0_CHANNEL, 0))
     trace = RUNNERS[args.solver](obj, x0, cfg)
     with _writing(out):
         export_traces([TraceRecord(args.solver, 0, trace)], out, fmt)

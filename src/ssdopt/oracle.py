@@ -7,6 +7,7 @@ result or the evaluation count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,14 +54,15 @@ def default_step(x, kind: str) -> float:
 
 
 def validate_scheme(scheme: FdScheme) -> None:
-    """Reject an unknown difference kind or a nonpositive fixed offset."""
+    """Reject an unknown difference kind or a fixed offset that is not
+    positive and finite."""
     if scheme.kind not in _KINDS:
         raise ConfigurationError(
             f"unknown finite-difference kind {scheme.kind!r}; expected one of {_KINDS}"
         )
-    if scheme.step is not None and not float(scheme.step) > 0:
+    if scheme.step is not None and not 0 < float(scheme.step) < math.inf:
         raise ConfigurationError(
-            f"finite-difference step must be positive, got {float(scheme.step)}"
+            f"finite-difference step must be positive and finite, got {float(scheme.step)}"
         )
 
 

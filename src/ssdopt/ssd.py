@@ -294,16 +294,16 @@ def validate_config(cfg: SsdConfig, obj: Objective) -> None:
     validate_scheme(cfg.fd)
     rule = cfg.step_rule
     if isinstance(rule, FixedStep):
-        if not rule.alpha > 0:
-            raise ConfigurationError(f"step size must be positive, got {rule.alpha}")
+        if not 0 < rule.alpha < math.inf:
+            raise ConfigurationError(f"step size must be positive and finite, got {rule.alpha}")
     elif isinstance(rule, ArmijoStep):
         if not 0 < rule.c1 < 1:
             raise ConfigurationError(f"need 0 < c1 < 1, got {rule.c1}")
         if not 0 < rule.shrink < 1:
             raise ConfigurationError(f"need 0 < shrink < 1, got {rule.shrink}")
-        if not rule.alpha_init > 0:
+        if not 0 < rule.alpha_init < math.inf:
             raise ConfigurationError(
-                f"initial trial step must be positive, got {rule.alpha_init}"
+                f"initial trial step must be positive and finite, got {rule.alpha_init}"
             )
         if rule.max_backtracks < 1:
             raise ConfigurationError(

@@ -216,14 +216,13 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     run with ``eta_mode="zero"`` and option "one" revisits exactly the
     sketches of :func:`ssdopt.ssd.run_ssd` under the same seed.
 
-    With option "two", the restart index j of each epoch is drawn from the
-    epoch channel before the epoch starts; the draw does not depend on the
-    trajectory.  The run keeps inner iterate j and, once the epoch is
-    complete, restarts there with the value that iterate's trace entry
-    holds, so the restart point is never evaluated again.
-    With a fixed step rule, recording the value of the last inner iterate
-    before the jump still costs one evaluation per completed epoch; Armijo
-    runs already know it.  An anchor that does not supply the last inner
+    With option "two", each epoch's restart index j is drawn from the epoch
+    channel before the epoch starts, as it does not depend on the
+    trajectory.  Once the epoch is complete, the run restarts at inner
+    iterate j with the value its trace entry holds, at no evaluation.  With
+    a fixed step rule, recording the value of the last inner iterate before
+    the jump still costs one evaluation per completed epoch; Armijo runs
+    already know it.  An anchor that does not supply the last inner
     iterate's value (centered differences, exact gradient) keeps one
     evaluation back for it, so the run never charges past its budget.
     """
@@ -251,9 +250,8 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
             start, end = run.k, run.k + cfg.m
             if cfg.option == "two":
                 # The next epoch restarts from a uniformly chosen inner iterate.
-                j = int(
-                    RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator().integers(1, cfg.m + 1)
-                )
+                rng = RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator()
+                j = int(rng.integers(1, cfg.m + 1))
                 _loop(run, min(start + j, cfg.max_iters), propose)
                 restart = run.x
             _loop(run, min(end, cfg.max_iters), propose)

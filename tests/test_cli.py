@@ -34,6 +34,9 @@ REJECTED_RUNS = [
     ["run", "--problem", "quadratic:d=4", "--seed", "x"],
     ["run", "--problem", "quadratic:d=4", "--ell", "x"],
     ["sweep", "s.ini", "--jobs", "x"],
+    ["run", "--problem", "quadratic:d=4", "--step", "fixed:inf"],
+    ["run", "--problem", "quadratic:d=4", "--step", "armijo:alpha_init=inf"],
+    ["run", "--problem", "quadratic:d=4", "--fd-step", "inf"],
 ]
 
 
@@ -183,6 +186,18 @@ class TestRun:
         assert res.stderr == "error: unknown trace format 'txt'; expected csv or json\n"
         assert res.stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_x0_prints_in_its_parsed_form(self, tmp_path):
+        res = cli(["run", "--problem", "quadratic:d=4", "--x0", "uniform:-1,2"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "x0 = uniform:-1.0,2.0\n" in res.stdout
+
+    @pytest.mark.parametrize("x0", ["bogus", "uniform:-inf,inf"])
+    def test_bad_x0_is_refused_before_the_run_block(self, tmp_path, x0):
+        res = cli(["run", "--problem", "quadratic:d=4", "--x0", x0], tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert res.stdout == ""
 
     def test_non_integer_seed_environment_exits_two(self, tmp_path):
         res = cli(["run", "--problem", "quadratic:d=4"], tmp_path, env_extra={"SSD_SEED": "abc"})

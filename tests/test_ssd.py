@@ -90,6 +90,8 @@ class TestConfigValidation:
             {"eval_budget": 0},
             {"seed": -1},
             {"target_value": math.nan},
+            {"step_rule": FixedStep(math.inf)},
+            {"step_rule": ArmijoStep(alpha_init=math.inf)},
         ],
     )
     def test_rejected_configs(self, kw):
