@@ -252,11 +252,10 @@ Propose = Callable[[np.ndarray, int], Tuple[np.ndarray, float, Optional[float]]]
 def _loop(run: _Run, stop_k: int, propose: Propose) -> None:
     """Step ``run`` with ``propose`` until ``stop_k`` steps.
 
-    ``propose(x, k)`` returns the direction, the decrease the Armijo test
-    scales, and f(x) when its probes evaluated it (None otherwise); each
-    entry records the direction's norm.  Every stop (the target, the budget,
-    a failed line search or evaluation) is raised to :func:`_drive`, which
-    turns it into a status.
+    ``propose`` gives f(x) when its probes evaluated it; each entry records
+    the direction's norm.  Every stop (the target, the budget, a failed line
+    search or evaluation) is raised to :func:`_drive`, which turns it into a
+    status.
     """
     armijo = isinstance(run.rule, ArmijoStep)
     # One evaluation is reserved after every fixed-rule step so the final
