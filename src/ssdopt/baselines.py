@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
+from .oracle import full_gradient_fd
 from .problems import Objective
 from .ssd import (
     ArmijoStep,
@@ -18,7 +19,6 @@ from .ssd import (
     RunTrace,
     SsdConfig,
     _drive,
-    _full_derivatives,
     validate_config,
 )
 
@@ -29,7 +29,7 @@ def run_fd_gd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     validate_config(cfg, obj)
 
     def propose(x, k):
-        g, fx = _full_derivatives(obj, x, cfg)
+        g, fx = full_gradient_fd(obj, x, cfg.fd, return_value=True)
         return g, float(g @ g), fx
 
     return _drive(obj, x0, cfg, obj.d, propose)
@@ -62,7 +62,7 @@ def _bfgs_propose(obj: Objective, cfg: SsdConfig) -> Propose:
 
     def propose(x, k):
         nonlocal H, last
-        g, fx = _full_derivatives(obj, x, cfg)
+        g, fx = full_gradient_fd(obj, x, cfg.fd, return_value=True)
         if last is not None:
             _bfgs_update(H, x - last[0], g - last[1])
         last = (x, g)

@@ -53,7 +53,7 @@ from .bench import (
     run_experiment,
 )
 from .errors import ConfigurationError, NoSuccessError
-from .oracle import _KINDS as _FD_KINDS, FdScheme
+from .oracle import _FD_KINDS, FdScheme
 from .sketch import DISTRIBUTIONS
 from .ssd import ArmijoStep, FixedStep, SsdConfig, TheoreticalStep
 from .vrssd import _ETA_MODES, _OPTIONS as _ANCHOR_OPTIONS, VrssdConfig

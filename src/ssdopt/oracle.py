@@ -1,8 +1,7 @@
-"""Finite-difference estimates of directional derivatives and gradients.
-
-The probe points of one call are a fixed function of the inputs, so the
-evaluations may run concurrently (pass ``map_fn``) without changing any
-result or the evaluation count.
+"""Derivative oracles: finite-difference estimates of directional
+derivatives and gradients, or the objective's reference gradient when the
+scheme's kind is ``"exact"``, so every solver reads its derivatives through
+the same two calls whatever their source.
 """
 
 from __future__ import annotations
@@ -21,17 +20,22 @@ _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = float(np.sqrt(_EPS))
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
 
-_KINDS = ("forward", "centered")
+# The command line offers the difference kinds only; "exact" needs a reference gradient.
+_FD_KINDS = ("forward", "centered")
+_KINDS = (*_FD_KINDS, "exact")
 
 
 @dataclass(frozen=True)
 class FdScheme:
-    """Finite-difference flavor.
+    """Where a solver's derivatives come from.
 
     ``kind`` is ``"forward"`` (ell + 1 evaluations per directional call, the
-    base point shared across directions) or ``"centered"`` (2 ell evaluations,
-    no base value). ``step`` fixes the offset h; ``None`` selects the
-    scale-aware default per call.
+    base point shared across directions, so f(x) comes with it),
+    ``"centered"`` (2 ell evaluations, no base value) or ``"exact"`` (the
+    reference gradient the analysis assumes, for tests: no evaluations, no
+    base value).  A full gradient costs the same with d in place of ell.
+    ``step`` fixes the offset h; ``None`` (the only value ``"exact"`` takes)
+    selects the scale-aware default per call.
     """
 
     kind: str = "forward"
@@ -53,28 +57,27 @@ def default_step(x, kind: str) -> float:
     raise ConfigurationError(f"unknown finite-difference kind {kind!r}")
 
 
-def validate_scheme(scheme: FdScheme) -> None:
-    """Reject an unknown difference kind or a fixed offset that is not
-    positive and finite."""
+def validate_scheme(scheme: FdScheme, obj: Objective) -> None:
+    """Reject an unknown kind, a fixed offset that is not positive and
+    finite, and an exact scheme that has a step or an objective without
+    ``reference_gradient``."""
     if scheme.kind not in _KINDS:
         raise ConfigurationError(
             f"unknown finite-difference kind {scheme.kind!r}; expected one of {_KINDS}"
         )
-    if scheme.step is not None and not 0 < float(scheme.step) < math.inf:
+    if scheme.kind == "exact":
+        if obj.reference_gradient is None:
+            raise ConfigurationError("exact derivatives need obj.reference_gradient")
+        if scheme.step is not None:
+            raise ConfigurationError(f"exact derivatives take no step, got {scheme.step}")
+    elif scheme.step is not None and not 0 < float(scheme.step) < math.inf:
         raise ConfigurationError(
             f"finite-difference step must be positive and finite, got {float(scheme.step)}"
         )
 
 
-def _resolve_step(scheme: FdScheme, x) -> float:
-    validate_scheme(scheme)
-    if scheme.step is None:
-        return default_step(x, scheme.kind)
-    return float(scheme.step)
-
-
-def _evaluate_probes(obj: Objective, probes, map_fn) -> np.ndarray:
-    values = np.array(list(map_fn(obj.evaluate, probes)), dtype=float)
+def _evaluate_probes(obj: Objective, probes) -> np.ndarray:
+    values = np.array(list(map(obj.evaluate, probes)), dtype=float)
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -90,7 +93,6 @@ def directional_derivatives(
     P: Sketch,
     scheme: FdScheme,
     *,
-    map_fn=map,
     return_value: bool = False,
 ):
     """Estimate P^T grad f(x), one difference per sketch column.
@@ -98,29 +100,35 @@ def directional_derivatives(
     Probes run along unit directions and are rescaled by each column norm
     afterwards, so the truncation error does not inherit the sqrt(d/ell)
     column magnitude. Forward mode charges exactly ell + 1 evaluations and
-    shares f(x) across columns; centered mode charges exactly 2 ell.
+    shares f(x) across columns; centered mode charges exactly 2 ell.  The
+    exact kind returns P^T applied to the reference gradient and charges
+    nothing.
 
     With ``return_value=True`` the result is ``(s, f(x))`` in forward mode
-    and ``(s, None)`` in centered mode, letting callers reuse the base value
+    and ``(s, None)`` otherwise, letting callers reuse the base value
     without paying for it twice.
     """
+    validate_scheme(scheme, obj)
     x = np.asarray(x, dtype=float)
     cols = P.matrix
     if cols.shape[0] != x.shape[0]:
         raise ConfigurationError(
             f"sketch has dimension {cols.shape[0]}, point has {x.shape[0]}"
         )
+    if scheme.kind == "exact":
+        s = P.apply_transpose(obj.reference_gradient(x))
+        return (s, None) if return_value else s
     # The column norms as np.linalg.norm(cols, axis=0) computes them.
     norms = np.sqrt(np.add.reduce(cols * cols, axis=0))
-    h = _resolve_step(scheme, x)
+    h = default_step(x, scheme.kind) if scheme.step is None else float(scheme.step)
     # Row j is h times unit column j; a zero column keeps a zero probe
     # direction and hence a zero estimate.
     steps = h * (cols / np.where(norms > 0.0, norms, 1.0)).T
     if scheme.kind == "forward":
-        values = _evaluate_probes(obj, [x, *(x + steps)], map_fn)
+        values = _evaluate_probes(obj, [x, *(x + steps)])
         s = (values[1:] - values[0]) * norms / h
         return (s, float(values[0])) if return_value else s
-    values = _evaluate_probes(obj, [*(x + steps), *(x - steps)], map_fn)
+    values = _evaluate_probes(obj, [*(x + steps), *(x - steps)])
     s = (values[: P.ell] - values[P.ell :]) * norms / (2.0 * h)
     return (s, None) if return_value else s
 
@@ -130,16 +138,20 @@ def full_gradient_fd(
     x,
     scheme: FdScheme,
     *,
-    map_fn=map,
     return_value: bool = False,
 ):
-    """Coordinate-wise FD gradient: d + 1 (forward) or 2 d (centered) evaluations."""
+    """Coordinate-wise FD gradient: d + 1 (forward) or 2 d (centered)
+    evaluations; the exact kind returns the reference gradient for none."""
+    validate_scheme(scheme, obj)
     x = np.asarray(x, dtype=float)
     if x.shape != (obj.d,):
         raise ConfigurationError(
             f"point has shape {x.shape}, objective expects ({obj.d},)"
         )
-    h = _resolve_step(scheme, x)
+    if scheme.kind == "exact":
+        g = obj.reference_gradient(x)
+        return (g, None) if return_value else g
+    h = default_step(x, scheme.kind) if scheme.step is None else float(scheme.step)
 
     def shifted(delta: float) -> np.ndarray:
         # Row i is x with delta added to entry i only; the other entries
@@ -149,9 +161,9 @@ def full_gradient_fd(
         return p
 
     if scheme.kind == "forward":
-        values = _evaluate_probes(obj, [x, *shifted(h)], map_fn)
+        values = _evaluate_probes(obj, [x, *shifted(h)])
         g = (values[1:] - values[0]) / h
         return (g, float(values[0])) if return_value else g
-    values = _evaluate_probes(obj, [*shifted(h), *shifted(-h)], map_fn)
+    values = _evaluate_probes(obj, [*shifted(h), *shifted(-h)])
     g = (values[: obj.d] - values[obj.d :]) / (2.0 * h)
     return (g, None) if return_value else g

@@ -34,9 +34,9 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, EvaluationError, LineSearchError
-from .oracle import FdScheme, directional_derivatives, full_gradient_fd, validate_scheme
+from .oracle import FdScheme, directional_derivatives, validate_scheme
 from .problems import Objective
-from .sketch import RngStream, Sketch, SketchStream, _check_ell, _drawer, draw
+from .sketch import RngStream, SketchStream, _check_ell, _drawer, draw
 
 STATUS_BUDGET = "budget_exhausted"
 STATUS_TARGET = "target_reached"
@@ -70,9 +70,10 @@ StepRule = Union[FixedStep, TheoreticalStep, ArmijoStep]
 class SsdConfig:
     """Options for one solver run.
 
-    ``exact_gradient`` swaps the finite-difference oracle for the objective's
-    reference gradient at zero evaluation cost; it exists so tests can remove
-    FD noise, not for production use.
+    ``fd`` is the derivative source: forward or centered differences, or
+    ``FdScheme("exact")`` for the objective's reference gradient at zero
+    evaluation cost, which exists so tests can remove FD noise and is not
+    for production use.
     """
 
     ell: int
@@ -83,7 +84,6 @@ class SsdConfig:
     eval_budget: int = 1_000_000
     target_value: Optional[float] = None
     seed: int = 0
-    exact_gradient: bool = False
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ class _Run:
         self.alpha_fixed = _fixed_alpha(cfg.step_rule, obj, n_dirs)
         self.step_cost = _step_cost(cfg, n_dirs)
         # Forward differences evaluate f(x) as their base point.
-        self.supplies_value = not cfg.exact_gradient and cfg.fd.kind == "forward"
+        self.supplies_value = cfg.fd.kind == "forward"
         self.target = cfg.target_value
         self.start = obj.eval_count
         self.limit = cfg.eval_budget
@@ -290,7 +290,7 @@ def validate_config(cfg: SsdConfig, obj: Objective) -> None:
     """Reject inconsistent options before any evaluation is charged."""
     _check_ell(obj.d, cfg.ell)
     _drawer(cfg.distribution)
-    validate_scheme(cfg.fd)
+    validate_scheme(cfg.fd, obj)
     rule = cfg.step_rule
     if isinstance(rule, FixedStep):
         if not 0 < rule.alpha < math.inf:
@@ -320,35 +320,18 @@ def validate_config(cfg: SsdConfig, obj: Objective) -> None:
         raise ConfigurationError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.target_value is not None and math.isnan(cfg.target_value):
         raise ConfigurationError("target value must be a number, got nan")
-    if cfg.exact_gradient and obj.reference_gradient is None:
-        raise ConfigurationError("exact_gradient requires a reference gradient")
-
-
-def _sketch_derivatives(obj, x, cfg: SsdConfig, P: Sketch):
-    if cfg.exact_gradient:
-        return P.apply_transpose(obj.reference_gradient(np.asarray(x, float))), None
-    return directional_derivatives(obj, x, P, cfg.fd, return_value=True)
-
-
-def _full_derivatives(obj, x, cfg: SsdConfig):
-    """Full gradient estimate at ``x`` (d + 1 or 2 d evaluations, none when
-    exact); forward differences also return f(x)."""
-    if cfg.exact_gradient:
-        return obj.reference_gradient(np.asarray(x, float)), None
-    return full_gradient_fd(obj, x, cfg.fd, return_value=True)
 
 
 def _step_cost(cfg: SsdConfig, n_dirs: int) -> int:
-    if cfg.exact_gradient:
-        return 0
-    return n_dirs + 1 if cfg.fd.kind == "forward" else 2 * n_dirs
+    """Evaluations one oracle call over ``n_dirs`` directions charges."""
+    return {"forward": n_dirs + 1, "centered": 2 * n_dirs, "exact": 0}[cfg.fd.kind]
 
 
 def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng):
     """Proposal ``(P s, s^T s, f(x) or None)`` for a sketch drawn from ``rng``
     (an :class:`RngStream` or a positioned :class:`SketchStream`)."""
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
-    s, fx = _sketch_derivatives(obj, x, cfg, P)
+    s, fx = directional_derivatives(obj, x, P, cfg.fd, return_value=True)
     return P.matrix @ s, float(s @ s), fx
 
 

@@ -29,16 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .oracle import directional_derivatives, full_gradient_fd
 from .problems import Objective
 from .sketch import EPOCH_CHANNEL, RngStream, SketchStream, draw
 from .ssd import (
     RunTrace,
     SsdConfig,
     _drive,
-    _full_derivatives,
     _loop,
     _single_step,
-    _sketch_derivatives,
     _sketched_direction,
     _step_cost,
     validate_config,
@@ -180,15 +179,15 @@ def rate_bound_vrssd(alpha: float, gamma: float, lam: float, m: int, rho: float,
 def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng):
     """Proposal ``(v, s^T s, f(x) or None)`` for a sketch drawn from ``rng``.
 
-    The exact eta mode adds a full gradient estimate to the sketched one,
-    charged as the run's step cost counts it (nothing with the exact
-    gradient).
+    The exact eta mode adds a full gradient from ``cfg.fd`` to the sketched
+    derivatives, charged as the run's step cost counts it (nothing when the
+    source is ``FdScheme("exact")``).
     """
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
-    s_vec, fx = _sketch_derivatives(obj, x, cfg, P)
+    s_vec, fx = directional_derivatives(obj, x, P, cfg.fd, return_value=True)
     t = P.apply_transpose(anchor.gradient)
     if cfg.eta_mode == "exact":
-        g_full, _ = _full_derivatives(obj, x, cfg)
+        g_full = full_gradient_fd(obj, x, cfg.fd)
         eta = eta_value("exact", s_vec, t, anchor.gradient, g_full)
     else:
         eta = eta_value(cfg.eta_mode, s_vec, t, anchor.gradient)
@@ -223,7 +222,7 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     a fixed step rule, recording the value of the last inner iterate before
     the jump still costs one evaluation per completed epoch; Armijo runs
     already know it.  An anchor that does not supply the last inner
-    iterate's value (centered differences, exact gradient) keeps one
+    iterate's value (centered differences, ``FdScheme("exact")``) keeps one
     evaluation back for it, so the run never charges past its budget.
     """
     validate_vrssd_config(cfg, obj)
@@ -239,7 +238,7 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
         while run.k < cfg.max_iters:
             # Keep back the reserved evaluation for a value the anchor will not supply.
             run.ensure(anchor_cost + (run.f is None and not run.supplies_value))
-            g_anchor, f_anchor = _full_derivatives(obj, run.x, cfg)
+            g_anchor, f_anchor = full_gradient_fd(obj, run.x, cfg.fd, return_value=True)
             anchor = AnchorState(run.x.copy(), g_anchor, epoch)
             if f_anchor is not None:
                 run.observe(f_anchor)

@@ -140,7 +140,7 @@ def fixed_step_decay_traces():
     for seed in range(1000):
         obj = isotropic_quadratic(d)
         cfg = SsdConfig(
-            ell=ell, exact_gradient=True, step_rule=FixedStep(alpha),
+            ell=ell, fd=FdScheme("exact"), step_rule=FixedStep(alpha),
             max_iters=k, seed=seed,
         )
         traces.append(run_ssd(obj, x0, cfg))
@@ -394,7 +394,7 @@ def test_09b_no_run_charges_more_than_its_budget(kind, rule, grad, extra):
     runner = {"ssd": run_ssd, "gd": run_fd_gd, "bfgs": run_fd_bfgs, "vrssd": run_vrssd}[kind]
     config = VrssdConfig if kind == "vrssd" else SsdConfig
     step = {"fixed": FixedStep(0.02), "armijo": ArmijoStep()}[rule]
-    source = dict(exact_gradient=True) if grad == "exact" else dict(fd=FdScheme(grad))
+    source = dict(fd=FdScheme(grad))
     for budget in range(1, 61):
         obj = nesterov_worst(8.0, 6, 16)
         cfg = config(ell=3, step_rule=step, eval_budget=budget, max_iters=100,

@@ -1,6 +1,5 @@
-"""Finite-difference oracles: exactness, accounting, concurrency."""
+"""Derivative oracles: exactness, accounting, the exact kind."""
 
-import concurrent.futures
 import math
 
 import numpy as np
@@ -129,19 +128,6 @@ class TestDirectionalDerivatives:
         assert info.value.point.shape == (3,)
         assert np.linalg.norm(info.value.point) > 1.2
 
-    def test_concurrent_map_is_bitwise_identical(self):
-        obj_a = nesterov_worst(2.0, 3, 8)
-        obj_b = nesterov_worst(2.0, 3, 8)
-        x = np.linspace(-1.0, 1.0, 8)
-        P = draw_haar(8, 3, RngStream(6, 0, 0))
-        seq = directional_derivatives(obj_a, x, P, FdScheme("centered"))
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            par = directional_derivatives(
-                obj_b, x, P, FdScheme("centered"), map_fn=pool.map
-            )
-        assert np.array_equal(seq, par)
-        assert obj_a.eval_count == obj_b.eval_count == 6
-
 
 class TestFullGradient:
     def test_centered_exact_on_quadratic(self):
@@ -167,6 +153,40 @@ class TestFullGradient:
     def test_shape_check(self):
         with pytest.raises(ConfigurationError, match="shape"):
             full_gradient_fd(isotropic_quadratic(3), np.ones(4), FdScheme())
+
+
+# Each oracle call as (obj, x, scheme) -> (estimate, value), with the sketch
+# of a d = 20, ell = 4 Haar draw where it takes one.
+ORACLES = {
+    "directional": lambda obj, x, scheme: directional_derivatives(
+        obj, x, draw_haar(obj.d, 4, RngStream(8, 0, 0)), scheme, return_value=True),
+    "full": lambda obj, x, scheme: full_gradient_fd(obj, x, scheme, return_value=True),
+}
+
+
+class TestExactKind:
+    def test_returns_the_reference_gradient_at_no_cost(self):
+        obj = nesterov_worst(4.0, 7, 20)
+        x = np.linspace(-1.0, 2.0, 20)
+        g = obj.reference_gradient(x)
+        P = draw_haar(20, 4, RngStream(8, 0, 0))
+        s, fx = ORACLES["directional"](obj, x, FdScheme("exact"))
+        assert np.array_equal(s, P.matrix.T @ g) and fx is None
+        full, fx = ORACLES["full"](obj, x, FdScheme("exact"))
+        assert np.array_equal(full, g) and fx is None
+        assert obj.eval_count == 0
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_takes_no_step(self, oracle):
+        with pytest.raises(ConfigurationError, match="no step"):
+            ORACLES[oracle](nesterov_worst(4.0, 7, 20), np.zeros(20), FdScheme("exact", step=1e-3))
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_needs_a_reference_gradient(self, oracle):
+        obj = linear_objective(np.arange(20.0))
+        with pytest.raises(ConfigurationError, match="reference_gradient"):
+            ORACLES[oracle](obj, np.zeros(20), FdScheme("exact"))
+        assert obj.eval_count == 0
 
 
 def loop_probes(x, cols, h, kind):

@@ -92,6 +92,7 @@ class TestConfigValidation:
             {"target_value": math.nan},
             {"step_rule": FixedStep(math.inf)},
             {"step_rule": ArmijoStep(alpha_init=math.inf)},
+            {"fd": FdScheme("exact", step=1e-3)},
         ],
     )
     def test_rejected_configs(self, kw):
@@ -102,7 +103,7 @@ class TestConfigValidation:
         from ssdopt import Objective
 
         obj = Objective(d=3, evaluator=lambda x: float(x @ x))
-        cfg = SsdConfig(ell=3, exact_gradient=True, step_rule=FixedStep(0.1), max_iters=1)
+        cfg = SsdConfig(ell=3, fd=FdScheme("exact"), step_rule=FixedStep(0.1), max_iters=1)
         with pytest.raises(ConfigurationError):
             run_ssd(obj, np.zeros(3), cfg)
 
@@ -122,7 +123,7 @@ class TestSingleStep:
         d, alpha, k = 6, 0.3, 12
         obj = isotropic_quadratic(d)
         x0 = np.linspace(1.0, 2.0, d)
-        cfg = SsdConfig(ell=d, exact_gradient=True, step_rule=FixedStep(alpha), max_iters=k)
+        cfg = SsdConfig(ell=d, fd=FdScheme("exact"), step_rule=FixedStep(alpha), max_iters=k)
         trace = run_ssd(obj, x0, cfg)
         f0 = 0.5 * float(x0 @ x0)
         assert trace.entries[-1].f == pytest.approx((1 - alpha) ** (2 * k) * f0, rel=1e-8)
@@ -134,7 +135,7 @@ class TestSingleStep:
         cfg = SsdConfig(
             ell=1,
             distribution="coordinate",
-            exact_gradient=True,
+            fd=FdScheme("exact"),
             step_rule=FixedStep(alpha),
             max_iters=1,
             seed=3,
@@ -162,7 +163,7 @@ class TestSingleStep:
 
     def test_stationary_point_is_fixed(self):
         obj = isotropic_quadratic(4)
-        cfg = SsdConfig(ell=2, exact_gradient=True, step_rule=FixedStep(0.2), max_iters=5)
+        cfg = SsdConfig(ell=2, fd=FdScheme("exact"), step_rule=FixedStep(0.2), max_iters=5)
         trace = run_ssd(obj, np.zeros(4), cfg)
         assert trace.entries[-1].f == 0.0
         assert all(e.dirnorm == 0.0 for e in trace.entries)
@@ -235,7 +236,7 @@ class TestTermination:
         f0 = 0.5 * 4.0
         cfg = SsdConfig(
             ell=4,
-            exact_gradient=True,
+            fd=FdScheme("exact"),
             step_rule=FixedStep(0.5),
             max_iters=500,
             target_value=1e-3 * f0,
@@ -266,7 +267,7 @@ class TestTermination:
         obj = isotropic_quadratic(4)
         cfg = SsdConfig(
             ell=4,
-            exact_gradient=True,
+            fd=FdScheme("exact"),
             step_rule=ArmijoStep(alpha_init=3.0, max_backtracks=1),
             max_iters=10,
         )
@@ -301,7 +302,7 @@ class TestTermination:
 
     @pytest.mark.parametrize(
         "gradient",
-        [dict(exact_gradient=True), dict(fd=FdScheme("forward")), dict(fd=FdScheme("centered"))],
+        [dict(fd=FdScheme("exact")), dict(fd=FdScheme("forward")), dict(fd=FdScheme("centered"))],
         ids=["exact", "forward", "centered"],
     )
     def test_non_finite_iterate_value_ends_the_run(self, gradient):
@@ -340,7 +341,7 @@ class TestStepSizeAdmissibility:
             obj = isotropic_quadratic(self.D)
             cfg = SsdConfig(
                 ell=self.ELL,
-                exact_gradient=True,
+                fd=FdScheme("exact"),
                 step_rule=FixedStep(alpha),
                 max_iters=iters,
                 seed=seed,
@@ -376,7 +377,7 @@ def test_one_step_expected_decrease(distribution):
     cfg = SsdConfig(
         ell=ell,
         distribution=distribution,
-        exact_gradient=True,
+        fd=FdScheme("exact"),
         step_rule=FixedStep(alpha),
     )
     vals = np.empty(n)

@@ -62,7 +62,7 @@ def _cases():
             # epochs in the middle of the second block.
             cases[f"vrssd-{dist}-{tag}-w70-theory-exact"] = (
                 "vrssd", dict(vr, m=20, warmup_iters=70, step_rule=TheoreticalStep(),
-                              exact_gradient=True))
+                              fd=FdScheme("exact")))
     return cases
 
 

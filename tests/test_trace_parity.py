@@ -61,7 +61,7 @@ RULES = {
 GRADIENTS = {
     "forward": dict(fd=FdScheme("forward")),
     "centered": dict(fd=FdScheme("centered")),
-    "exact": dict(exact_gradient=True),
+    "exact": dict(fd=FdScheme("exact")),
 }
 RUNNERS = {"ssd": run_ssd, "gd": run_fd_gd, "bfgs": run_fd_bfgs, "vrssd": run_vrssd}
 

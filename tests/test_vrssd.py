@@ -198,7 +198,7 @@ class TestInnerStep:
         for mode in ("zero", "one", "exact", "approx"):
             cfg = VrssdConfig(
                 ell=d, eta_mode=mode, step_rule=FixedStep(alpha), m=2,
-                exact_gradient=True,
+                fd=FdScheme("exact"),
             )
             x1, _ = vrssd_inner_step(isotropic_quadratic(d), x, anchor, cfg, RngStream(8, 0, 1))
             move = (x - x1) / alpha
@@ -332,7 +332,7 @@ class TestOptionTwo:
         cfg = VrssdConfig(
             ell=ell, eta_mode="approx", option="two", m=m,
             step_rule=FixedStep(alpha), max_iters=m * epochs, seed=seed,
-            exact_gradient=True,
+            fd=FdScheme("exact"),
         )
         obj = isotropic_quadratic(d)
         trace = run_vrssd(obj, x0, cfg)
@@ -370,7 +370,7 @@ class TestOptionTwo:
         cfg = VrssdConfig(
             ell=d, eta_mode="approx", option="two", m=m,
             step_rule=FixedStep(alpha), max_iters=m * epochs, seed=29,
-            exact_gradient=True,
+            fd=FdScheme("exact"),
         )
         trace = run_vrssd(isotropic_quadratic(d), np.array([1.0, 0.5]), cfg)
         fs = [e.f for e in trace.entries]
@@ -404,7 +404,7 @@ class TestOptionTwo:
 
     @pytest.mark.parametrize(
         "grad, evals",
-        [({"exact_gradient": True}, 41), ({"fd": FdScheme("centered")}, 321)],
+        [({"fd": FdScheme("exact")}, 41), ({"fd": FdScheme("centered")}, 321)],
         ids=["exact", "centered"],
     )
     def test_restart_point_is_not_evaluated_again(self, grad, evals):
@@ -459,7 +459,7 @@ class TestTermination:
         obj = isotropic_quadratic(4)
         f0 = 0.5 * 4.0
         cfg = VrssdConfig(
-            ell=4, m=2, exact_gradient=True, step_rule=FixedStep(0.5),
+            ell=4, m=2, fd=FdScheme("exact"), step_rule=FixedStep(0.5),
             max_iters=200, target_value=1e-3 * f0,
         )
         trace = run_vrssd(obj, np.ones(4), cfg)
@@ -469,7 +469,7 @@ class TestTermination:
     def test_target_met_before_a_restart_ends_the_run(self):
         # Option "two" learns the last inner iterate's value just before the
         # restart jumps away from it; meeting the target there ends the run.
-        cfg = VrssdConfig(ell=2, m=3, option="two", exact_gradient=True,
+        cfg = VrssdConfig(ell=2, m=3, option="two", fd=FdScheme("exact"),
                           step_rule=FixedStep(0.5), max_iters=30, seed=3)
         free = run_vrssd(isotropic_quadratic(4), np.ones(4), cfg)
         target = free.entries[3].f
