@@ -309,6 +309,9 @@ def profile_from_counts(counts: Dict[str, Dict[int, float]]) -> PerformanceProfi
     """
     if not counts:
         raise ConfigurationError("no solvers to profile")
+    least = min((m for per in counts.values() for m in per.values()), default=1.0)
+    if not least > 0:
+        raise ConfigurationError(f"evaluation counts must be positive, got {least!r}")
     trials = sorted({t for per in counts.values() for t in per})
     best = {
         t: min((per[t] for per in counts.values() if t in per), default=math.inf)
@@ -429,51 +432,55 @@ def import_traces(path, fmt: Optional[str] = None) -> List[TraceRecord]:
     """Read traces written by :func:`export_traces`.
 
     CSV carries no terminal status, so traces read back from it have
-    ``terminal_status=None``.  A malformed file raises
-    :class:`ConfigurationError` naming it (and the line, for CSV).
+    ``terminal_status=None``.  A file that cannot be read or is malformed
+    raises :class:`ConfigurationError` naming it (and the line, for CSV).
     """
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"trace file {path} does not exist")
     fmt = _trace_format(path, fmt)
-    if fmt == "csv":
-        grouped: Dict[Tuple[str, int], List[TraceEntry]] = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(CSV_COLUMNS):
-                raise ConfigurationError(
-                    f"unexpected trace header {header!r} in {path}"
-                )
-            for row in reader:
-                try:
-                    solver, trial, it, evals, f, step, dirnorm = row
-                    trial = int(trial)
-                    entry = TraceEntry(int(it), int(evals), float(f), float(step), float(dirnorm))
-                except ValueError:
-                    raise ConfigurationError(
-                        f"malformed trace row {row!r} in {path} at line {reader.line_num}"
-                    ) from None
-                grouped.setdefault((solver, trial), []).append(entry)
-        # Runs come back in the order their first rows appear.
-        return [TraceRecord(solver, trial, RunTrace(entries, None))
-                for (solver, trial), entries in grouped.items()]
     try:
-        with open(path) as fh:
-            items = json.load(fh)["traces"]
-        return [
-            TraceRecord(
-                item["solver"],
-                int(item["trial"]),
-                RunTrace(
-                    [TraceEntry(int(e[0]), int(e[1]), float(e[2]), float(e[3]), float(e[4]))
-                     for e in item["entries"]],
-                    item["terminal_status"],
-                ),
-            )
-            for item in items
-        ]
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        with open(path, newline="") as fh:
+            return _read_csv_traces(fh, path) if fmt == "csv" else _read_json_traces(fh, path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read trace file {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigurationError(f"malformed trace file {path}: {exc}") from None
+
+
+def _read_csv_traces(fh, path: Path) -> List[TraceRecord]:
+    grouped: Dict[Tuple[str, int], List[TraceEntry]] = {}
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header != list(CSV_COLUMNS):
+        raise ConfigurationError(f"unexpected trace header {header!r} in {path}")
+    for row in reader:
+        try:
+            solver, trial, it, evals, f, step, dirnorm = row
+            trial = int(trial)
+            entry = TraceEntry(int(it), int(evals), float(f), float(step), float(dirnorm))
+        except ValueError:
+            raise ConfigurationError(
+                f"malformed trace row {row!r} in {path} at line {reader.line_num}"
+            ) from None
+        grouped.setdefault((solver, trial), []).append(entry)
+    # Runs come back in the order their first rows appear.
+    return [TraceRecord(solver, trial, RunTrace(entries, None))
+            for (solver, trial), entries in grouped.items()]
+
+
+def _read_json_traces(fh, path: Path) -> List[TraceRecord]:
+    try:
+        records = []
+        for item in json.load(fh)["traces"]:
+            if not isinstance(item["solver"], str):
+                raise TypeError(f"solver name {item['solver']!r} is not a string")
+            entries = [TraceEntry(int(e[0]), int(e[1]), float(e[2]), float(e[3]), float(e[4]))
+                       for e in item["entries"]]
+            records.append(TraceRecord(item["solver"], int(item["trial"]),
+                                       RunTrace(entries, item["terminal_status"])))
+        return records
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
         raise ConfigurationError(
             f"malformed JSON trace file {path}: {type(exc).__name__}: {exc}"
         ) from None

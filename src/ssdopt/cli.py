@@ -278,6 +278,16 @@ def _writing(path):
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_writable(path: Path) -> None:
+    """Refuse an output that cannot be opened for writing before the run
+    starts; the write itself comes after the run, so no file is left here."""
+    made = not os.path.lexists(path)
+    with _writing(path):
+        open(path, "a").close()
+    if made:
+        path.unlink()
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -292,6 +302,7 @@ def cmd_run(args) -> int:
     x0, cfg = _seed_run(x0_rule, obj.d, cfg, seed)
     out = Path(args.out)
     fmt = _trace_format(out, args.format)
+    _check_writable(out)
     _print_section("run", {
         "problem": _format_problem(problem), "solver": args.solver, "seed": seed,
         "x0": _format_rule(x0_rule), "out": str(out), "format": fmt,
@@ -331,11 +342,11 @@ def _read_sweep_config(path: Path) -> ExperimentSpec:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
-        # configparser reports offending line numbers in its message
-        raise ConfigurationError(f"malformed config file: {exc}") from None
+        # configparser reports offending line numbers in a message of several lines.
+        raise ConfigurationError("malformed config file: " + " ".join(str(exc).split())) from None
     if "experiment" not in parser:
         raise ConfigurationError("config file is missing the [experiment] section")
     exp = dict(parser["experiment"])
@@ -385,6 +396,11 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(f"--jobs must be at least 1, got {jobs}")
     path = Path(args.config)
     spec = _read_sweep_config(path)
+    outdir = Path(args.out)
+    trace_path = outdir / "traces.csv"
+    with _writing(trace_path):
+        outdir.mkdir(parents=True, exist_ok=True)
+    _check_writable(trace_path)
     _print_section("experiment", {
         "problem": _format_problem(spec.problem), "trials": spec.trials,
         "x0": _format_rule(spec.x0),
@@ -395,10 +411,7 @@ def cmd_sweep(args) -> int:
         _print_section(f"solver {setup.label}",
                        {"kind": setup.kind, **_solver_mapping(setup.kind, setup.config)})
     records = run_experiment(spec, jobs=jobs)
-    outdir = Path(args.out)
-    trace_path = outdir / "traces.csv"
     with _writing(trace_path):
-        outdir.mkdir(parents=True, exist_ok=True)
         export_traces(records, trace_path, "csv")
     # Without a threshold rule, success is each solver's own target.
     counts = _counts_to_threshold(
@@ -502,10 +515,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _numbers_as_values(argv) -> list:
+    """``--flag -1e-3`` as ``--flag=-1e-3``.
+
+    argparse takes a word that starts with '-' for an option unless it looks
+    like -1 or -0.5, so -1e-3 or -inf after a flag would be refused.  Every
+    long flag here but --help and --version takes one value.
+    """
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if (arg.startswith("-") and _is_number(arg) and flag.startswith("--")
+                and "=" not in flag and flag not in ("--", "--help", "--version")):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_numbers_as_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -1,15 +1,20 @@
 """End-to-end command line checks, each in a fresh working directory."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import child_env
 from ssdopt import TraceRecord, export_traces, import_traces
+from ssdopt.cli import main
 from ssdopt.ssd import RunTrace, TraceEntry
 
 SMOKE = [
@@ -46,6 +51,22 @@ def cli(args, cwd, env_extra=None):
         cwd=cwd, env=child_env(env_extra), capture_output=True, text=True,
         timeout=300,
     )
+
+
+def main_io(args):
+    """``main`` run in this process: (exit code, stdout, stderr).  An
+    exception that escapes ``main`` fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in args])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(result, fragment):
+    code, _, err = result
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
 
 
 def trace_of(fs, evals):
@@ -471,3 +492,121 @@ def test_version_flag(tmp_path):
     res = cli(["--version"], tmp_path)
     assert res.returncode == 0
     assert res.stdout.startswith("ssdopt ")
+
+
+# ---------------------------------------------------------------------------
+# inputs checked in-process
+
+
+CSV_HEADER = b"solver,trial,iter,evals,f,step,dirnorm\n"
+
+
+def seed_traces(tmp_path):
+    TestProfile().seed_traces(tmp_path)
+    return tmp_path / "traces.csv"
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [("run", "--target", "-1e-3"), ("run", "--target", "-inf"), ("profile", "--fstar", "-1e3")],
+)
+def test_negative_number_after_a_flag_reads_as_its_equals_form(tmp_path, command, flag, value):
+    # argparse reads a word that starts with '-' as a value only in the
+    # forms -1 and -0.5.
+    base = {
+        "run": ["run", "--problem", "quadratic:d=4", "--iters", "3", "--seed", "0",
+                "--out", tmp_path / "t.csv"],
+        "profile": ["profile", "--traces", seed_traces(tmp_path), "--fraction", "0.5",
+                    "--out", tmp_path / "p.csv"],
+    }[command]
+    spaced = main_io([*base, flag, value])
+    assert spaced == main_io([*base, f"{flag}={value}"])
+    assert spaced[0] != 2, spaced[2]
+
+
+class TestUnreadableInput:
+    def test_trace_path_is_a_directory(self, tmp_path):
+        assert_one_error_line(
+            main_io(["profile", "--traces", tmp_path, "--target", "1.0"]), "cannot read trace file")
+
+    def test_csv_trace_row_is_not_utf8(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(CSV_HEADER + b"a,0,0,1,1.0,0.0,0.0\n\xff,0,1,2,0.5,0.1,1.0\n")
+        assert_one_error_line(
+            main_io(["profile", "--traces", path, "--target", "1.0"]), "malformed trace file")
+
+    def test_sweep_config_is_not_utf8(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_bytes(b"[experiment]\nproblem = quadratic:d=4\n\xff\n")
+        assert_one_error_line(main_io(["sweep", path]), "cannot read config file")
+
+    def test_trace_count_of_zero_evaluations(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(CSV_HEADER + b"a,0,0,0,0.1,0.0,0.0\n")
+        assert_one_error_line(
+            main_io(["profile", "--traces", path, "--target", "0.5"]), "must be positive")
+
+    def test_json_solver_name_is_not_a_string(self, tmp_path):
+        path = tmp_path / "t.json"
+        item = {"trial": 0, "terminal_status": None, "entries": [[0, 1, 0.1, 0.0, 0.0]]}
+        path.write_text(json.dumps({"traces": [dict(item, solver=1), dict(item, solver="a")]}))
+        assert_one_error_line(
+            main_io(["profile", "--traces", path, "--target", "0.5"]), "is not a string")
+
+    def test_config_parse_error_is_one_line(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("[experiment]\nproblem\n")
+        assert_one_error_line(main_io(["sweep", path]), "malformed config file")
+
+
+class TestOutputCheckedFirst:
+    def test_run_into_a_missing_directory(self, tmp_path):
+        out = tmp_path / "no-such-dir" / "x.csv"
+        result = main_io(["run", "--problem", "quadratic:d=4", "--out", out])
+        assert_one_error_line(result, f"cannot write {out}")
+        assert result[1] == ""
+
+    def test_sweep_into_an_existing_file(self, tmp_path):
+        (tmp_path / "sweep.ini").write_text(SWEEP_INI)
+        (tmp_path / "F").write_text("")
+        result = main_io(["sweep", tmp_path / "sweep.ini", "--out", tmp_path / "F"])
+        assert_one_error_line(result, "File exists")
+        assert result[1] == ""
+
+    def test_refused_run_leaves_the_output_as_it_was(self, tmp_path):
+        # bfgs refuses a fixed step only inside its runner, after the check.
+        refused = ["run", "--problem", "quadratic:d=4", "--solver", "bfgs", "--step", "fixed:0.1"]
+        assert_one_error_line(main_io([*refused, "--out", tmp_path / "new.csv"]), "armijo")
+        assert not (tmp_path / "new.csv").exists()
+        (tmp_path / "old.csv").write_text("kept\n")
+        assert_one_error_line(main_io([*refused, "--out", tmp_path / "old.csv"]), "armijo")
+        assert (tmp_path / "old.csv").read_text() == "kept\n"
+
+
+# Prefixes that carry random bytes past the first checks of each reader.
+FUZZ_PREFIXES = {
+    ".csv": [b"", CSV_HEADER, CSV_HEADER + b"a,0,0,1,1.0,0.0,0.0\n"],
+    ".json": [b"", b'{"traces": [{"solver": "a", "trial": 0, "terminal_status": null, '
+                   b'"entries": [[0, 1, '],
+    ".ini": [b"", b"[experiment]\n",
+             b"[experiment]\nproblem = quadratic:d=2\ntrials = 1\n\n[solver s]\niters = 3\n"],
+}
+
+
+@settings(max_examples=150)
+@given(suffix=st.sampled_from(sorted(FUZZ_PREFIXES)), data=st.data())
+def test_random_input_files_never_escape_main(suffix, data):
+    content = data.draw(st.sampled_from(FUZZ_PREFIXES[suffix])) + data.draw(st.binary(max_size=64))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input" + suffix)
+        with open(path, "wb") as fh:
+            fh.write(content)
+        if suffix == ".ini":
+            args = ["sweep", path, "--out", os.path.join(tmp, "out")]
+        else:
+            args = ["profile", "--traces", path, "--target", "0.5",
+                    "--out", os.path.join(tmp, "p.csv")]
+        code, _, err = main_io(args)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
