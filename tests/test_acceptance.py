@@ -44,6 +44,7 @@ from ssdopt import (
     sample_haar,
     vrssd_inner_step,
 )
+from ssdopt.sketch import SketchStream
 from ssdopt.vrssd import AnchorState
 
 GRID = [(5, 1), (5, 3), (50, 1), (50, 3), (50, 10), (500, 1), (500, 3), (500, 100)]
@@ -89,10 +90,12 @@ def test_01_sketch_families_scale_and_average_to_identity():
         # binomial standard errors where that happens
         n = 100_000
         diag = np.zeros(d)
+        # The stream yields the bytes of RngStream(7, 0, i) at step i, and
+        # each column's one nonzero row is the row np.nonzero(m) would list.
+        stream = SketchStream(7)
         for i in range(n):
-            m = draw_coordinate_block(d, ell, RngStream(7, 0, i)).matrix
-            rows = np.nonzero(m)[0]
-            diag[rows] += d / ell
+            m = draw_coordinate_block(d, ell, stream.at(i)).matrix
+            diag[m.argmax(axis=0)] += d / ell
         p = ell / d
         se = (d / ell) * math.sqrt(p * (1.0 - p) / n)
         tol = max(0.02, 6.0 * se)
