@@ -19,14 +19,12 @@ from .ssd import (
     RunTrace,
     SsdConfig,
     _drive,
-    validate_config,
 )
 
 
 def run_fd_gd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     """Gradient descent on FD gradients; ``cfg.ell`` and the sketch family
     are ignored.  The theoretical step reduces to 1 / lambda."""
-    validate_config(cfg, obj)
 
     def propose(x, k):
         g, fx = full_gradient_fd(obj, x, cfg.fd, return_value=True)
@@ -78,14 +76,19 @@ def _bfgs_propose(obj: Objective, cfg: SsdConfig) -> Propose:
     return propose
 
 
+def _check_bfgs_rule(cfg: SsdConfig) -> None:
+    """The one rule that depends on the solver kind: quasi-Newton directions
+    have no useful fixed or theoretical step size."""
+    if not isinstance(cfg.step_rule, ArmijoStep):
+        raise ConfigurationError("bfgs runs with the armijo step rule only")
+
+
 def run_fd_bfgs(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     """BFGS on FD gradients with Armijo backtracking.
 
     The inverse Hessian starts at the identity, so the first step is plain
-    gradient descent.  Only the Armijo step rule is accepted: quasi-Newton
-    directions have no useful fixed or theoretical step size.
+    gradient descent.  Only the Armijo step rule is accepted
+    (:func:`_check_bfgs_rule`).
     """
-    validate_config(cfg, obj)
-    if not isinstance(cfg.step_rule, ArmijoStep):
-        raise ConfigurationError("bfgs runs with the armijo step rule only")
+    _check_bfgs_rule(cfg)
     return _drive(obj, x0, cfg, obj.d, _bfgs_propose(obj, cfg))

@@ -15,9 +15,10 @@ run (step plan, budget, trace entries and current iterate) is one ``_Run``
 object.  ``_Run.evaluate`` admits and charges every single evaluation a run
 makes outside the oracle, and ``_Run.observe`` is the one place where a
 newly known value is checked to be finite, resolves a deferred entry,
-becomes current and is tested against the target.  The driver charges the
-first evaluation, steps through ``_loop`` with the solver's direction
-proposer, and closes the run with its terminal status.  A proposer returns
+becomes current and is tested against the target.  The driver checks the
+config (``SsdConfig.check``; no runner checks its own), charges the first
+evaluation, steps through ``_loop`` with the solver's direction proposer,
+and closes the run with its terminal status.  A proposer returns
 ``(direction, decrease, f(x) or None)``; the loop takes the direction norm
 itself.  ``run_ssd`` proposes sketched directions, the baselines propose
 full-gradient and quasi-Newton ones, and the variance-reduced solver runs
@@ -84,6 +85,42 @@ class SsdConfig:
     eval_budget: int = 1_000_000
     target_value: Optional[float] = None
     seed: int = 0
+
+    def check(self, obj: Objective) -> None:
+        """Reject options that cannot run on ``obj``, before any evaluation;
+        :func:`_drive` and :func:`_single_step` call it."""
+        _check_ell(obj.d, self.ell)
+        _drawer(self.distribution)
+        validate_scheme(self.fd, obj)
+        rule = self.step_rule
+        if isinstance(rule, FixedStep):
+            if not 0 < rule.alpha < math.inf:
+                raise ConfigurationError(
+                    f"step size must be positive and finite, got {rule.alpha}")
+        elif isinstance(rule, ArmijoStep):
+            if not 0 < rule.c1 < 1:
+                raise ConfigurationError(f"need 0 < c1 < 1, got {rule.c1}")
+            if not 0 < rule.shrink < 1:
+                raise ConfigurationError(f"need 0 < shrink < 1, got {rule.shrink}")
+            if not 0 < rule.alpha_init < math.inf:
+                raise ConfigurationError(
+                    f"initial trial step must be positive and finite, got {rule.alpha_init}")
+            if rule.max_backtracks < 1:
+                raise ConfigurationError(f"need at least one backtrack, got {rule.max_backtracks}")
+        elif isinstance(rule, TheoreticalStep):
+            if obj.lipschitz_constant is None:
+                raise ConfigurationError("theoretical step rule needs obj.lipschitz_constant")
+            theoretical_step(self.ell, obj.d, obj.lipschitz_constant)  # refuses lambda <= 0
+        else:
+            raise ConfigurationError(f"unknown step rule {rule!r}")
+        if self.max_iters < 1:
+            raise ConfigurationError(f"max_iters must be positive, got {self.max_iters}")
+        if self.eval_budget < 1:
+            raise ConfigurationError(f"evaluation budget must be positive, got {self.eval_budget}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        if self.target_value is not None and math.isnan(self.target_value):
+            raise ConfigurationError("target value must be a number, got nan")
 
 
 @dataclass(frozen=True)
@@ -156,10 +193,6 @@ def _fixed_alpha(rule: StepRule, obj: Objective, ell: int) -> Optional[float]:
     if isinstance(rule, FixedStep):
         return rule.alpha
     if isinstance(rule, TheoreticalStep):
-        if obj.lipschitz_constant is None:
-            raise ConfigurationError(
-                "theoretical step rule needs obj.lipschitz_constant"
-            )
         return theoretical_step(ell, obj.d, obj.lipschitz_constant)
     return None
 
@@ -286,42 +319,6 @@ def _start_point(obj: Objective, x0) -> np.ndarray:
     return x
 
 
-def validate_config(cfg: SsdConfig, obj: Objective) -> None:
-    """Reject inconsistent options before any evaluation is charged."""
-    _check_ell(obj.d, cfg.ell)
-    _drawer(cfg.distribution)
-    validate_scheme(cfg.fd, obj)
-    rule = cfg.step_rule
-    if isinstance(rule, FixedStep):
-        if not 0 < rule.alpha < math.inf:
-            raise ConfigurationError(f"step size must be positive and finite, got {rule.alpha}")
-    elif isinstance(rule, ArmijoStep):
-        if not 0 < rule.c1 < 1:
-            raise ConfigurationError(f"need 0 < c1 < 1, got {rule.c1}")
-        if not 0 < rule.shrink < 1:
-            raise ConfigurationError(f"need 0 < shrink < 1, got {rule.shrink}")
-        if not 0 < rule.alpha_init < math.inf:
-            raise ConfigurationError(
-                f"initial trial step must be positive and finite, got {rule.alpha_init}"
-            )
-        if rule.max_backtracks < 1:
-            raise ConfigurationError(
-                f"need at least one backtrack, got {rule.max_backtracks}"
-            )
-    elif not isinstance(rule, TheoreticalStep):
-        raise ConfigurationError(f"unknown step rule {rule!r}")
-    if cfg.max_iters < 1:
-        raise ConfigurationError(f"max_iters must be positive, got {cfg.max_iters}")
-    if cfg.eval_budget < 1:
-        raise ConfigurationError(
-            f"evaluation budget must be positive, got {cfg.eval_budget}"
-        )
-    if cfg.seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {cfg.seed}")
-    if cfg.target_value is not None and math.isnan(cfg.target_value):
-        raise ConfigurationError("target value must be a number, got nan")
-
-
 def _step_cost(cfg: SsdConfig, n_dirs: int) -> int:
     """Evaluations one oracle call over ``n_dirs`` directions charges."""
     return {"forward": n_dirs + 1, "centered": 2 * n_dirs, "exact": 0}[cfg.fd.kind]
@@ -342,6 +339,7 @@ def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction):
     rule then moves along it without a budget.  Returns ``(x_next, entry)``
     with the evaluations charged by this call.
     """
+    cfg.check(obj)
     x = _start_point(obj, x)
     before = obj.eval_count
     g, decrease, fx = direction(x)
@@ -363,10 +361,10 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
 
     Each step differences ``n_dirs`` directions (``ell`` sketched or ``d``
     coordinate ones), which sets its evaluation cost and the theoretical
-    step.  The driver builds the :class:`_Run`, charges the first
-    evaluation, then steps through :func:`_loop` with ``propose``; a solver
-    with its own outer structure passes ``epochs`` instead, which continues
-    the started run.  The four stops (target, budget, line search,
+    step.  The driver checks ``cfg`` against ``obj``, builds the
+    :class:`_Run`, charges the first evaluation, then steps through
+    :func:`_loop` with ``propose``; a solver with its own outer structure
+    passes ``epochs`` instead, which continues the started run.  The four stops (target, budget, line search,
     evaluation) are raised anywhere in the run and end it here with their
     status; a run that ends without one is ``max_iters``.  After any stop
     but a failed evaluation, a value still deferred at the final iterate is
@@ -374,6 +372,7 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
     evaluation back for it.  It leaves the status as it is, unless it is NaN
     or inf, which ends the run with ``evaluation_failed``.
     """
+    cfg.check(obj)
     run = _Run(obj, cfg, n_dirs, _start_point(obj, x0))
     try:
         run.record(run.evaluate(run.x), 0.0, 0.0)
@@ -410,7 +409,6 @@ def ssd_step(obj: Objective, x, cfg: SsdConfig, rng: RngStream, iteration: int =
     the base point for shared forward differences, NaN otherwise);
     :func:`run_ssd` builds properly aligned traces.
     """
-    validate_config(cfg, obj)
     return _single_step(obj, x, cfg, iteration,
                         lambda x: _sketched_direction(obj, x, cfg, rng))
 
@@ -427,7 +425,6 @@ def run_ssd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     a NaN or inf trial fails the decrease test and backtracks.  The trace
     carries one entry per iterate with cumulative evaluation counts.
     """
-    validate_config(cfg, obj)
     stream = SketchStream(cfg.seed)
     return _drive(obj, x0, cfg, cfg.ell,
                   lambda x, k: _sketched_direction(obj, x, cfg, stream.at(k)))

@@ -17,9 +17,10 @@ variate), "exact" (the variance-optimal projection of the true gradient onto
 g~, at d + 1 extra evaluations per step; a diagnostic), or "approx" (the same
 projection assembled from already-sketched quantities at zero extra cost).
 
-The run shares the start, budget, stepping and close of
-:func:`ssdopt.ssd.run_ssd` through its driver; only the epoch loop here
-knows about warmup, anchors and the option-two restart.
+The run shares the config check, start, budget, stepping and close of
+:func:`ssdopt.ssd.run_ssd` through its driver; ``VrssdConfig.check`` adds
+the epoch rules to the SSD ones, and only the epoch loop here knows about
+warmup, anchors and the option-two restart.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .ssd import (
     _single_step,
     _sketched_direction,
     _step_cost,
-    validate_config,
 )
 
 _OPTIONS = ("one", "two")
@@ -62,6 +62,22 @@ class VrssdConfig(SsdConfig):
     eta_mode: str = "approx"
     warmup_iters: int = 0
 
+    def check(self, obj: Objective) -> None:
+        """The SSD rules, then the epoch rules."""
+        super().check(obj)
+        if self.m < 1:
+            raise ConfigurationError(f"epoch length must be positive, got {self.m}")
+        if self.option not in _OPTIONS:
+            raise ConfigurationError(
+                f"unknown anchor option {self.option!r}; expected one of {_OPTIONS}"
+            )
+        if self.eta_mode not in _ETA_MODES:
+            raise ConfigurationError(
+                f"unknown eta mode {self.eta_mode!r}; expected one of {_ETA_MODES}"
+            )
+        if self.warmup_iters < 0:
+            raise ConfigurationError(f"warmup length must be nonnegative, got {self.warmup_iters}")
+
 
 @dataclass
 class AnchorState:
@@ -70,24 +86,6 @@ class AnchorState:
     point: np.ndarray
     gradient: np.ndarray
     epoch: int
-
-
-def validate_vrssd_config(cfg: VrssdConfig, obj: Objective) -> None:
-    validate_config(cfg, obj)
-    if cfg.m < 1:
-        raise ConfigurationError(f"epoch length must be positive, got {cfg.m}")
-    if cfg.option not in _OPTIONS:
-        raise ConfigurationError(
-            f"unknown anchor option {cfg.option!r}; expected one of {_OPTIONS}"
-        )
-    if cfg.eta_mode not in _ETA_MODES:
-        raise ConfigurationError(
-            f"unknown eta mode {cfg.eta_mode!r}; expected one of {_ETA_MODES}"
-        )
-    if cfg.warmup_iters < 0:
-        raise ConfigurationError(
-            f"warmup length must be nonnegative, got {cfg.warmup_iters}"
-        )
 
 
 def eta_value(mode: str, s_vec, t, g_anchor, g_full=None) -> float:
@@ -202,7 +200,6 @@ def vrssd_inner_step(obj: Objective, x, anchor: AnchorState, cfg: VrssdConfig,
     Diagnostic hook mirroring :func:`ssdopt.ssd.ssd_step`; returns
     ``(x_next, entry)``.
     """
-    validate_vrssd_config(cfg, obj)
     return _single_step(obj, x, cfg, iteration,
                         lambda x: _vr_direction(obj, x, anchor, cfg, rng))
 
@@ -225,10 +222,8 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     iterate's value (centered differences, ``FdScheme("exact")``) keeps one
     evaluation back for it, so the run never charges past its budget.
     """
-    validate_vrssd_config(cfg, obj)
-    anchor_cost = _step_cost(cfg, obj.d)
-
     def epochs(run):
+        anchor_cost = _step_cost(cfg, obj.d)
         stream = SketchStream(cfg.seed)
         _loop(run, min(cfg.warmup_iters, cfg.max_iters),
               lambda x, k: _sketched_direction(obj, x, cfg, stream.at(k)))
