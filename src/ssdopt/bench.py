@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .baselines import run_fd_bfgs, run_fd_gd
+from .baselines import _check_bfgs_rule, run_fd_bfgs, run_fd_gd
 from .errors import ConfigurationError, NoSuccessError
 from .problems import (
     Objective,
@@ -206,15 +206,24 @@ def _resolve_threshold(rule: Optional[Tuple], obj: Objective, x0) -> Optional[fl
 
 
 def _validate_experiment(spec: ExperimentSpec) -> None:
+    """Refuse the experiment before its first run, evaluating nothing: each
+    config as trial 0 runs it (its seed checked before it draws x0)."""
     if spec.trials < 1:
         raise ConfigurationError(f"need at least one trial, got {spec.trials}")
     if not spec.solvers:
-        raise ConfigurationError("experiment has an empty solver list")
+        raise ConfigurationError("experiment defines no solvers")
     labels = [s.label for s in spec.solvers]
     if len(set(labels)) != len(labels):
         raise ConfigurationError(f"duplicate solver labels in {labels}")
-    if spec.base_seed < 0:
-        raise ConfigurationError(f"base seed must be nonnegative, got {spec.base_seed}")
+    obj = spec.problem.build()
+    target = {} if spec.threshold is None else {
+        "target_value": _threshold_level(spec.threshold, obj.minimum_value, lambda: None)}
+    for setup in spec.solvers:
+        cfg = replace(setup.config, seed=spec.base_seed, **target)
+        cfg.check(obj)
+        if setup.kind == "bfgs":
+            _check_bfgs_rule(cfg)
+    _sample_x0(spec.x0, obj.d, RngStream(spec.base_seed, X0_CHANNEL, 0))
 
 
 def _run_single(spec: ExperimentSpec, task: Tuple[int, int]) -> TraceRecord:
@@ -222,9 +231,8 @@ def _run_single(spec: ExperimentSpec, task: Tuple[int, int]) -> TraceRecord:
     setup = spec.solvers[solver_index]
     obj = spec.problem.build()
     x0, cfg = _seed_run(spec.x0, obj.d, setup.config, spec.base_seed + trial)
-    threshold = _resolve_threshold(spec.threshold, obj, x0)
-    if threshold is not None:
-        cfg = replace(cfg, target_value=threshold)
+    level = _resolve_threshold(spec.threshold, obj, x0)
+    cfg = cfg if level is None else replace(cfg, target_value=level)
     trace = RUNNERS[setup.kind](obj, x0, cfg)
     return TraceRecord(setup.label, trial, trace)
 

@@ -47,6 +47,7 @@ from .bench import (
     _int_param,
     _seed_run,
     _trace_format,
+    _validate_experiment,
     export_traces,
     import_traces,
     performance_profile,
@@ -123,9 +124,7 @@ def _format_spec(name: str, args=()) -> str:
 
 
 def _parse_problem(text: str) -> ProblemSpec:
-    spec = ProblemSpec.make(*_parse_spec(text, "problem", _PROBLEM_FORMS))
-    spec.build()  # validate eagerly so errors surface before any run
-    return spec
+    return ProblemSpec.make(*_parse_spec(text, "problem", _PROBLEM_FORMS))
 
 
 def _format_problem(spec: ProblemSpec) -> str:
@@ -298,6 +297,8 @@ def cmd_run(args) -> int:
     given = {key: vars(args)[key] for key in _OPTIONS if vars(args)[key] is not None}
     cfg = _config_from_options(args.solver, given, lambda key: f"option --{key}")
     x0_rule = _parse_rule(args.x0, "x0 sampler", _X0_FORMS)
+    _validate_experiment(ExperimentSpec(problem, (SolverSetup(args.solver, args.solver, cfg),),
+                                        1, x0_rule, base_seed=seed))
     obj = problem.build()
     x0, cfg = _seed_run(x0_rule, obj.d, cfg, seed)
     out = Path(args.out)
@@ -384,8 +385,6 @@ def _read_sweep_config(path: Path) -> ExperimentSpec:
             lambda key: f"key {key!r} in [{section}] (line {_key_line(path, key, section)})",
         )
         solvers.append(SolverSetup(label, kind, cfg))
-    if not solvers:
-        raise ConfigurationError("config file defines no solvers")
     return ExperimentSpec(problem=problem, solvers=tuple(solvers), trials=trials, x0=x0,
                           threshold=threshold, base_seed=base_seed)
 
@@ -396,6 +395,7 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(f"--jobs must be at least 1, got {jobs}")
     path = Path(args.config)
     spec = _read_sweep_config(path)
+    _validate_experiment(spec)
     outdir = Path(args.out)
     trace_path = outdir / "traces.csv"
     with _writing(trace_path):
@@ -449,11 +449,11 @@ def cmd_profile(args) -> int:
     if fraction is not None and fstar is None:
         raise ConfigurationError("--fraction needs --fstar")
     rule = ("absolute", target) if target is not None else ("fraction", fraction)
+    records = import_traces(args.traces)
     _print_section("profile", {
         "traces": args.traces, "threshold": _format_rule(rule),
         "fstar": None if fstar is None else repr(fstar), "out": args.out,
     })
-    records = import_traces(args.traces)
     try:
         profile = performance_profile(records, rule, fstar)
     except NoSuccessError as exc:

@@ -16,14 +16,14 @@ object.  ``_Run.evaluate`` admits and charges every single evaluation a run
 makes outside the oracle, and ``_Run.observe`` is the one place where a
 newly known value is checked to be finite, resolves a deferred entry,
 becomes current and is tested against the target.  The driver checks the
-config (``SsdConfig.check``; no runner checks its own), charges the first
-evaluation, steps through ``_loop`` with the solver's direction proposer,
-and closes the run with its terminal status.  A proposer returns
-``(direction, decrease, f(x) or None)``; the loop takes the direction norm
-itself.  ``run_ssd`` proposes sketched directions, the baselines propose
-full-gradient and quasi-Newton ones, and the variance-reduced solver runs
-its anchored epochs inside the same driver, one ``_loop`` call per stretch
-of steps.
+config with ``SsdConfig.check`` (no runner checks its own; ``_single_step``
+checks for the one-step hooks), charges the first evaluation, steps through
+``_loop`` with the solver's direction proposer, and closes the run with its
+terminal status.  A proposer returns ``(direction, decrease, f(x) or
+None)``; the loop takes the direction norm itself.  ``run_ssd`` proposes
+sketched directions, the baselines propose full-gradient and quasi-Newton
+ones, and the variance-reduced solver runs its anchored epochs inside the
+same driver, one ``_loop`` call per stretch of steps.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class SsdConfig:
     seed: int = 0
 
     def check(self, obj: Objective) -> None:
-        """Reject options that cannot run on ``obj``, before any evaluation;
-        :func:`_drive` and :func:`_single_step` call it."""
+        """Reject options that cannot run on ``obj``, before any evaluation."""
         _check_ell(obj.d, self.ell)
         _drawer(self.distribution)
         validate_scheme(self.fd, obj)

@@ -69,12 +69,10 @@ class VrssdConfig(SsdConfig):
             raise ConfigurationError(f"epoch length must be positive, got {self.m}")
         if self.option not in _OPTIONS:
             raise ConfigurationError(
-                f"unknown anchor option {self.option!r}; expected one of {_OPTIONS}"
-            )
+                f"unknown anchor option {self.option!r}; expected one of {_OPTIONS}")
         if self.eta_mode not in _ETA_MODES:
             raise ConfigurationError(
-                f"unknown eta mode {self.eta_mode!r}; expected one of {_ETA_MODES}"
-            )
+                f"unknown eta mode {self.eta_mode!r}; expected one of {_ETA_MODES}")
         if self.warmup_iters < 0:
             raise ConfigurationError(f"warmup length must be nonnegative, got {self.warmup_iters}")
 
