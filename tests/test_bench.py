@@ -191,6 +191,31 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError):
             run_experiment(ExperimentSpec(spec.problem, spec.solvers, trials=2, base_seed=-1))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            SolverSetup("bfgs", "bfgs", SsdConfig(ell=1, step_rule=FixedStep(0.1))),
+            SolverSetup("wide", "ssd", SsdConfig(ell=9)),
+            SolverSetup("vr", "vrssd", VrssdConfig(ell=2, m=0)),
+        ],
+    )
+    def test_bad_later_solver_is_refused_before_any_evaluation(self, monkeypatch, bad):
+        evals = []
+        evaluate = Objective.evaluate
+        monkeypatch.setattr(Objective, "evaluate", lambda obj, x: evals.append(x) or evaluate(obj, x))
+        spec = small_experiment()
+        with pytest.raises(ConfigurationError):
+            run_experiment(ExperimentSpec(spec.problem, (spec.solvers[0], bad), trials=2))
+        assert evals == []
+
+    def test_fraction_threshold_from_an_infinite_start_value(self):
+        # f(x0) overflows to inf, where f0 - p (f0 - fmin) would be NaN.
+        spec = small_experiment(threshold=("fraction", 0.5), trials=1)
+        spec = ExperimentSpec(spec.problem, spec.solvers, 1, ("gaussian", 1e308), spec.threshold)
+        with np.errstate(over="ignore"):
+            records = run_experiment(spec)
+        assert [r.trace.terminal_status for r in records] == ["evaluation_failed"] * 2
+
     def test_x0_rules(self):
         from ssdopt.bench import _sample_x0
         from ssdopt import RngStream

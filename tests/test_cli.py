@@ -9,12 +9,17 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import child_env
-from ssdopt import TraceRecord, export_traces, import_traces
-from ssdopt.cli import main
+from ssdopt import Objective, TraceRecord, export_traces, import_traces
+from ssdopt.bench import RUNNERS
+from ssdopt.cli import (
+    _OPTIONS, _PROBLEM_FORMS, _STEP_FORMS, _THRESHOLD_FORMS, _X0_FORMS, main,
+)
+from ssdopt.sketch import DISTRIBUTIONS
 from ssdopt.ssd import RunTrace, TraceEntry
 
 SMOKE = [
@@ -574,7 +579,7 @@ class TestOutputCheckedFirst:
         assert result[1] == ""
 
     def test_refused_run_leaves_the_output_as_it_was(self, tmp_path):
-        # bfgs refuses a fixed step only inside its runner, after the check.
+        # bfgs refuses a fixed step in the config check, before anything is written.
         refused = ["run", "--problem", "quadratic:d=4", "--solver", "bfgs", "--step", "fixed:0.1"]
         assert_one_error_line(main_io([*refused, "--out", tmp_path / "new.csv"]), "armijo")
         assert not (tmp_path / "new.csv").exists()
@@ -610,3 +615,202 @@ def test_random_input_files_never_escape_main(suffix, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# refusals that come before any output or evaluation
+
+
+@contextlib.contextmanager
+def counted_evaluations():
+    """A list that gains one item per ``Objective.evaluate`` call made in
+    this process while the block runs."""
+    calls = []
+    evaluate = Objective.evaluate
+
+    def counted(obj, x):
+        calls.append(1)
+        return evaluate(obj, x)
+
+    Objective.evaluate = counted
+    try:
+        yield calls
+    finally:
+        Objective.evaluate = evaluate
+
+
+def assert_refused_up_front(tmp, argv):
+    """``argv`` exits 2 with one error line, prints nothing, evaluates
+    nothing and writes nothing under ``tmp``."""
+    before = sorted(os.listdir(tmp))
+    with counted_evaluations() as calls:
+        code, out, err = main_io(argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out == ""
+    assert calls == []
+    assert sorted(os.listdir(tmp)) == before
+
+
+# Each of these once ran the earlier sections' trials or printed the
+# resolved configuration before it exited 2.
+SWEEP_FIRST = "[experiment]\nproblem = quadratic:d=4\ntrials = 2\n\n[solver a]\nell = 2\n\n"
+REFUSED_UP_FRONT = {
+    "sweep-bfgs-fixed-step": ("sweep", SWEEP_FIRST + "[solver b]\nkind = bfgs\nstep = fixed:0.1\n"),
+    "sweep-ell-above-d": ("sweep", SWEEP_FIRST + "[solver b]\nell = 9\n"),
+    "sweep-vrssd-m-0": ("sweep", SWEEP_FIRST + "[solver b]\nkind = vrssd\nm = 0\n"),
+    "sweep-gd-iters-0": ("sweep", SWEEP_FIRST + "[solver b]\nkind = gd\niters = 0\n"),
+    "sweep-trials-0": ("sweep", SWEEP_FIRST.replace("trials = 2", "trials = 0")),
+    "sweep-x0-empty-range": (
+        "sweep", SWEEP_FIRST.replace("trials = 2", "trials = 2\nx0 = uniform:2,1")),
+    "sweep-fraction-above-1": (
+        "sweep", SWEEP_FIRST.replace("trials = 2", "trials = 2\nthreshold = fraction:1.5")),
+    "run-fd-step-nan": ("run", ["--fd-step", "nan"]),
+    "run-fixed-step-nan": ("run", ["--step", "fixed:nan"]),
+    "run-gd-ell-above-d": ("run", ["--solver", "gd", "--ell", "9"]),
+    "run-bfgs-theory": ("run", ["--solver", "bfgs", "--step", "theory"]),
+    "run-vrssd-m-0": ("run", ["--solver", "vrssd", "--m", "0"]),
+    "profile-missing-traces": ("profile", ["missing.csv", "--target", "1.0"]),
+    "profile-fraction-above-1": ("profile", ["traces.csv", "--fraction", "2", "--fstar", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_UP_FRONT))
+def test_refusal_comes_before_any_output_or_evaluation(tmp_path, case):
+    command, detail = REFUSED_UP_FRONT[case]
+    if command == "sweep":
+        (tmp_path / "s.ini").write_text(detail)
+        argv = ["sweep", tmp_path / "s.ini", "--out", tmp_path / "out"]
+    elif command == "run":
+        argv = ["run", "--problem", "quadratic:d=4", *detail, "--out", tmp_path / "t.csv"]
+    else:
+        seed_traces(tmp_path)
+        argv = ["profile", "--traces", tmp_path / detail[0], *detail[1:], "--out", tmp_path / "p.csv"]
+    assert_refused_up_front(tmp_path, argv)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: command lines built from the option table and the spec grammar
+
+# Texts that no count or size accepts.  Huge sizes are left out: they
+# would allocate.
+JUNK = st.sampled_from(["x", "", "1.5", "nan", "-inf", "-1", "0"])
+
+
+def mostly(valid, junk=JUNK):
+    """Texts from ``valid``, and about one in twelve from ``junk``."""
+    return st.integers(0, 11).flatmap(lambda i: junk if i == 5 else valid)
+
+
+def counts(lo, hi):
+    return mostly(st.integers(lo, hi).map(str))
+
+
+# Positive numbers, plus floats of every kind now and then.
+NUMBERS = mostly(st.floats(1e-4, 10.0).map(repr), junk=st.floats(width=32).map(repr))
+# Dimensions, iterations, budgets and trials stay small, so no case
+# allocates much memory or runs for long.
+PROBLEM_VALUES = {"d": counts(1, 8), "m": counts(1, 8), "r": counts(1, 8),
+                  "rank": counts(1, 8), "seed": counts(0, 3), "l": NUMBERS}
+
+
+@st.composite
+def spec_texts(draw, forms, values=lambda key: NUMBERS):
+    """A spec string in one of ``forms``: its positional numbers, or most of
+    its keywords."""
+    name = draw(st.sampled_from(sorted(forms)))
+    form = forms[name]
+    if isinstance(form, tuple):
+        pieces = [draw(values(arg)) for arg in form]
+    else:
+        pieces = [f"{k}={draw(values(k))}" for k in sorted(form) if draw(st.integers(0, 11)) != 5]
+    return name + (":" + ",".join(pieces) if pieces else "")
+
+
+FRACTIONS = mostly(st.floats(0.01, 0.99).map(repr), junk=st.floats(width=32).map(repr))
+STEP_VALUES = {"alpha": NUMBERS, "alpha_init": NUMBERS, "c1": FRACTIONS, "shrink": FRACTIONS,
+               "max_backtracks": counts(1, 8)}
+PROBLEMS = spec_texts(_PROBLEM_FORMS, PROBLEM_VALUES.get)
+OPTION_VALUES = {
+    "ell": counts(1, 8),
+    "sketch": st.sampled_from([*DISTRIBUTIONS, "sparse"]),
+    "step": spec_texts(_STEP_FORMS, STEP_VALUES.get),
+    "fd": st.sampled_from(["forward", "centered", "exact"]),
+    "fd-step": st.one_of(st.just("auto"), NUMBERS),
+    "iters": counts(1, 20),
+    "budget": counts(1, 200),
+    "target": st.one_of(st.just("none"), NUMBERS),
+    "m": counts(0, 5),
+    "option": st.sampled_from(["one", "two", "1", "2", "three"]),
+    "eta": st.sampled_from(["zero", "one", "exact", "approx", "0", "1", "2"]),
+    "warmup": counts(-1, 20),
+}
+KINDS = sorted(RUNNERS)
+
+
+def option_texts(draw, kind):
+    """(key, text) for ``iters`` and ``budget``, which always come so that
+    no run takes the large defaults, and up to three more options, mostly
+    ones that ``kind`` takes."""
+    keys = mostly(st.sampled_from([k for k, o in sorted(_OPTIONS.items()) if kind in o.kinds]),
+                  junk=st.sampled_from(sorted(_OPTIONS)))
+    keys = {"iters", "budget", *draw(st.lists(keys, max_size=3))}
+    return [(key, draw(OPTION_VALUES[key])) for key in sorted(keys)]
+
+
+def run_argv(draw, tmp):
+    kind = draw(st.sampled_from(KINDS))
+    argv = ["run", f"--problem={draw(PROBLEMS)}", f"--solver={kind}"]
+    argv += [f"--{key}={text}" for key, text in option_texts(draw, kind)]
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(counts(-1, 5))}")
+    if draw(st.booleans()):
+        argv.append(f"--x0={draw(spec_texts(_X0_FORMS))}")
+    out = draw(mostly(st.sampled_from(["t.csv", "t.json"]),
+                      junk=st.sampled_from(["t.txt", os.path.join("no-dir", "t.csv")])))
+    return [*argv, "--out", os.path.join(tmp, out)]
+
+
+def sweep_argv(draw, tmp):
+    lines = ["[experiment]", f"problem = {draw(PROBLEMS)}", f"trials = {draw(counts(1, 2))}"]
+    if draw(st.booleans()):
+        lines.append(f"x0 = {draw(spec_texts(_X0_FORMS))}")
+    if draw(st.booleans()):
+        lines.append(f"threshold = {draw(spec_texts(_THRESHOLD_FORMS))}")
+    if draw(st.booleans()):
+        lines.append(f"seed = {draw(counts(-1, 5))}")
+    for i in range(draw(mostly(st.integers(1, 2), junk=st.just(0)))):
+        kind = draw(st.sampled_from(KINDS))
+        lines += ["", f"[solver s{i}]", f"kind = {kind}"]
+        lines += [f"{key} = {text}" for key, text in option_texts(draw, kind)]
+    path = os.path.join(tmp, "s.ini")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return ["sweep", path, "--out", os.path.join(tmp, "out"),
+            "--jobs", draw(st.sampled_from(["1", "1", "1", "2"]))]
+
+
+def profile_argv(draw, tmp):
+    traces = os.path.join(tmp, draw(st.sampled_from(["traces.csv", "missing.csv"])))
+    export_traces([TraceRecord("a", 0, trace_of([10.0, 0.5], [1, 100])),
+                   TraceRecord("b", 0, trace_of([10.0, 5.0], [1, 50]))],
+                  os.path.join(tmp, "traces.csv"))
+    flags = draw(mostly(st.sampled_from([["target"], ["fraction", "fstar"]]),
+                        junk=st.lists(st.sampled_from(["fraction", "fstar", "target"]), unique=True)))
+    return ["profile", "--traces", traces, *(f"--{f}={draw(NUMBERS)}" for f in flags),
+            "--out", os.path.join(tmp, "p.csv")]
+
+
+@settings(max_examples=500)
+@given(command=st.sampled_from([run_argv, sweep_argv, profile_argv]), data=st.data())
+def test_random_command_lines_keep_the_exit_contract(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = command(data.draw, tmp)
+        before = sorted(os.listdir(tmp))
+        with counted_evaluations() as calls, np.errstate(all="ignore"):
+            code, out, err = main_io(argv)
+        assert code in (0, 1, 2), (code, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert out == "" and calls == [], err
+            assert sorted(os.listdir(tmp)) == before

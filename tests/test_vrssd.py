@@ -45,6 +45,7 @@ class TestConfig:
             {"eta_mode": "half"},
             {"warmup_iters": -1},
             {"ell": 9},
+            {"fd": FdScheme("backward")},
         ],
     )
     def test_rejected_configs(self, kw):
