@@ -77,8 +77,7 @@ def _bfgs_propose(obj: Objective, cfg: SsdConfig) -> Propose:
 
 
 def _check_bfgs_rule(cfg: SsdConfig) -> None:
-    """The one rule that depends on the solver kind: quasi-Newton directions
-    have no useful fixed or theoretical step size."""
+    """The one kind-specific rule: quasi-Newton directions need a line search."""
     if not isinstance(cfg.step_rule, ArmijoStep):
         raise ConfigurationError("bfgs runs with the armijo step rule only")
 

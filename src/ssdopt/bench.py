@@ -179,8 +179,8 @@ def _threshold_level(rule: Tuple, fmin: Optional[float], start) -> float:
     """Success level of ``("absolute", v)`` or ``("fraction", p)``.
 
     The fraction rule marks f0 - p (f0 - fmin).  ``start()`` supplies f0 and
-    is called only after p and the known minimum have been checked; it
-    returns None when there is no starting value, which no run can reach.
+    is called only after p and the known minimum have been checked; None (no
+    starting value) or a non-finite f0 gives a level no run can reach.
     """
     kind = rule[0]
     if kind == "absolute":
@@ -192,7 +192,7 @@ def _threshold_level(rule: Tuple, fmin: Optional[float], start) -> float:
         if fmin is None:
             raise ConfigurationError("fraction threshold needs a known minimum value")
         f0 = start()
-        return math.inf if f0 is None else f0 - p * (f0 - fmin)
+        return -math.inf if f0 is None or not math.isfinite(f0) else f0 - p * (f0 - fmin)
     raise ConfigurationError(f"unknown threshold rule {kind!r}")
 
 
@@ -206,8 +206,7 @@ def _resolve_threshold(rule: Optional[Tuple], obj: Objective, x0) -> Optional[fl
 
 
 def _validate_experiment(spec: ExperimentSpec) -> None:
-    """Refuse the experiment before its first run, evaluating nothing: each
-    config as trial 0 runs it (its seed checked before it draws x0)."""
+    """Refuse the experiment before its first run, evaluating nothing."""
     if spec.trials < 1:
         raise ConfigurationError(f"need at least one trial, got {spec.trials}")
     if not spec.solvers:

@@ -46,6 +46,7 @@ from .bench import (
     _counts_to_threshold,
     _int_param,
     _seed_run,
+    _threshold_level,
     _trace_format,
     _validate_experiment,
     export_traces,
@@ -449,6 +450,7 @@ def cmd_profile(args) -> int:
     if fraction is not None and fstar is None:
         raise ConfigurationError("--fraction needs --fstar")
     rule = ("absolute", target) if target is not None else ("fraction", fraction)
+    _threshold_level(rule, fstar, lambda: None)  # refuses p outside (0, 1]
     records = import_traces(args.traces)
     _print_section("profile", {
         "traces": args.traces, "threshold": _format_rule(rule),
