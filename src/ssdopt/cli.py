@@ -19,7 +19,7 @@ thresholds are spec strings (``theory``, ``fixed:0.001``,
 ``_parse_spec``, and written back by one formatter, ``_format_spec``.
 
 Exit codes: 0 success, 1 no run reached the requested threshold,
-2 configuration or usage error.
+2 configuration or usage error, found before any evaluation or output.
 """
 
 from __future__ import annotations
