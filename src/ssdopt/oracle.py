@@ -76,13 +76,20 @@ def validate_scheme(scheme: FdScheme, obj: Objective) -> None:
         )
 
 
-def _evaluate_probes(obj: Objective, probes) -> np.ndarray:
-    values = np.array(list(map(obj.evaluate, probes)), dtype=float)
+def _evaluate_probes(obj: Objective, *blocks) -> np.ndarray:
+    """Values at the rows of each (n, d) block in turn, through
+    ``obj.evaluate_many``; every probe is charged before any is checked.
+
+    Callers pass their blocks as built, never restacked: the memory layout
+    of a row can decide the last bit of its value.  A non-finite value
+    raises :class:`EvaluationError` naming its probe.
+    """
+    values = np.concatenate([obj.evaluate_many(block) for block in blocks])
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))
         raise EvaluationError(
-            "objective returned a non-finite value at a probe point", probes[i]
+            "objective returned a non-finite value at a probe point", np.vstack(blocks)[i]
         )
     return values
 
@@ -125,10 +132,10 @@ def directional_derivatives(
     # direction and hence a zero estimate.
     steps = h * (cols / np.where(norms > 0.0, norms, 1.0)).T
     if scheme.kind == "forward":
-        values = _evaluate_probes(obj, [x, *(x + steps)])
+        values = _evaluate_probes(obj, x[None], x + steps)
         s = (values[1:] - values[0]) * norms / h
         return (s, float(values[0])) if return_value else s
-    values = _evaluate_probes(obj, [*(x + steps), *(x - steps)])
+    values = _evaluate_probes(obj, x + steps, x - steps)
     s = (values[: P.ell] - values[P.ell :]) * norms / (2.0 * h)
     return (s, None) if return_value else s
 
@@ -161,9 +168,9 @@ def full_gradient_fd(
         return p
 
     if scheme.kind == "forward":
-        values = _evaluate_probes(obj, [x, *shifted(h)])
+        values = _evaluate_probes(obj, x[None], shifted(h))
         g = (values[1:] - values[0]) / h
         return (g, float(values[0])) if return_value else g
-    values = _evaluate_probes(obj, [*shifted(h), *shifted(-h)])
+    values = _evaluate_probes(obj, shifted(h), shifted(-h))
     g = (values[: obj.d] - values[obj.d :]) / (2.0 * h)
     return (g, None) if return_value else g

@@ -28,7 +28,11 @@ class Objective:
         Input dimension.
     evaluator : callable
         Maps a d-vector to a float. Assumed pure; may be called from several
-        threads at once.
+        threads at once. It may carry a batch form as its ``many``
+        attribute: a callable that maps an (n, d) block of points to their n
+        values, each equal bit for bit to the per-point value of its row.
+        :meth:`evaluate_many` uses it for probe sets. Assigning a new
+        evaluator drops it, so a wrapper sees every point.
     reference_gradient : callable, optional
         Analytic gradient, for tests and diagnostics. Calls to it are not
         charged.
@@ -63,6 +67,27 @@ class Objective:
         with self._lock:
             self.eval_count += 1
         return value
+
+    def evaluate_many(self, points) -> Array:
+        """Evaluate each row of an (n, d) block, charging n units: in one
+        call to ``evaluator.many`` if the evaluator has one, else row by row
+        through :meth:`evaluate`."""
+        many = getattr(self.evaluator, "many", None)
+        if many is None:
+            return np.fromiter(map(self.evaluate, points), float, len(points))
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.d:
+            raise ConfigurationError(
+                f"points have shape {points.shape}, objective expects (n, {self.d})"
+            )
+        values = np.asarray(many(points), dtype=float)
+        if values.shape != (len(points),):
+            raise ConfigurationError(
+                f"batch evaluator returned shape {values.shape}, expected ({len(points)},)"
+            )
+        with self._lock:
+            self.eval_count += len(points)
+        return values
 
 
 def nesterov_worst(lam: float, r: int, d: int) -> Objective:
@@ -164,6 +189,14 @@ def rank_deficient_least_squares(A, b) -> Objective:
     def value(x: Array) -> float:
         rvec = A @ x - b
         return 0.5 * float(rvec @ rvec)
+
+    def many(X: Array) -> Array:
+        # The gemv and dot that ``value`` calls, stacked over the rows as X
+        # lays them out, so each value matches it bit for bit (X @ A.T does not).
+        R = np.matmul(A, X[:, :, None])[:, :, 0] - b
+        return 0.5 * np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
+
+    value.many = many
 
     def gradient(x: Array) -> Array:
         return A.T @ (A @ x - b)

@@ -9,15 +9,19 @@ from ssdopt import (
     ConfigurationError,
     EvaluationError,
     FdScheme,
+    FixedStep,
     Objective,
+    ProblemSpec,
     RngStream,
     Sketch,
+    SsdConfig,
     default_step,
     directional_derivatives,
     draw_haar,
     full_gradient_fd,
     isotropic_quadratic,
     nesterov_worst,
+    run_fd_gd,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -247,3 +251,47 @@ class TestProbesMatchLoopReference:
         obj, seen = recording_objective(d)
         full_gradient_fd(obj, x, FdScheme(kind, step=1e-3))
         assert seen == [p.tobytes() for p in loop_shifts(x, 1e-3, kind)]
+
+
+def lstsq():
+    return ProblemSpec.make("lstsq", {"m": 10, "d": 16, "rank": 5, "seed": 2}).build()
+
+
+class TestProbeBatches:
+    def test_a_wrapped_evaluator_sees_every_probe_of_a_run(self):
+        obj = lstsq()
+        inner, log = obj.evaluator, []
+
+        def recorded(x):
+            log.append(inner(x))
+            return log[-1]
+
+        obj.evaluator = recorded
+        cfg = SsdConfig(ell=1, step_rule=FixedStep(0.01), max_iters=30, seed=0)
+        trace = run_fd_gd(obj, np.ones(16), cfg)
+        assert len(log) == obj.eval_count > 30 * 17
+        # The batch path gives the same run, bit for bit.
+        assert run_fd_gd(lstsq(), np.ones(16), cfg).entries == trace.entries
+
+    @pytest.mark.parametrize("oracle", ["directional", "full"])
+    def test_nonfinite_batch_value_names_its_probe_at_the_loop_charge(self, oracle):
+        def capped(x):
+            return float(x @ x) if x[0] <= 1.0 else float("nan")
+
+        def batched(x):
+            return capped(x)
+
+        batched.many = lambda X: np.array([capped(p) for p in X])
+        raised = []
+        for f in (capped, batched):
+            obj = Objective(d=3, evaluator=f)
+            x = np.array([1.0, 0.0, 0.0])
+            scheme = FdScheme("forward", step=0.5)
+            with pytest.raises(EvaluationError) as info:
+                if oracle == "full":
+                    full_gradient_fd(obj, x, scheme)
+                else:
+                    directional_derivatives(obj, x, Sketch(np.eye(3)[:, :2], 3, 2, "coordinate"), scheme)
+            raised.append((info.value.point.tolist(), obj.eval_count))
+        assert raised[0] == raised[1]
+        assert raised[0] == ([1.5, 0.0, 0.0], 4 if oracle == "full" else 3)

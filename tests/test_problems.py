@@ -8,6 +8,7 @@ import pytest
 from ssdopt import (
     ConfigurationError,
     Objective,
+    ProblemSpec,
     isotropic_quadratic,
     nesterov_worst,
     rank_deficient_least_squares,
@@ -208,3 +209,67 @@ class TestEvaluateAccounting:
         assert obj.minimum_value is None
         assert obj.reference_gradient is None
         assert obj.evaluate(np.array([1.0, 2.0])) == 5.0
+
+
+def lstsq(m, d, rank):
+    return ProblemSpec.make("lstsq", {"m": m, "d": d, "rank": rank, "seed": 0}).build()
+
+
+def probe_blocks(x, ell, seed):
+    """The blocks the oracles pass to ``evaluate_many``, in their layouts:
+    ``x[None]``, C-ordered coordinate shifts and F-ordered ``x +- steps``."""
+    d = x.size
+    cols = np.random.default_rng(seed).standard_normal((d, ell))
+    h = 1e-4 * (1.0 + np.abs(x).max())
+    steps = h * (cols / np.linalg.norm(cols, axis=0)).T
+    shifted = np.tile(x, (d, 1))
+    shifted.flat[:: d + 1] += h
+    return [x[None], shifted, x + steps, x - steps]
+
+
+class TestEvaluateMany:
+    @pytest.mark.parametrize("obj", [isotropic_quadratic(16), lstsq(10, 16, 5)],
+                             ids=["loop", "many"])
+    def test_charges_one_unit_per_row(self, obj):
+        points = np.random.default_rng(0).standard_normal((7, 16))
+        values = obj.evaluate_many(points)
+        assert obj.eval_count == 7
+        assert values.tolist() == [obj.evaluator(p) for p in points]
+        obj.evaluate_many(points[:1])
+        assert obj.eval_count == 8
+
+    @pytest.mark.parametrize("m,d,rank", [(60, 200, 20), (10, 16, 5)])
+    def test_lstsq_batch_matches_each_row_bit_for_bit(self, m, d, rank):
+        value = lstsq(m, d, rank).evaluator
+        gen = np.random.default_rng(d)
+        for trial in range(4):
+            x = gen.standard_normal(d) * 10.0 ** (trial - 2)
+            blocks = probe_blocks(x, 10, trial)
+            assert blocks[1].flags.c_contiguous and blocks[2].flags.f_contiguous
+            for block in blocks:
+                rows = np.array([value(p) for p in block])
+                assert value.many(block).tobytes() == rows.tobytes()
+
+    def test_a_replaced_evaluator_drops_the_batch_form(self):
+        obj = lstsq(10, 16, 5)
+        inner, seen = obj.evaluator, []
+        obj.evaluator = lambda x: seen.append(x) or inner(x)
+        obj.evaluate_many(np.ones((3, 16)))
+        assert len(seen) == 3 and obj.eval_count == 3
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 1), ()])
+    def test_wrong_batch_shape_raises_and_charges_nothing(self, shape):
+        def f(x):
+            return float(x @ x)
+
+        f.many = lambda X: np.zeros(shape)
+        obj = Objective(d=2, evaluator=f)
+        with pytest.raises(ConfigurationError, match="batch evaluator returned shape"):
+            obj.evaluate_many(np.ones((3, 2)))
+        assert obj.eval_count == 0
+
+    def test_points_of_the_wrong_width_are_refused_uncharged(self):
+        obj = lstsq(10, 16, 5)
+        with pytest.raises(ConfigurationError, match="objective expects"):
+            obj.evaluate_many(np.ones((3, 15)))
+        assert obj.eval_count == 0
