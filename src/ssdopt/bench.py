@@ -29,7 +29,7 @@ from .problems import (
 )
 from .sketch import PROBLEM_CHANNEL, RngStream, X0_CHANNEL
 from .ssd import RunTrace, SsdConfig, TraceEntry, run_ssd
-from .vrssd import run_vrssd
+from .vrssd import VrssdConfig, run_vrssd
 
 RUNNERS = {
     "ssd": run_ssd,
@@ -218,6 +218,11 @@ def _validate_experiment(spec: ExperimentSpec) -> None:
     target = {} if spec.threshold is None else {
         "target_value": _threshold_level(spec.threshold, obj.minimum_value, lambda: None)}
     for setup in spec.solvers:
+        if setup.kind == "vrssd" and not isinstance(setup.config, VrssdConfig):
+            raise ConfigurationError(
+                f"solver {setup.label!r} of kind 'vrssd' needs a VrssdConfig, "
+                f"got {type(setup.config).__name__}"
+            )
         cfg = replace(setup.config, seed=spec.base_seed, **target)
         cfg.check(obj)
         if setup.kind == "bfgs":

@@ -208,6 +208,16 @@ class TestRunExperiment:
             run_experiment(ExperimentSpec(spec.problem, (spec.solvers[0], bad), trials=2))
         assert evals == []
 
+    def test_vrssd_with_a_plain_config_is_refused_before_any_evaluation(self, monkeypatch):
+        evals = []
+        evaluate = Objective.evaluate
+        monkeypatch.setattr(Objective, "evaluate", lambda obj, x: evals.append(x) or evaluate(obj, x))
+        spec = small_experiment()
+        plain = SolverSetup("v", "vrssd", SsdConfig(ell=2))
+        with pytest.raises(ConfigurationError, match="'v' of kind 'vrssd' needs a VrssdConfig"):
+            run_experiment(ExperimentSpec(spec.problem, (spec.solvers[0], plain), trials=2))
+        assert evals == []
+
     def test_fraction_threshold_from_an_infinite_start_value(self):
         # f(x0) overflows to inf, where f0 - p (f0 - fmin) would be NaN.
         spec = small_experiment(threshold=("fraction", 0.5), trials=1)
