@@ -477,8 +477,17 @@ def cmd_profile(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage errors (an unknown flag or command, a missing or
+    refused value) raise ConfigurationError, so they print one line like
+    every other refused input."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ssdopt",
         description="Sketched descent solvers and their benchmarking harness.",
     )
@@ -547,10 +556,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_numbers_as_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help and --version
+        return 0 if exc.code in (0, None) else int(exc.code)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

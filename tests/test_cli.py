@@ -47,6 +47,10 @@ REJECTED_RUNS = [
     ["run", "--problem", "quadratic:d=4", "--step", "fixed:inf"],
     ["run", "--problem", "quadratic:d=4", "--step", "armijo:alpha_init=inf"],
     ["run", "--problem", "quadratic:d=4", "--fd-step", "inf"],
+    ["run", "--problem", "quadratic:d=4", "--no-such-flag"],
+    ["run"],
+    ["run", "--problem", "quadratic:d=4", "--solver", "adam"],
+    ["orbit"],
 ]
 
 
