@@ -169,12 +169,6 @@ def _sample_x0(rule: Tuple, d: int, stream: RngStream) -> np.ndarray:
     raise ConfigurationError(f"unknown x0 sampler {kind!r}")
 
 
-def _seed_run(x0_rule: Tuple, d: int, cfg: SsdConfig,
-              seed: int) -> Tuple[np.ndarray, SsdConfig]:
-    """The start point and config of the run seeded ``seed``."""
-    return _sample_x0(x0_rule, d, RngStream(seed, X0_CHANNEL, 0)), replace(cfg, seed=seed)
-
-
 def _threshold_level(rule: Tuple, fmin: Optional[float], start) -> float:
     """Success level of ``("absolute", v)`` or ``("fraction", p)``.
 
@@ -233,9 +227,11 @@ def _validate_experiment(spec: ExperimentSpec) -> None:
 def _run_single(spec: ExperimentSpec, task: Tuple[int, int]) -> TraceRecord:
     solver_index, trial = task
     setup = spec.solvers[solver_index]
+    seed = spec.base_seed + trial
     obj = spec.problem.build()
-    x0, cfg = _seed_run(spec.x0, obj.d, setup.config, spec.base_seed + trial)
+    x0 = _sample_x0(spec.x0, obj.d, RngStream(seed, X0_CHANNEL, 0))
     level = _resolve_threshold(spec.threshold, obj, x0)
+    cfg = replace(setup.config, seed=seed)
     cfg = cfg if level is None else replace(cfg, target_value=level)
     trace = RUNNERS[setup.kind](obj, x0, cfg)
     return TraceRecord(setup.label, trial, trace)
@@ -273,12 +269,6 @@ def evals_to_threshold(trace: RunTrace, threshold: float) -> float:
     return math.inf
 
 
-def _threshold_for_trace(rule: Tuple, trace: RunTrace, fstar: Optional[float]) -> float:
-    return _threshold_level(
-        rule, fstar, lambda: trace.entries[0].f if trace.entries else None
-    )
-
-
 def _counts_to_threshold(
     records: List[TraceRecord],
     threshold: Optional[Tuple],
@@ -295,7 +285,9 @@ def _counts_to_threshold(
         if threshold is None:
             level = targets.get(record.solver)
         else:
-            level = _threshold_for_trace(threshold, record.trace, fstar)
+            entries = record.trace.entries
+            level = _threshold_level(threshold, fstar,
+                                     lambda: entries[0].f if entries else None)
         counts.setdefault(record.solver, {})[record.trial] = (
             math.inf if level is None else evals_to_threshold(record.trace, level)
         )

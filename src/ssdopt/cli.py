@@ -42,10 +42,9 @@ from .bench import (
     ProblemSpec,
     RUNNERS,
     SolverSetup,
-    TraceRecord,
     _counts_to_threshold,
     _int_param,
-    _seed_run,
+    _run_single,
     _threshold_level,
     _trace_format,
     _validate_experiment,
@@ -298,10 +297,9 @@ def cmd_run(args) -> int:
     given = {key: vars(args)[key] for key in _OPTIONS if vars(args)[key] is not None}
     cfg = _config_from_options(args.solver, given, lambda key: f"option --{key}")
     x0_rule = _parse_rule(args.x0, "x0 sampler", _X0_FORMS)
-    _validate_experiment(ExperimentSpec(problem, (SolverSetup(args.solver, args.solver, cfg),),
-                                        1, x0_rule, base_seed=seed))
-    obj = problem.build()
-    x0, cfg = _seed_run(x0_rule, obj.d, cfg, seed)
+    spec = ExperimentSpec(problem, (SolverSetup(args.solver, args.solver, cfg),), 1, x0_rule,
+                          base_seed=seed)
+    _validate_experiment(spec)
     out = Path(args.out)
     fmt = _trace_format(out, args.format)
     _check_writable(out)
@@ -310,13 +308,14 @@ def cmd_run(args) -> int:
         "x0": _format_rule(x0_rule), "out": str(out), "format": fmt,
         **_solver_mapping(args.solver, cfg),
     })
-    trace = RUNNERS[args.solver](obj, x0, cfg)
+    record = _run_single(spec, (0, 0))
     with _writing(out):
-        export_traces([TraceRecord(args.solver, 0, trace)], out, fmt)
+        export_traces([record], out, fmt)
+    trace = record.trace
     final = trace.entries[-1] if trace.entries else None
     print(f"status = {trace.terminal_status}")
     print(f"f = {'nan' if final is None else repr(final.f)}")
-    print(f"evals = {obj.eval_count}")
+    print(f"evals = {trace.charged}")
     print(f"trace written to {out}")
     return 0
 

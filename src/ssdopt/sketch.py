@@ -225,12 +225,6 @@ def _check_ell(d: int, ell: int) -> None:
         raise ConfigurationError(f"need 1 <= ell <= d, got ell={ell}, d={d}")
 
 
-def _check_dims(d: int, ell: int) -> None:
-    if d < 1:
-        raise ConfigurationError(f"dimension must be positive, got {d}")
-    _check_ell(d, ell)
-
-
 def orthonormal_signed(x: np.ndarray):
     """Thin QR of ``x`` (stacked inputs fine) with a fixed sign convention.
 
@@ -255,7 +249,7 @@ def _qr_failed(err, flag):
 
 def draw_haar(d: int, ell: int, rng: RngStream) -> Sketch:
     """Uniformly random orthonormal ell-frame, scaled by sqrt(d/ell)."""
-    _check_dims(d, ell)
+    _check_ell(d, ell)
     gen = rng.generator()
     while True:
         q, diag = orthonormal_signed(gen.standard_normal((d, ell)))
@@ -273,7 +267,7 @@ def sample_haar(d: int, ell: int, size: int, gen: np.random.Generator) -> np.nda
     both paths share :func:`orthonormal_signed`, so they apply the identical
     map to the Gaussian fill.
     """
-    _check_dims(d, ell)
+    _check_ell(d, ell)
     q, diag = orthonormal_signed(gen.standard_normal((size, d, ell)))
     bad = np.any(diag == 0.0, axis=-1)
     while np.any(bad):
@@ -289,7 +283,7 @@ def sample_haar(d: int, ell: int, size: int, gen: np.random.Generator) -> np.nda
 
 def draw_coordinate_block(d: int, ell: int, rng: RngStream) -> Sketch:
     """Columns sqrt(d/ell) e_i at ell distinct random coordinates."""
-    _check_dims(d, ell)
+    _check_ell(d, ell)
     idx = rng.generator().choice(d, size=ell, replace=False)
     m = np.zeros((d, ell))
     m[idx, np.arange(ell)] = np.sqrt(d / ell)
@@ -298,14 +292,14 @@ def draw_coordinate_block(d: int, ell: int, rng: RngStream) -> Sketch:
 
 def draw_gaussian(d: int, ell: int, rng: RngStream) -> Sketch:
     """iid N(0, 1/ell) entries; unbiased but not orthogonal per draw."""
-    _check_dims(d, ell)
+    _check_ell(d, ell)
     m = rng.generator().standard_normal((d, ell)) / np.sqrt(ell)
     return Sketch(m, d, ell, "gaussian")
 
 
 def sample_gaussian(d: int, ell: int, size: int, gen: np.random.Generator) -> np.ndarray:
     """``size`` Gaussian sketches as one (size, d, ell) array."""
-    _check_dims(d, ell)
+    _check_ell(d, ell)
     return gen.standard_normal((size, d, ell)) / np.sqrt(ell)
 
 

@@ -139,11 +139,14 @@ class RunTrace:
     evaluations charged up to the moment it was reached (line-search trials
     included), its objective value, and the step size and direction norm
     that produced it.  Entry 0 is the starting point; its single evaluation
-    is part of the run's cost.
+    is part of the run's cost.  ``charged`` counts every evaluation of the
+    run, trials and a closing value after the last entry included; a trace
+    read back from a file has None.
     """
 
     entries: List[TraceEntry]
     terminal_status: Optional[str] = None
+    charged: Optional[int] = None
 
     @property
     def final(self) -> TraceEntry:
@@ -388,7 +391,7 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
         status = STATUS_LINE_SEARCH
     except EvaluationError:
         # No evaluation is charged after the objective failed.
-        return RunTrace(run.entries, STATUS_EVALUATION)
+        return RunTrace(run.entries, STATUS_EVALUATION, run.used())
     if run.f is None:
         # Meeting the target with the value at the close changes no status.
         run.target = None
@@ -396,7 +399,7 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
             run.observe(run.evaluate(run.x))
         except EvaluationError:
             status = STATUS_EVALUATION
-    return RunTrace(run.entries, status)
+    return RunTrace(run.entries, status, run.used())
 
 
 def ssd_step(obj: Objective, x, cfg: SsdConfig, rng: RngStream, iteration: int = 0):
