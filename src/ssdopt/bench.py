@@ -208,7 +208,15 @@ def _validate_experiment(spec: ExperimentSpec) -> None:
     labels = [s.label for s in spec.solvers]
     if len(set(labels)) != len(labels):
         raise ConfigurationError(f"duplicate solver labels in {labels}")
-    obj = spec.problem.build()
+    try:
+        obj = spec.problem.build()
+        _sample_x0(spec.x0, obj.d, RngStream(spec.base_seed, X0_CHANNEL, 0))
+    except ConfigurationError:
+        raise
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses an array of the problem's size ("Maximum allowed
+        # dimension exceeded", "Unable to allocate ...").
+        raise ConfigurationError(f"cannot set up problem {spec.problem.name!r}: {exc}") from None
     target = {} if spec.threshold is None else {
         "target_value": _threshold_level(spec.threshold, obj.minimum_value, lambda: None)}
     for setup in spec.solvers:
@@ -221,7 +229,6 @@ def _validate_experiment(spec: ExperimentSpec) -> None:
         cfg.check(obj)
         if setup.kind == "bfgs":
             _check_bfgs_rule(cfg)
-    _sample_x0(spec.x0, obj.d, RngStream(spec.base_seed, X0_CHANNEL, 0))
 
 
 def _run_single(spec: ExperimentSpec, task: Tuple[int, int]) -> TraceRecord:

@@ -451,6 +451,8 @@ def cmd_profile(args) -> int:
     rule = ("absolute", target) if target is not None else ("fraction", fraction)
     _threshold_level(rule, fstar, lambda: None)  # refuses p outside (0, 1]
     records = import_traces(args.traces)
+    out = Path(args.out)
+    _check_writable(out)
     _print_section("profile", {
         "traces": args.traces, "threshold": _format_rule(rule),
         "fstar": None if fstar is None else repr(fstar), "out": args.out,
@@ -464,8 +466,8 @@ def cmd_profile(args) -> int:
     for solver in sorted(profile.curves):
         for tau, rho in profile.curves[solver]:
             lines.append(f"{solver},{tau!r},{rho!r}")
-    with _writing(args.out):
-        Path(args.out).write_text("\n".join(lines) + "\n")
+    with _writing(out):
+        out.write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)
     print(f"profile written to {args.out}")

@@ -51,6 +51,9 @@ REJECTED_RUNS = [
     ["run"],
     ["run", "--problem", "quadratic:d=4", "--solver", "adam"],
     ["orbit"],
+    ["run", "--problem", "quadratic:d=1e308"],
+    ["run", "--problem", "lstsq:m=1e308,d=3"],
+    ["run", "--problem", f"nesterov:l=8,r=10,d={2**63}"],
 ]
 
 
@@ -591,6 +594,13 @@ class TestOutputCheckedFirst:
         assert_one_error_line(main_io([*refused, "--out", tmp_path / "old.csv"]), "armijo")
         assert (tmp_path / "old.csv").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("out", [os.path.join("no-such-dir", "p.csv"), ""],
+                             ids=["missing-directory", "existing-directory"])
+    def test_profile_into_an_unwritable_path(self, tmp_path, out):
+        argv = ["profile", "--traces", seed_traces(tmp_path), "--target", "1.0",
+                "--out", os.path.join(tmp_path, out)]
+        assert_refused_up_front(tmp_path, argv)
+
 
 # Prefixes that carry random bytes past the first checks of each reader.
 FUZZ_PREFIXES = {
@@ -676,6 +686,8 @@ REFUSED_UP_FRONT = {
     "run-vrssd-m-0": ("run", ["--solver", "vrssd", "--m", "0"]),
     "profile-missing-traces": ("profile", ["missing.csv", "--target", "1.0"]),
     "profile-fraction-above-1": ("profile", ["traces.csv", "--fraction", "2", "--fstar", "0"]),
+    "run-lstsq-m-1e308": ("run", ["--problem", "lstsq:m=1e308,d=3"]),
+    "sweep-quadratic-d-1e308": ("sweep", SWEEP_FIRST.replace("d=4", "d=1e308")),
 }
 
 
@@ -696,9 +708,10 @@ def test_refusal_comes_before_any_output_or_evaluation(tmp_path, case):
 # ---------------------------------------------------------------------------
 # argv fuzz: command lines built from the option table and the spec grammar
 
-# Texts that no count or size accepts.  Huge sizes are left out: they
-# would allocate.
-JUNK = st.sampled_from(["x", "", "1.5", "nan", "-inf", "-1", "0"])
+# Texts that no count or size accepts.  1e308 is above numpy's largest
+# array dimension, so no allocator is asked for it; sizes an allocator
+# could grant are left out.
+JUNK = st.sampled_from(["x", "", "1.5", "nan", "-inf", "-1", "0", "1e308"])
 
 
 def mostly(valid, junk=JUNK):
@@ -801,8 +814,10 @@ def profile_argv(draw, tmp):
                   os.path.join(tmp, "traces.csv"))
     flags = draw(mostly(st.sampled_from([["target"], ["fraction", "fstar"]]),
                         junk=st.lists(st.sampled_from(["fraction", "fstar", "target"]), unique=True)))
+    # An empty name makes the output the directory itself.
+    out = draw(mostly(st.just("p.csv"), junk=st.sampled_from([os.path.join("no-dir", "p.csv"), ""])))
     return ["profile", "--traces", traces, *(f"--{f}={draw(NUMBERS)}" for f in flags),
-            "--out", os.path.join(tmp, "p.csv")]
+            "--out", os.path.join(tmp, out)]
 
 
 @settings(max_examples=500)
@@ -818,3 +833,27 @@ def test_random_command_lines_keep_the_exit_contract(command, data):
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert out == "" and calls == [], err
             assert sorted(os.listdir(tmp)) == before
+
+
+# Flags each command does not take; none is a prefix of one it takes, which
+# argparse would read as that flag.
+STRAY_FLAGS = {"run": ["--jobs", "--traces", "--no-such-flag"],
+               "sweep": ["--ell", "--traces", "--no-such-flag"],
+               "profile": ["--jobs", "--seed", "--no-such-flag"]}
+
+
+def stray_argv(draw, tmp):
+    """A command line from one of the strategies above with an unknown flag
+    added, or with an unknown command in place of its own."""
+    argv = draw(st.sampled_from([run_argv, sweep_argv, profile_argv]))(draw, tmp)
+    if draw(st.booleans()):
+        return [draw(st.sampled_from(["orbit", "runs", "Sweep"])), *argv[1:]]
+    at = draw(st.integers(1, len(argv)))
+    return [*argv[:at], f"{draw(st.sampled_from(STRAY_FLAGS[argv[0]]))}=1", *argv[at:]]
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_unknown_flags_and_commands_keep_the_exit_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_refused_up_front(tmp, stray_argv(data.draw, tmp))
