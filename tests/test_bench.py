@@ -509,3 +509,10 @@ class TestTraceFiles:
         path.write_text(text)
         with pytest.raises(ConfigurationError, match=where):
             import_traces(path)
+
+    @pytest.mark.parametrize("name", ["traces.csv", "traces.json"])
+    def test_read_back_trace_has_no_charged_count(self, tmp_path, name):
+        records = run_experiment(small_experiment(trials=1))
+        assert all(r.trace.charged >= r.trace.final.evals for r in records)
+        export_traces(records, tmp_path / name)
+        assert [r.trace.charged for r in import_traces(tmp_path / name)] == [None, None]

@@ -1,6 +1,7 @@
 """Subspace descent driver: steps, budgets, traces, admissibility."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -325,6 +326,58 @@ class TestTermination:
         run = {"ssd": run_ssd, "gd": run_fd_gd, "bfgs": run_fd_bfgs, "vrssd": run_vrssd}[runner]
         trace = run(obj, np.ones(3), cfg)
         assert (trace.terminal_status, trace.entries, obj.eval_count) == ("evaluation_failed", [], 1)
+
+
+def beyond_1e30_is_inf(d):
+    """0.5 x.x, and inf once a coordinate leaves (-1e30, 1e30)."""
+    return Objective(d, lambda x: 0.5 * float(x @ x) if np.max(np.abs(x)) < 1e30 else math.inf)
+
+
+# name: (runner, objective, config, status, evaluations charged after the
+# last entry was recorded)
+CHARGED_CASES = {
+    "ssd-target-at-start": (run_ssd, partial(isotropic_quadratic, 4),
+                            SsdConfig(ell=2, target_value=100.0), "target_reached", 0),
+    "ssd-fixed-budget": (run_ssd, partial(isotropic_quadratic, 6),
+                         SsdConfig(ell=2, step_rule=FixedStep(0.1), eval_budget=8),
+                         "budget_exhausted", 1),
+    "ssd-fixed-max-iters": (run_ssd, partial(isotropic_quadratic, 4),
+                            SsdConfig(ell=2, step_rule=FixedStep(0.01), max_iters=3),
+                            "max_iters", 1),
+    "ssd-line-search": (run_ssd, partial(isotropic_quadratic, 4),
+                        SsdConfig(ell=4, fd=FdScheme("exact"), max_iters=10,
+                                  step_rule=ArmijoStep(alpha_init=3.0, max_backtracks=1)),
+                        "line_search_failed", 1),
+    "ssd-evaluation": (run_ssd, partial(beyond_1e30_is_inf, 4),
+                       SsdConfig(ell=1, step_rule=FixedStep(1e10)), "evaluation_failed", 4),
+    "gd-armijo-max-iters": (run_fd_gd, partial(nesterov_worst, 8.0, 5, 12),
+                            SsdConfig(ell=1, max_iters=3), "max_iters", 0),
+    "bfgs-armijo-budget": (run_fd_bfgs, partial(nesterov_worst, 8.0, 5, 12),
+                           SsdConfig(ell=1, eval_budget=45), "budget_exhausted", 13),
+    "vrssd-fixed-max-iters": (run_vrssd, partial(nesterov_worst, 8.0, 5, 12),
+                              VrssdConfig(ell=2, step_rule=FixedStep(0.1), m=3, max_iters=7),
+                              "max_iters", 1),
+    "vrssd-line-search": (run_vrssd, partial(nesterov_worst, 8.0, 5, 12),
+                          VrssdConfig(ell=2, m=3, max_iters=7), "line_search_failed", 46),
+    "vrssd-evaluation": (run_vrssd, partial(beyond_1e30_is_inf, 4),
+                         VrssdConfig(ell=1, step_rule=FixedStep(1e10), m=3),
+                         "evaluation_failed", 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHARGED_CASES))
+def test_charged_count_is_the_change_in_the_counter(case):
+    # Line-search trials after the last entry and a fixed-rule run's closing
+    # value are charged but recorded in no entry; the trace still counts them.
+    runner, problem, cfg, status, after_last_entry = CHARGED_CASES[case]
+    obj = problem()
+    obj.evaluate(np.zeros(obj.d))  # a charge from before the run
+    before = obj.eval_count
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = runner(obj, np.ones(obj.d), cfg)
+    assert trace.terminal_status == status
+    assert trace.charged == obj.eval_count - before
+    assert trace.charged - trace.entries[-1].evals == after_last_entry
 
 
 
