@@ -3,7 +3,8 @@ linear-rate estimation, and trace persistence.
 
 Solvers within one trial share the trial's seed and initial point, so
 profile comparisons are paired.  Trial t of an experiment with base seed b
-runs under seed b + t everywhere.
+runs under seed b + t everywhere.  An :class:`ExperimentSpec` checks
+itself when it is made, so a refused experiment never starts a run.
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ class ExperimentSpec:
     ``threshold`` is ``("absolute", value)``, ``("fraction", p)`` with
     p in (0, 1] marking f(x0) - p (f(x0) - fmin), or None to keep each
     solver's own target.
+
+    Making a spec checks it against the built problem, evaluating nothing:
+    bad input raises :class:`ConfigurationError` before any run.
     """
 
     problem: ProblemSpec
@@ -140,6 +144,37 @@ class ExperimentSpec:
     x0: Tuple = ("zeros",)
     threshold: Optional[Tuple] = None
     base_seed: int = 0
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigurationError(f"need at least one trial, got {self.trials}")
+        if not self.solvers:
+            raise ConfigurationError("experiment defines no solvers")
+        labels = [s.label for s in self.solvers]
+        if len(set(labels)) != len(labels):
+            raise ConfigurationError(f"duplicate solver labels in {labels}")
+        try:
+            obj = self.problem.build()
+            _sample_x0(self.x0, obj.d, RngStream(self.base_seed, X0_CHANNEL, 0))
+        except ConfigurationError:
+            raise
+        except (ValueError, MemoryError) as exc:
+            # numpy refuses an array of the problem's size ("Maximum allowed
+            # dimension exceeded", "Unable to allocate ...").
+            raise ConfigurationError(
+                f"cannot set up problem {self.problem.name!r}: {exc}") from None
+        target = {} if self.threshold is None else {
+            "target_value": _threshold_level(self.threshold, obj.minimum_value, lambda: None)}
+        for setup in self.solvers:
+            if setup.kind == "vrssd" and not isinstance(setup.config, VrssdConfig):
+                raise ConfigurationError(
+                    f"solver {setup.label!r} of kind 'vrssd' needs a VrssdConfig, "
+                    f"got {type(setup.config).__name__}"
+                )
+            cfg = replace(setup.config, seed=self.base_seed, **target)
+            cfg.check(obj)
+            if setup.kind == "bfgs":
+                _check_bfgs_rule(cfg)
 
 
 @dataclass(frozen=True)
@@ -199,38 +234,6 @@ def _resolve_threshold(rule: Optional[Tuple], obj: Objective, x0) -> Optional[fl
     )
 
 
-def _validate_experiment(spec: ExperimentSpec) -> None:
-    """Refuse the experiment before its first run, evaluating nothing."""
-    if spec.trials < 1:
-        raise ConfigurationError(f"need at least one trial, got {spec.trials}")
-    if not spec.solvers:
-        raise ConfigurationError("experiment defines no solvers")
-    labels = [s.label for s in spec.solvers]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError(f"duplicate solver labels in {labels}")
-    try:
-        obj = spec.problem.build()
-        _sample_x0(spec.x0, obj.d, RngStream(spec.base_seed, X0_CHANNEL, 0))
-    except ConfigurationError:
-        raise
-    except (ValueError, MemoryError) as exc:
-        # numpy refuses an array of the problem's size ("Maximum allowed
-        # dimension exceeded", "Unable to allocate ...").
-        raise ConfigurationError(f"cannot set up problem {spec.problem.name!r}: {exc}") from None
-    target = {} if spec.threshold is None else {
-        "target_value": _threshold_level(spec.threshold, obj.minimum_value, lambda: None)}
-    for setup in spec.solvers:
-        if setup.kind == "vrssd" and not isinstance(setup.config, VrssdConfig):
-            raise ConfigurationError(
-                f"solver {setup.label!r} of kind 'vrssd' needs a VrssdConfig, "
-                f"got {type(setup.config).__name__}"
-            )
-        cfg = replace(setup.config, seed=spec.base_seed, **target)
-        cfg.check(obj)
-        if setup.kind == "bfgs":
-            _check_bfgs_rule(cfg)
-
-
 def _run_single(spec: ExperimentSpec, task: Tuple[int, int]) -> TraceRecord:
     solver_index, trial = task
     setup = spec.solvers[solver_index]
@@ -251,7 +254,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> List[TraceRecord]:
     run when there are fewer runs; results are assembled in task order, so
     the output is identical either way.
     """
-    _validate_experiment(spec)
     tasks = [
         (si, t) for si in range(len(spec.solvers)) for t in range(spec.trials)
     ]

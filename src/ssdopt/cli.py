@@ -47,7 +47,6 @@ from .bench import (
     _run_single,
     _threshold_level,
     _trace_format,
-    _validate_experiment,
     export_traces,
     import_traces,
     performance_profile,
@@ -299,7 +298,6 @@ def cmd_run(args) -> int:
     x0_rule = _parse_rule(args.x0, "x0 sampler", _X0_FORMS)
     spec = ExperimentSpec(problem, (SolverSetup(args.solver, args.solver, cfg),), 1, x0_rule,
                           base_seed=seed)
-    _validate_experiment(spec)
     out = Path(args.out)
     fmt = _trace_format(out, args.format)
     _check_writable(out)
@@ -395,7 +393,6 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(f"--jobs must be at least 1, got {jobs}")
     path = Path(args.config)
     spec = _read_sweep_config(path)
-    _validate_experiment(spec)
     outdir = Path(args.out)
     trace_path = outdir / "traces.csv"
     with _writing(trace_path):
