@@ -29,8 +29,8 @@ from .problems import (
     rank_deficient_least_squares,
 )
 from .sketch import PROBLEM_CHANNEL, RngStream, X0_CHANNEL
-from .ssd import RunTrace, SsdConfig, TraceEntry, run_ssd
-from .vrssd import VrssdConfig, run_vrssd
+from .ssd import RunTrace, SsdConfig, TraceEntry, _check_ints, run_ssd
+from .vrssd import _check_vrssd_config, run_vrssd
 
 RUNNERS = {
     "ssd": run_ssd,
@@ -146,6 +146,7 @@ class ExperimentSpec:
     base_seed: int = 0
 
     def __post_init__(self):
+        _check_ints(self, "trials", "base_seed")
         if self.trials < 1:
             raise ConfigurationError(f"need at least one trial, got {self.trials}")
         if not self.solvers:
@@ -166,11 +167,8 @@ class ExperimentSpec:
         target = {} if self.threshold is None else {
             "target_value": _threshold_level(self.threshold, obj.minimum_value, lambda: None)}
         for setup in self.solvers:
-            if setup.kind == "vrssd" and not isinstance(setup.config, VrssdConfig):
-                raise ConfigurationError(
-                    f"solver {setup.label!r} of kind 'vrssd' needs a VrssdConfig, "
-                    f"got {type(setup.config).__name__}"
-                )
+            if setup.kind == "vrssd":
+                _check_vrssd_config(setup.config, f"solver {setup.label!r} of kind 'vrssd'")
             cfg = replace(setup.config, seed=self.base_seed, **target)
             cfg.check(obj)
             if setup.kind == "bfgs":

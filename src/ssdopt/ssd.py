@@ -29,6 +29,7 @@ same driver, one ``_loop`` call per stretch of steps.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -67,6 +68,16 @@ class ArmijoStep:
 StepRule = Union[FixedStep, TheoreticalStep, ArmijoStep]
 
 
+def _check_ints(owner, *names: str) -> None:
+    """Refuse a count of ``owner`` that is not an integer; numpy integers pass."""
+    for name in names:
+        value = getattr(owner, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SsdConfig:
     """Options for one solver run.
@@ -88,6 +99,7 @@ class SsdConfig:
 
     def check(self, obj: Objective) -> None:
         """Reject options that cannot run on ``obj``, before any evaluation."""
+        _check_ints(self, "ell", "max_iters", "eval_budget", "seed")
         _check_ell(obj.d, self.ell)
         _drawer(self.distribution)
         validate_scheme(self.fd, obj)
@@ -104,6 +116,7 @@ class SsdConfig:
             if not 0 < rule.alpha_init < math.inf:
                 raise ConfigurationError(
                     f"initial trial step must be positive and finite, got {rule.alpha_init}")
+            _check_ints(rule, "max_backtracks")
             if rule.max_backtracks < 1:
                 raise ConfigurationError(f"need at least one backtrack, got {rule.max_backtracks}")
         elif isinstance(rule, TheoreticalStep):

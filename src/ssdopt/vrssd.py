@@ -36,6 +36,7 @@ from .sketch import EPOCH_CHANNEL, RngStream, SketchStream, draw
 from .ssd import (
     RunTrace,
     SsdConfig,
+    _check_ints,
     _drive,
     _loop,
     _single_step,
@@ -65,6 +66,7 @@ class VrssdConfig(SsdConfig):
     def check(self, obj: Objective) -> None:
         """The SSD rules, then the epoch rules."""
         super().check(obj)
+        _check_ints(self, "m", "warmup_iters")
         if self.m < 1:
             raise ConfigurationError(f"epoch length must be positive, got {self.m}")
         if self.option not in _OPTIONS:
@@ -75,6 +77,12 @@ class VrssdConfig(SsdConfig):
                 f"unknown eta mode {self.eta_mode!r}; expected one of {_ETA_MODES}")
         if self.warmup_iters < 0:
             raise ConfigurationError(f"warmup length must be nonnegative, got {self.warmup_iters}")
+
+
+def _check_vrssd_config(cfg: SsdConfig, who: str) -> None:
+    """The epoch loop reads the epoch fields, which a plain SsdConfig lacks."""
+    if not isinstance(cfg, VrssdConfig):
+        raise ConfigurationError(f"{who} needs a VrssdConfig, got {type(cfg).__name__}")
 
 
 @dataclass
@@ -198,6 +206,7 @@ def vrssd_inner_step(obj: Objective, x, anchor: AnchorState, cfg: VrssdConfig,
     Diagnostic hook mirroring :func:`ssdopt.ssd.ssd_step`; returns
     ``(x_next, entry)``.
     """
+    _check_vrssd_config(cfg, "vrssd_inner_step")
     return _single_step(obj, x, cfg, iteration,
                         lambda x: _vr_direction(obj, x, anchor, cfg, rng))
 
@@ -220,6 +229,8 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     iterate's value (centered differences, ``FdScheme("exact")``) keeps one
     evaluation back for it, so the run never charges past its budget.
     """
+    _check_vrssd_config(cfg, "run_vrssd")
+
     def epochs(run):
         anchor_cost = _step_cost(cfg, obj.d)
         stream = SketchStream(cfg.seed)

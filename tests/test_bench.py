@@ -197,6 +197,8 @@ class TestRunExperiment:
             SolverSetup("bfgs", "bfgs", SsdConfig(ell=1, step_rule=FixedStep(0.1))),
             SolverSetup("wide", "ssd", SsdConfig(ell=9)),
             SolverSetup("vr", "vrssd", VrssdConfig(ell=2, m=0)),
+            SolverSetup("float-ell", "ssd", SsdConfig(ell=2.0)),
+            SolverSetup("float-m", "vrssd", VrssdConfig(ell=2, m=2.5)),
         ],
     )
     def test_bad_later_solver_is_refused_before_any_evaluation(self, monkeypatch, bad):
@@ -217,6 +219,43 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="'v' of kind 'vrssd' needs a VrssdConfig"):
             run_experiment(ExperimentSpec(spec.problem, (spec.solvers[0], plain), trials=2))
         assert evals == []
+
+    @pytest.mark.parametrize(
+        "case",
+        ["trials-0", "trials-2.5", "no-solvers", "duplicate-labels", "bad-later-solver",
+         "plain-vrssd", "base-seed-1.5", "base-seed-1.5-uniform"],
+    )
+    def test_spec_refuses_bad_input_when_made(self, monkeypatch, case):
+        spec = small_experiment()
+        first = spec.solvers[0]
+        evals, builds = [], []
+        evaluate, evaluate_many, build = Objective.evaluate, Objective.evaluate_many, ProblemSpec.build
+        monkeypatch.setattr(Objective, "evaluate", lambda obj, x: evals.append(x) or evaluate(obj, x))
+        monkeypatch.setattr(Objective, "evaluate_many",
+                            lambda obj, xs: evals.append(xs) or evaluate_many(obj, xs))
+        monkeypatch.setattr(ProblemSpec, "build", lambda spec: builds.append(spec) or build(spec))
+        kw = {
+            "trials-0": dict(trials=0),
+            "trials-2.5": dict(trials=2.5),
+            "no-solvers": dict(solvers=()),
+            "duplicate-labels": dict(solvers=(first, SolverSetup("ssd2", "ssd", SsdConfig(ell=3)))),
+            "bad-later-solver": dict(solvers=(first, SolverSetup("wide", "ssd", SsdConfig(ell=9)))),
+            "plain-vrssd": dict(solvers=(first, SolverSetup("v", "vrssd", SsdConfig(ell=2)))),
+            "base-seed-1.5": dict(x0=("zeros",), base_seed=1.5),
+            "base-seed-1.5-uniform": dict(x0=("uniform", -1.0, 1.0), base_seed=1.5),
+        }[case]
+        fields = dict(problem=spec.problem, solvers=spec.solvers, trials=2, x0=spec.x0,
+                      base_seed=spec.base_seed)
+        with pytest.raises(ConfigurationError):
+            ExperimentSpec(**{**fields, **kw})
+        assert evals == []
+        assert len(builds) <= 1
+
+    def test_numpy_integer_counts_run_like_ints(self):
+        spec = small_experiment(trials=2)
+        wide = ExperimentSpec(spec.problem, spec.solvers, np.int64(2), spec.x0,
+                              base_seed=np.int32(spec.base_seed))
+        assert run_experiment(wide) == run_experiment(spec)
 
     def test_fraction_threshold_from_an_infinite_start_value(self):
         # f(x0) overflows to inf, where f0 - p (f0 - fmin) would be NaN.

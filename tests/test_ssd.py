@@ -94,11 +94,26 @@ class TestConfigValidation:
             {"step_rule": FixedStep(math.inf)},
             {"step_rule": ArmijoStep(alpha_init=math.inf)},
             {"fd": FdScheme("exact", step=1e-3)},
+            {"step_rule": ArmijoStep(max_backtracks=2.5)},
         ],
     )
     def test_rejected_configs(self, kw):
         with pytest.raises(ConfigurationError):
             self.run(**kw)
+
+    @pytest.mark.parametrize("field", ["ell", "max_iters", "eval_budget", "seed"])
+    def test_non_integer_count_is_refused_before_any_evaluation(self, field):
+        obj = isotropic_quadratic(4)
+        cfg = SsdConfig(**{"ell": 2, "max_iters": 3, field: 2.5})
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            run_ssd(obj, np.ones(4), cfg)
+        assert obj.eval_count == 0
+
+    def test_numpy_integer_counts_run_like_ints(self):
+        counts = dict(ell=2, max_iters=5, eval_budget=40, seed=3)
+        wide = {k: np.int64(v) for k, v in counts.items()}
+        plain = run_ssd(isotropic_quadratic(4), np.ones(4), SsdConfig(**counts))
+        assert run_ssd(isotropic_quadratic(4), np.ones(4), SsdConfig(**wide)) == plain
 
     def test_exact_gradient_needs_reference(self):
         from ssdopt import Objective

@@ -46,11 +46,22 @@ class TestConfig:
             {"warmup_iters": -1},
             {"ell": 9},
             {"fd": FdScheme("backward")},
+            {"m": 2.5},
+            {"warmup_iters": 1.5},
         ],
     )
     def test_rejected_configs(self, kw):
         with pytest.raises(ConfigurationError):
             self.run(**kw)
+
+    def test_plain_ssd_config_is_refused_before_any_evaluation(self):
+        obj = isotropic_quadratic(4)
+        with pytest.raises(ConfigurationError, match="run_vrssd needs a VrssdConfig"):
+            run_vrssd(obj, np.ones(4), SsdConfig(ell=2))
+        anchor = AnchorState(np.ones(4), np.ones(4), 0)
+        with pytest.raises(ConfigurationError, match="vrssd_inner_step needs a VrssdConfig"):
+            vrssd_inner_step(obj, np.ones(4), anchor, SsdConfig(ell=2), RngStream(0))
+        assert obj.eval_count == 0
 
 
 class TestEtaValue:
