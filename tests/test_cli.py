@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import child_env
 from ssdopt import Objective, TraceRecord, export_traces, import_traces
-from ssdopt.bench import RUNNERS
+from ssdopt.bench import RUNNERS, ProblemSpec
 from ssdopt.cli import (
     _OPTIONS, _PROBLEM_FORMS, _STEP_FORMS, _THRESHOLD_FORMS, _X0_FORMS, main,
 )
@@ -689,6 +689,28 @@ REFUSED_UP_FRONT = {
     "run-lstsq-m-1e308": ("run", ["--problem", "lstsq:m=1e308,d=3"]),
     "sweep-quadratic-d-1e308": ("sweep", SWEEP_FIRST.replace("d=4", "d=1e308")),
 }
+
+
+BUILD_SWEEP = ("[experiment]\nproblem = lstsq:m=60,d=200\ntrials = 2\n\n"
+               "[solver a]\nell = 2\niters = 3\n\n[solver b]\nkind = gd\niters = 3\n")
+
+
+@pytest.mark.parametrize("command, builds", [("sweep", 6), ("run", 2)])
+def test_problem_builds_per_command(tmp_path, monkeypatch, command, builds):
+    """The spec builds its problem once when it is made, each run once more,
+    and the sweep summary once for the minimum value: 1 + 4 + 1 builds for
+    two solvers and two trials, 1 + 1 for run."""
+    calls = []
+    build = ProblemSpec.build
+    monkeypatch.setattr(ProblemSpec, "build", lambda spec: calls.append(spec) or build(spec))
+    if command == "sweep":
+        (tmp_path / "s.ini").write_text(BUILD_SWEEP)
+        argv = ["sweep", tmp_path / "s.ini", "--out", tmp_path / "out"]
+    else:
+        argv = ["run", "--problem", "lstsq:m=60,d=200", "--iters", "3", "--out", tmp_path / "t.csv"]
+    code, _, err = main_io(argv)
+    assert code == 0, err
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED_UP_FRONT))
