@@ -117,12 +117,13 @@ def nesterov_worst(lam: float, r: int, d: int) -> Objective:
     lam = float(lam)
 
     def value(x: Array) -> float:
-        z = x[:r]
-        s = z[0] * z[0] + z[-1] * z[-1]
+        # Python floats: the same IEEE operations as numpy scalars, with less overhead.
+        first, last = float(x[0]), float(x[r - 1])
+        s = first * first + last * last
         if r > 1:
-            diff = z[:-1] - z[1:]
+            diff = x[: r - 1] - x[1:r]
             s += float(diff @ diff)
-        return lam * (0.5 * s - z[0]) / 4.0
+        return lam * (0.5 * s - first) / 4.0
 
     def gradient(x: Array) -> Array:
         z = x[:r]

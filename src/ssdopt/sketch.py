@@ -233,13 +233,21 @@ def orthonormal_signed(x: np.ndarray):
     With Gaussian input the result is uniform over orthonormal ell-frames.
     Returns the frame and the (pre-flip) R diagonal for degeneracy checks.
     """
-    a = np.array(x, dtype=float)
+    return _signed_qr(np.array(x, dtype=float), 1.0)
+
+
+def _signed_qr(a: np.ndarray, scale):
+    """The frame of :func:`orthonormal_signed` times ``scale``, factoring the
+    float array ``a`` in place: R ends up in its upper triangle.
+
+    The sign flip and the scaling are one multiply by -scale or scale,
+    which is exact because negation is.
+    """
     with np.errstate(call=_qr_failed, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
-        # qr_r_raw leaves R in the upper triangle of ``a``.
         q = _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a))
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    q *= np.where(diag < 0, -1.0, 1.0)[..., None, :]
+    diag = a.diagonal(axis1=-2, axis2=-1)
+    q *= np.where(diag < 0, -scale, scale)[..., None, :]
     return q, diag
 
 
@@ -251,12 +259,13 @@ def draw_haar(d: int, ell: int, rng: RngStream) -> Sketch:
     """Uniformly random orthonormal ell-frame, scaled by sqrt(d/ell)."""
     _check_ell(d, ell)
     gen = rng.generator()
+    scale = np.sqrt(d / ell)
     while True:
-        q, diag = orthonormal_signed(gen.standard_normal((d, ell)))
+        # The fresh fill is factored in place: nothing else holds it.
+        q, diag = _signed_qr(gen.standard_normal((d, ell)), scale)
         # A zero pivot means a degenerate Gaussian fill (probability zero).
         if (diag != 0.0).all():
             break
-    q *= np.sqrt(d / ell)
     return Sketch(q, d, ell, "haar")
 
 
@@ -264,21 +273,20 @@ def sample_haar(d: int, ell: int, size: int, gen: np.random.Generator) -> np.nda
     """``size`` scaled Haar frames as one (size, d, ell) array.
 
     Vectorized counterpart of :func:`draw_haar` for Monte-Carlo diagnostics;
-    both paths share :func:`orthonormal_signed`, so they apply the identical
-    map to the Gaussian fill.
+    both paths share :func:`_signed_qr`, so they apply the identical map to
+    the Gaussian fill.
     """
     _check_ell(d, ell)
-    q, diag = orthonormal_signed(gen.standard_normal((size, d, ell)))
+    scale = np.sqrt(d / ell)
+    q, diag = _signed_qr(gen.standard_normal((size, d, ell)), scale)
     bad = np.any(diag == 0.0, axis=-1)
     while np.any(bad):
-        fresh, fresh_diag = orthonormal_signed(
-            gen.standard_normal((int(bad.sum()), d, ell))
-        )
+        fresh, fresh_diag = _signed_qr(gen.standard_normal((int(bad.sum()), d, ell)), scale)
         q[bad] = fresh
         diag = diag.copy()
         diag[bad] = fresh_diag
         bad = np.any(diag == 0.0, axis=-1)
-    return np.sqrt(d / ell) * q
+    return q
 
 
 def draw_coordinate_block(d: int, ell: int, rng: RngStream) -> Sketch:
