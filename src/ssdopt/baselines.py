@@ -1,7 +1,8 @@
 """Zeroth-order baselines: full finite-difference gradient descent and BFGS.
 
-Both estimate the complete gradient every iteration (d + 1 or 2 d
-evaluations), which is what the sketched methods are trying to beat.  They
+Both estimate the complete gradient every iteration (d forward differences
+plus f(x) when the run does not know it yet, or 2 d centered ones), which
+is what the sketched methods are trying to beat.  They
 run on the shared driver of :mod:`ssdopt.ssd` with d coordinate directions
 per step; each supplies only its direction proposer.
 """
@@ -26,8 +27,8 @@ def run_fd_gd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     """Gradient descent on FD gradients; ``cfg.ell`` and the sketch family
     are ignored.  The theoretical step reduces to 1 / lambda."""
 
-    def propose(x, k):
-        g, fx = full_gradient_fd(obj, x, cfg.fd, return_value=True)
+    def propose(x, k, fx):
+        g, fx = full_gradient_fd(obj, x, cfg.fd, return_value=True, fx=fx)
         return g, float(g @ g), fx
 
     return _drive(obj, x0, cfg, obj.d, propose)
@@ -58,9 +59,9 @@ def _bfgs_propose(obj: Objective, cfg: SsdConfig) -> Propose:
     H = np.eye(obj.d)
     last = None
 
-    def propose(x, k):
+    def propose(x, k, fx):
         nonlocal H, last
-        g, fx = full_gradient_fd(obj, x, cfg.fd, return_value=True)
+        g, fx = full_gradient_fd(obj, x, cfg.fd, return_value=True, fx=fx)
         if last is not None:
             _bfgs_update(H, x - last[0], g - last[1])
         last = (x, g)

@@ -29,11 +29,13 @@ _KINDS = (*_FD_KINDS, "exact")
 class FdScheme:
     """Where a solver's derivatives come from.
 
-    ``kind`` is ``"forward"`` (ell + 1 evaluations per directional call, the
-    base point shared across directions, so f(x) comes with it),
-    ``"centered"`` (2 ell evaluations, no base value) or ``"exact"`` (the
-    reference gradient the analysis assumes, for tests: no evaluations, no
-    base value).  A full gradient costs the same with d in place of ell.
+    ``kind`` is ``"forward"`` (ell evaluations per directional call and
+    the value at the base point, shared across directions: a caller that
+    already knows f(x) passes it and pays ell, one that does not pays ell +
+    1 and gets f(x) back), ``"centered"`` (2 ell evaluations, no base value)
+    or ``"exact"`` (the reference gradient the analysis assumes, for tests:
+    no evaluations, no base value).  A full gradient costs the same with d
+    in place of ell.
     ``step`` fixes the offset h; ``None`` (the only value ``"exact"`` takes)
     selects the scale-aware default per call.
     """
@@ -49,7 +51,7 @@ def default_step(x, kind: str) -> float:
     grows with the iterate so the probe offset never vanishes relative to x.
     """
     x = np.asarray(x, dtype=float)
-    scale = 1.0 + (float(np.max(np.abs(x))) if x.size else 0.0)
+    scale = 1.0 + (float(np.abs(x).max()) if x.size else 0.0)
     if kind == "forward":
         return _SQRT_EPS * scale
     if kind == "centered":
@@ -94,6 +96,15 @@ def _evaluate_probes(obj: Objective, *blocks) -> np.ndarray:
     return values
 
 
+def _forward_values(obj: Objective, x: np.ndarray, probes: np.ndarray, fx: Optional[float]):
+    """``(f(x), values at the probe rows)``: f(x) is evaluated ahead of the
+    probes unless ``fx`` already gives it."""
+    if fx is not None:
+        return fx, _evaluate_probes(obj, probes)
+    values = _evaluate_probes(obj, x[None], probes)
+    return float(values[0]), values[1:]
+
+
 def directional_derivatives(
     obj: Objective,
     x,
@@ -101,15 +112,18 @@ def directional_derivatives(
     scheme: FdScheme,
     *,
     return_value: bool = False,
+    fx: Optional[float] = None,
 ):
     """Estimate P^T grad f(x), one difference per sketch column.
 
     Probes run along unit directions and are rescaled by each column norm
     afterwards, so the truncation error does not inherit the sqrt(d/ell)
-    column magnitude. Forward mode charges exactly ell + 1 evaluations and
-    shares f(x) across columns; centered mode charges exactly 2 ell.  The
-    exact kind returns P^T applied to the reference gradient and charges
-    nothing.
+    column magnitude. Forward mode shares f(x) across columns: it takes
+    ``fx`` as that base value when the caller knows it and charges exactly
+    ell evaluations, and otherwise evaluates f(x) first and charges ell + 1.
+    Centered mode charges exactly 2 ell.  The exact kind returns P^T
+    applied to the reference gradient and charges nothing.  Only forward
+    mode reads ``fx``.
 
     With ``return_value=True`` the result is ``(s, f(x))`` in forward mode
     and ``(s, None)`` otherwise, letting callers reuse the base value
@@ -126,15 +140,20 @@ def directional_derivatives(
         s = P.apply_transpose(obj.reference_gradient(x))
         return (s, None) if return_value else s
     # The column norms as np.linalg.norm(cols, axis=0) computes them.
-    norms = np.sqrt(np.add.reduce(cols * cols, axis=0))
+    squares = cols * cols
+    norms = np.sqrt(np.add.reduce(squares, axis=0))
     h = default_step(x, scheme.kind) if scheme.step is None else float(scheme.step)
     # Row j is h times unit column j; a zero column keeps a zero probe
-    # direction and hence a zero estimate.
-    steps = h * (cols / np.where(norms > 0.0, norms, 1.0)).T
+    # direction and hence a zero estimate.  Both steps write into the spent
+    # squares: at d=1000 each fresh d x ell temporary costs more than its
+    # arithmetic.
+    steps = np.divide(cols, np.where(norms > 0.0, norms, 1.0), out=squares)
+    steps *= h
+    steps = steps.T
     if scheme.kind == "forward":
-        values = _evaluate_probes(obj, x[None], x + steps)
-        s = (values[1:] - values[0]) * norms / h
-        return (s, float(values[0])) if return_value else s
+        fx, values = _forward_values(obj, x, x + steps, fx)
+        s = (values - fx) * norms / h
+        return (s, fx) if return_value else s
     values = _evaluate_probes(obj, x + steps, x - steps)
     s = (values[: P.ell] - values[P.ell :]) * norms / (2.0 * h)
     return (s, None) if return_value else s
@@ -146,9 +165,12 @@ def full_gradient_fd(
     scheme: FdScheme,
     *,
     return_value: bool = False,
+    fx: Optional[float] = None,
 ):
-    """Coordinate-wise FD gradient: d + 1 (forward) or 2 d (centered)
-    evaluations; the exact kind returns the reference gradient for none."""
+    """Coordinate-wise FD gradient: d evaluations forward when ``fx`` gives
+    the known f(x), d + 1 when it does not, or 2 d centered; the exact kind
+    returns the reference gradient for none.  ``return_value`` and ``fx``
+    work as in :func:`directional_derivatives`."""
     validate_scheme(scheme, obj)
     x = np.asarray(x, dtype=float)
     if x.shape != (obj.d,):
@@ -168,9 +190,9 @@ def full_gradient_fd(
         return p
 
     if scheme.kind == "forward":
-        values = _evaluate_probes(obj, x[None], shifted(h))
-        g = (values[1:] - values[0]) / h
-        return (g, float(values[0])) if return_value else g
+        fx, values = _forward_values(obj, x, shifted(h), fx)
+        g = (values - fx) / h
+        return (g, fx) if return_value else g
     values = _evaluate_probes(obj, shifted(h), shifted(-h))
     g = (values[: obj.d] - values[obj.d :]) / (2.0 * h)
     return (g, None) if return_value else g

@@ -19,8 +19,13 @@ becomes current and is tested against the target.  The driver checks the
 config with ``SsdConfig.check`` (no runner checks its own; ``_single_step``
 checks for the one-step hooks), charges the first evaluation, steps through
 ``_loop`` with the solver's direction proposer, and closes the run with its
-terminal status.  A proposer returns ``(direction, decrease, f(x) or
-None)``; the loop takes the direction norm itself.  ``run_ssd`` proposes
+terminal status.  A proposer takes the iterate, the step index and the
+value at the iterate when the run knows it, and returns ``(direction,
+decrease, f(x) or None)``; the loop takes the direction norm itself.  A
+run knows f at its iterate after its start evaluation, after Armijo
+accepts a trial (whose point becomes the iterate as evaluated) and after
+an anchor or probe set supplies it, so forward differences evaluate each
+iterate at most once.  ``run_ssd`` proposes
 sketched directions, the baselines propose full-gradient and quasi-Newton
 ones, and the variance-reduced solver runs its anchored epochs inside the
 same driver, one ``_loop`` call per stretch of steps.
@@ -224,7 +229,10 @@ class _Run:
     ``deferred`` until its value is observed: Armijo knows it at once, while
     a fixed-rule step leaves it to the next shared evaluation at ``x``.  Once
     the run has started, ``f`` is None exactly while an entry waits, which
-    is the one test for a value still owed.
+    is the one test for a value still owed.  A known ``f`` is the base value
+    of the next forward probe set, so that set evaluates only its shifted
+    points; ``step_cost`` counts those, and a probe set that must find f(x)
+    first costs one more.
     """
 
     def __init__(self, obj: Objective, cfg: SsdConfig, n_dirs: int, x: np.ndarray):
@@ -232,7 +240,7 @@ class _Run:
         self.rule = cfg.step_rule
         self.alpha_fixed = _fixed_alpha(cfg.step_rule, obj, n_dirs)
         self.step_cost = _step_cost(cfg, n_dirs)
-        # Forward differences evaluate f(x) as their base point.
+        # Forward differences evaluate f(x) as their base point when it is unknown.
         self.supplies_value = cfg.fd.kind == "forward"
         self.target = cfg.target_value
         self.start = obj.eval_count
@@ -281,29 +289,35 @@ class _Run:
 
 def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease, rule: ArmijoStep):
     """Largest alpha in {alpha_init shrink^n} with
-    f(x - alpha g) <= f0 - c1 alpha decrease; ``evaluate`` values each trial."""
+    f(x - alpha g) <= f0 - c1 alpha decrease; ``evaluate`` values each trial.
+
+    Returns ``(alpha, point, value)`` with the accepted trial point itself,
+    so its value belongs to exactly that array.
+    """
     alpha = rule.alpha_init
     for _ in range(rule.max_backtracks):
-        trial = evaluate(x - alpha * direction)
+        point = x - alpha * direction
+        trial = evaluate(point)
         if trial <= f0 - rule.c1 * alpha * decrease:
-            return alpha, trial
+            return alpha, point, trial
         alpha *= rule.shrink
     raise LineSearchError(
         f"no sufficient decrease within {rule.max_backtracks} backtracks"
     )
 
 
-# propose(x, k) -> (direction g, decrease for the Armijo test, f(x) or None)
-Propose = Callable[[np.ndarray, int], Tuple[np.ndarray, float, Optional[float]]]
+# propose(x, k, f(x) or None) -> (direction g, decrease for the Armijo test, f(x) or None)
+Propose = Callable[[np.ndarray, int, Optional[float]],
+                   Tuple[np.ndarray, float, Optional[float]]]
 
 
 def _loop(run: _Run, stop_k: int, propose: Propose) -> None:
     """Step ``run`` with ``propose`` until ``stop_k`` steps.
 
-    ``propose`` gives f(x) when its probes evaluated it; each entry records
-    the direction's norm.  Every stop (the target, the budget, a failed line
-    search or evaluation) is raised to :func:`_drive`, which turns it into a
-    status.
+    ``propose`` gets f(x) when the run knows it and gives it when its probes
+    evaluated it; each entry records the direction's norm.  Every stop (the
+    target, the budget, a failed line search or evaluation) is raised to
+    :func:`_drive`, which turns it into a status.
     """
     armijo = isinstance(run.rule, ArmijoStep)
     # One evaluation is reserved after every fixed-rule step so the final
@@ -312,15 +326,16 @@ def _loop(run: _Run, stop_k: int, propose: Propose) -> None:
     while run.k < stop_k:
         if run.f is None and not run.supplies_value:
             run.observe(run.evaluate(run.x))
-        run.ensure(run.step_cost + reserve)
-        g, decrease, fx = propose(run.x, run.k)
-        if fx is not None:
+        # Only forward differences leave f unknown here; they evaluate it first.
+        run.ensure(run.step_cost + (run.f is None) + reserve)
+        g, decrease, fx = propose(run.x, run.k, run.f)
+        if run.f is None:
             run.observe(fx)
         if armijo:
-            alpha, f_new = _armijo(run.evaluate, run.x, g, run.f, decrease, run.rule)
+            alpha, run.x, f_new = _armijo(run.evaluate, run.x, g, run.f, decrease, run.rule)
         else:
             alpha, f_new = run.alpha_fixed, None
-        run.x = run.x - alpha * g
+            run.x = run.x - alpha * g
         run.k += 1
         run.record(f_new, alpha, math.sqrt(g.dot(g)))
 
@@ -335,15 +350,18 @@ def _start_point(obj: Objective, x0) -> np.ndarray:
 
 
 def _step_cost(cfg: SsdConfig, n_dirs: int) -> int:
-    """Evaluations one oracle call over ``n_dirs`` directions charges."""
-    return {"forward": n_dirs + 1, "centered": 2 * n_dirs, "exact": 0}[cfg.fd.kind]
+    """Evaluations one oracle call over ``n_dirs`` directions charges when
+    f at its point is known; a forward call that must evaluate it costs one
+    more."""
+    return {"forward": n_dirs, "centered": 2 * n_dirs, "exact": 0}[cfg.fd.kind]
 
 
-def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng):
+def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng, fx=None):
     """Proposal ``(P s, s^T s, f(x) or None)`` for a sketch drawn from ``rng``
-    (an :class:`RngStream` or a positioned :class:`SketchStream`)."""
+    (an :class:`RngStream` or a positioned :class:`SketchStream`); ``fx`` is
+    f(x) when known."""
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
-    s, fx = directional_derivatives(obj, x, P, cfg.fd, return_value=True)
+    s, fx = directional_derivatives(obj, x, P, cfg.fd, return_value=True, fx=fx)
     return P.matrix @ s, float(s @ s), fx
 
 
@@ -361,12 +379,12 @@ def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction):
     alpha = _fixed_alpha(cfg.step_rule, obj, cfg.ell)
     if alpha is None:
         f0 = fx if fx is not None else obj.evaluate(x)
-        alpha, f_entry = _armijo(obj.evaluate, x, g, f0, decrease, cfg.step_rule)
+        alpha, x_next, f_entry = _armijo(obj.evaluate, x, g, f0, decrease, cfg.step_rule)
     else:
-        f_entry = fx if fx is not None else math.nan
+        x_next, f_entry = x - alpha * g, (fx if fx is not None else math.nan)
     entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha,
                        math.sqrt(g.dot(g)))
-    return x - alpha * g, entry
+    return x_next, entry
 
 
 def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
@@ -442,4 +460,4 @@ def run_ssd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     """
     stream = SketchStream(cfg.seed)
     return _drive(obj, x0, cfg, cfg.ell,
-                  lambda x, k: _sketched_direction(obj, x, cfg, stream.at(k)))
+                  lambda x, k, fx: _sketched_direction(obj, x, cfg, stream.at(k), fx))

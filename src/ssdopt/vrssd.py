@@ -2,7 +2,8 @@
 
 The run is organized in epochs. Each epoch refreshes an anchor: the current
 iterate x~ together with a full finite-difference gradient estimate g~ at it
-(d + 1 or 2 d evaluations). Inner steps then combine the fresh sketched
+(d forward differences and f(x~) unless the run already knows it, or 2 d
+centered ones). Inner steps then combine the fresh sketched
 derivative with the anchor as a control variate,
 
     v = P (s - eta t) + eta g~,      t = P^T g~,
@@ -14,8 +15,9 @@ uniformly random one (which is also where the next epoch restarts).
 
 The weight eta is "zero" (plain sketched descent), "one" (classic control
 variate), "exact" (the variance-optimal projection of the true gradient onto
-g~, at d + 1 extra evaluations per step; a diagnostic), or "approx" (the same
-projection assembled from already-sketched quantities at zero extra cost).
+g~, at d extra forward evaluations per step, which share the base value of
+the sketched probes; a diagnostic), or "approx" (the same projection
+assembled from already-sketched quantities at zero extra cost).
 
 The run shares the config check, start, budget, stepping and close of
 :func:`ssdopt.ssd.run_ssd` through its driver; ``VrssdConfig.check`` adds
@@ -180,18 +182,20 @@ def rate_bound_vrssd(alpha: float, gamma: float, lam: float, m: int, rho: float,
     raise ConfigurationError(f"part must be 'i' or 'ii', got {part!r}")
 
 
-def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng):
-    """Proposal ``(v, s^T s, f(x) or None)`` for a sketch drawn from ``rng``.
+def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng, fx=None):
+    """Proposal ``(v, s^T s, f(x) or None)`` for a sketch drawn from ``rng``;
+    ``fx`` is f(x) when known.
 
     The exact eta mode adds a full gradient from ``cfg.fd`` to the sketched
     derivatives, charged as the run's step cost counts it (nothing when the
-    source is ``FdScheme("exact")``).
+    source is ``FdScheme("exact")``); forward differences take the base
+    value the sketched probes used.
     """
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
-    s_vec, fx = directional_derivatives(obj, x, P, cfg.fd, return_value=True)
+    s_vec, fx = directional_derivatives(obj, x, P, cfg.fd, return_value=True, fx=fx)
     t = P.apply_transpose(anchor.gradient)
     if cfg.eta_mode == "exact":
-        g_full = full_gradient_fd(obj, x, cfg.fd)
+        g_full = full_gradient_fd(obj, x, cfg.fd, fx=fx)
         eta = eta_value("exact", s_vec, t, anchor.gradient, g_full)
     else:
         eta = eta_value(cfg.eta_mode, s_vec, t, anchor.gradient)
@@ -225,8 +229,9 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     iterate j with the value its trace entry holds, at no evaluation.  With
     a fixed step rule, recording the value of the last inner iterate before
     the jump still costs one evaluation per completed epoch; Armijo runs
-    already know it.  An anchor that does not supply the last inner
-    iterate's value (centered differences, ``FdScheme("exact")``) keeps one
+    already know it.  An anchor reuses a value the run knows at its point
+    and otherwise evaluates it with its forward differences.  One that does
+    not supply it (centered differences, ``FdScheme("exact")``) keeps one
     evaluation back for it, so the run never charges past its budget.
     """
     _check_vrssd_config(cfg, "run_vrssd")
@@ -235,20 +240,22 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
         anchor_cost = _step_cost(cfg, obj.d)
         stream = SketchStream(cfg.seed)
         _loop(run, min(cfg.warmup_iters, cfg.max_iters),
-              lambda x, k: _sketched_direction(obj, x, cfg, stream.at(k)))
+              lambda x, k, fx: _sketched_direction(obj, x, cfg, stream.at(k), fx))
         if cfg.eta_mode == "exact":
             run.step_cost += anchor_cost
         epoch = 0
         while run.k < cfg.max_iters:
-            # Keep back the reserved evaluation for a value the anchor will not supply.
-            run.ensure(anchor_cost + (run.f is None and not run.supplies_value))
-            g_anchor, f_anchor = full_gradient_fd(obj, run.x, cfg.fd, return_value=True)
+            # An unknown f(x) costs one more: the forward base point, or the
+            # evaluation kept back for a value the anchor will not supply.
+            run.ensure(anchor_cost + (run.f is None))
+            g_anchor, f_anchor = full_gradient_fd(obj, run.x, cfg.fd, return_value=True,
+                                                  fx=run.f)
             anchor = AnchorState(run.x.copy(), g_anchor, epoch)
-            if f_anchor is not None:
+            if run.f is None and f_anchor is not None:
                 run.observe(f_anchor)
 
-            def propose(x, k):
-                return _vr_direction(obj, x, anchor, cfg, stream.at(k))
+            def propose(x, k, fx):
+                return _vr_direction(obj, x, anchor, cfg, stream.at(k), fx)
 
             start, end = run.k, run.k + cfg.m
             if cfg.option == "two":

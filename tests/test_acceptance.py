@@ -348,6 +348,11 @@ def test_09_evaluation_charges_are_exact():
     directional_derivatives(obj, x, P, FdScheme("forward"))
     assert obj.eval_count == ell + 1
 
+    # a known base value is taken, not evaluated again
+    obj = isotropic_quadratic(d)
+    directional_derivatives(obj, x, P, FdScheme("forward"), fx=0.5 * float(x @ x))
+    assert obj.eval_count == ell
+
     obj = isotropic_quadratic(d)
     directional_derivatives(obj, x, P, FdScheme("centered"))
     assert obj.eval_count == 2 * ell
@@ -357,11 +362,16 @@ def test_09_evaluation_charges_are_exact():
     assert obj.eval_count == d + 1
 
     obj = isotropic_quadratic(d)
+    full_gradient_fd(obj, x, FdScheme("forward"), fx=0.5 * float(x @ x))
+    assert obj.eval_count == d
+
+    obj = isotropic_quadratic(d)
     full_gradient_fd(obj, x, FdScheme("centered"))
     assert obj.eval_count == 2 * d
 
     # per-epoch charge of the variance-reduced runner, fixed step: anchor
-    # refresh d + 1 plus m sketched steps at ell + 1 each
+    # refresh d + 1, then m sketched steps at ell + 1 each but the first,
+    # which reuses the anchor's value
     m = 4
 
     def total(epochs):
@@ -371,7 +381,7 @@ def test_09_evaluation_charges_are_exact():
         run_vrssd(o, np.full(d, 2.0), cfg)
         return o.eval_count
 
-    assert total(2) - total(1) == (d + 1) + m * (ell + 1)
+    assert total(2) - total(1) == (d + 1) + ell + (m - 1) * (ell + 1)
 
 
 BUDGET_CASES = [

@@ -41,10 +41,12 @@ class TestGradientDescent:
         assert trace.entries[1].step == pytest.approx(0.2)
 
     def test_forward_accounting(self):
+        # The first gradient reuses the start value (d), each later one
+        # evaluates its unknown base (d + 1), and the close resolves the last.
         for k in (4, 6):
             obj = isotropic_quadratic(6)
             run_fd_gd(obj, np.ones(6), SsdConfig(ell=1, step_rule=FixedStep(0.1), max_iters=k))
-            assert obj.eval_count == 1 + k * 7 + 1
+            assert obj.eval_count == 1 + 6 + (k - 1) * 7 + 1
 
     def test_centered_accounting(self):
         obj = isotropic_quadratic(6)

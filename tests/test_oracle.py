@@ -295,3 +295,40 @@ class TestProbeBatches:
             raised.append((info.value.point.tolist(), obj.eval_count))
         assert raised[0] == raised[1]
         assert raised[0] == ([1.5, 0.0, 0.0], 4 if oracle == "full" else 3)
+
+
+@pytest.mark.parametrize("oracle", ["directional", "full"])
+@pytest.mark.parametrize("kind", ["forward", "centered"])
+def test_known_base_value_gives_the_same_estimate_without_evaluating_it(oracle, kind):
+    # A forward call takes a known f(x) as its base: the same bits, one
+    # evaluation fewer, and x itself is never evaluated.  Centered calls
+    # have no base value and ignore it.
+    d, ell = 40, 4
+    x = np.linspace(-1.0, 1.0, d)
+    P = draw_haar(d, ell, RngStream(6, 0, 2))
+
+    def call(fx):
+        base, seen = nesterov_worst(8.0, 10, d), []
+
+        def logged(p):
+            seen.append(np.asarray(p).tobytes())
+            return base.evaluator(p)
+
+        obj = Objective(d, logged)
+        if oracle == "directional":
+            est, value = directional_derivatives(obj, x, P, FdScheme(kind), return_value=True,
+                                                 fx=fx)
+        else:
+            est, value = full_gradient_fd(obj, x, FdScheme(kind), return_value=True, fx=fx)
+        return est.tobytes(), value, seen
+
+    est, value, seen = call(None)
+    known = nesterov_worst(8.0, 10, d).evaluate(x)
+    est_known, value_known, seen_known = call(known)
+    assert est_known == est
+    if kind == "forward":
+        assert value == value_known == known
+        assert seen_known == seen[1:] and seen[0] == x.tobytes()
+    else:
+        assert value is value_known is None
+        assert seen_known == seen

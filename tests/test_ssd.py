@@ -12,6 +12,7 @@ from ssdopt import (
     FdScheme,
     FixedStep,
     Objective,
+    ProblemSpec,
     RngStream,
     SsdConfig,
     TheoreticalStep,
@@ -212,13 +213,14 @@ class TestTraceContract:
         assert final(0) != final(1)
 
     def test_forward_fixed_eval_stamps(self):
-        # base value is shared with the differences: ell + 1 per iteration,
-        # one trailing evaluation to resolve the last deferred entry.
+        # base value is shared with the differences: the first step reuses
+        # the start value (ell), every later one evaluates its base (ell + 1),
+        # and one trailing evaluation resolves the last deferred entry.
         obj = isotropic_quadratic(20)
         cfg = SsdConfig(ell=5, step_rule=FixedStep(0.25), max_iters=20)
         trace = run_ssd(obj, np.ones(20), cfg)
-        assert [e.evals for e in trace.entries] == [1 + 6 * i for i in range(21)]
-        assert obj.eval_count == 122
+        assert [e.evals for e in trace.entries] == [1] + [6 * i for i in range(1, 21)]
+        assert obj.eval_count == 121
         assert trace.terminal_status == "max_iters"
 
     def test_centered_fixed_eval_stamps(self):
@@ -270,13 +272,14 @@ class TestTermination:
         assert obj.eval_count == 1
 
     def test_budget_reserve_resolves_last_entry(self):
-        # budget 8 with ell = 2 forward: start (1) + two steps (3 each) + the
-        # reserved closing evaluation lands exactly on the budget.
+        # budget 7 with ell = 2 forward: start (1) + a first step that reuses
+        # the start value (2) + a second step (3) + the reserved closing
+        # evaluation lands exactly on the budget.
         obj = isotropic_quadratic(6)
-        trace = run_ssd(obj, np.ones(6), SsdConfig(ell=2, step_rule=FixedStep(0.1), eval_budget=8))
+        trace = run_ssd(obj, np.ones(6), SsdConfig(ell=2, step_rule=FixedStep(0.1), eval_budget=7))
         assert trace.terminal_status == "budget_exhausted"
-        assert obj.eval_count == 8
-        assert [e.evals for e in trace.entries] == [1, 4, 7]
+        assert obj.eval_count == 7
+        assert [e.evals for e in trace.entries] == [1, 3, 6]
         assert all(np.isfinite(e.f) for e in trace.entries)
 
     def test_line_search_failure_status(self):
@@ -368,12 +371,12 @@ CHARGED_CASES = {
     "gd-armijo-max-iters": (run_fd_gd, partial(nesterov_worst, 8.0, 5, 12),
                             SsdConfig(ell=1, max_iters=3), "max_iters", 0),
     "bfgs-armijo-budget": (run_fd_bfgs, partial(nesterov_worst, 8.0, 5, 12),
-                           SsdConfig(ell=1, eval_budget=45), "budget_exhausted", 13),
+                           SsdConfig(ell=1, eval_budget=43), "budget_exhausted", 13),
     "vrssd-fixed-max-iters": (run_vrssd, partial(nesterov_worst, 8.0, 5, 12),
                               VrssdConfig(ell=2, step_rule=FixedStep(0.1), m=3, max_iters=7),
                               "max_iters", 1),
     "vrssd-line-search": (run_vrssd, partial(nesterov_worst, 8.0, 5, 12),
-                          VrssdConfig(ell=2, m=3, max_iters=7), "line_search_failed", 46),
+                          VrssdConfig(ell=2, m=3, max_iters=7), "line_search_failed", 44),
     "vrssd-evaluation": (run_vrssd, partial(beyond_1e30_is_inf, 4),
                          VrssdConfig(ell=1, step_rule=FixedStep(1e10), m=3),
                          "evaluation_failed", 7),
@@ -394,6 +397,87 @@ def test_charged_count_is_the_change_in_the_counter(case):
     assert trace.charged == obj.eval_count - before
     assert trace.charged - trace.entries[-1].evals == after_last_entry
 
+
+
+# Each iterate is evaluated once: the value a run knows at its iterate (the
+# start, an accepted Armijo trial, a probe set's or an anchor's base value)
+# is the base of the next forward differences.
+ONCE_PROBLEMS = {
+    "chain": partial(nesterov_worst, 8.0, 6, 16),
+    "lstsq": lambda: ProblemSpec.make("lstsq", {"m": 10, "d": 16, "rank": 5, "seed": 2}).build(),
+}
+ONCE_RUNNERS = {
+    "ssd": (run_ssd, SsdConfig, {}),
+    "gd": (run_fd_gd, SsdConfig, {}),
+    "bfgs": (run_fd_bfgs, SsdConfig, {}),
+    "vrssd-one-approx": (run_vrssd, VrssdConfig, dict(m=4)),
+    "vrssd-two-approx": (run_vrssd, VrssdConfig, dict(m=4, option="two", warmup_iters=1)),
+}
+ONCE_RULES = {"armijo": ArmijoStep(), "fixed": FixedStep(0.02), "theory": TheoreticalStep()}
+ONCE_CASES = [
+    (runner, fd, rule, problem)
+    for runner in ONCE_RUNNERS for fd in ("forward", "centered") for rule in ONCE_RULES
+    for problem in ONCE_PROBLEMS
+    if not (runner == "bfgs" and rule != "armijo")
+]
+# BFGS on centered differences reaches a point where x - alpha g == x, and
+# every later step probes that same point again with the same deterministic
+# gradient: a stalled run, which no status reports yet.
+STALLS = {("bfgs", "centered", "armijo", "chain"), ("bfgs", "centered", "armijo", "lstsq")}
+
+
+@pytest.mark.parametrize("runner, fd, rule, problem", [
+    pytest.param(*case, id="-".join(case), marks=[pytest.mark.xfail(
+        strict=True, reason="a stalled iterate is probed again")] if case in STALLS else [])
+    for case in ONCE_CASES
+])
+def test_no_point_is_evaluated_twice_in_a_run(runner, fd, rule, problem):
+    run, config, extra = ONCE_RUNNERS[runner]
+    obj = ONCE_PROBLEMS[problem]()
+    evaluator, seen = obj.evaluator, []
+
+    def logged(x):
+        seen.append(np.asarray(x, dtype=float).tobytes())
+        return evaluator(x)
+
+    obj.evaluator = logged  # drops a batch form, so every point is logged
+    cfg = config(ell=3, step_rule=ONCE_RULES[rule], fd=FdScheme(fd), max_iters=30, seed=5,
+                 **extra)
+    trace = run(obj, np.linspace(-1.0, 1.0, obj.d), cfg)
+    assert len(trace.entries) >= 2
+    assert len(seen) == obj.eval_count == trace.charged
+    assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("runner", ["ssd", "gd", "bfgs"])
+def test_armijo_forward_step_costs_its_directions_and_trials(runner):
+    # Each accepted step after the start pays its n directions, not f(x)
+    # again, plus its trials: alpha_init 1 and shrink 1/2 make a step of
+    # 2^-b the (b + 1)-th trial.
+    run = {"ssd": run_ssd, "gd": run_fd_gd, "bfgs": run_fd_bfgs}[runner]
+    obj = nesterov_worst(8.0, 6, 16)
+    trace = run(obj, np.linspace(-1.0, 1.0, 16), SsdConfig(ell=3, max_iters=30, seed=5))
+    n = 3 if runner == "ssd" else 16
+    assert len(trace.entries) > 3
+    for before, after in zip(trace.entries, trace.entries[1:]):
+        trials = 1 - int(math.log2(after.step))
+        assert after.step == 2.0 ** (1 - trials)
+        assert after.evals - before.evals == n + trials
+
+
+@pytest.mark.parametrize("runner", ["ssd", "gd"])
+def test_fixed_forward_step_still_pays_for_its_base_value(runner):
+    # A fixed-rule step does not know the value at its new iterate, so the
+    # next probe set evaluates it: ell + 1 per step, or d + 1 for a full
+    # gradient.  Only the first step reuses the start value.
+    run = {"ssd": run_ssd, "gd": run_fd_gd}[runner]
+    obj = nesterov_worst(8.0, 6, 16)
+    trace = run(obj, np.linspace(-1.0, 1.0, 16),
+                SsdConfig(ell=3, step_rule=FixedStep(0.02), max_iters=30, seed=5))
+    n = 3 if runner == "ssd" else 16
+    stamps = [e.evals for e in trace.entries]
+    assert [b - a for a, b in zip(stamps, stamps[1:])] == [n] + [n + 1] * 29
+    assert trace.charged == stamps[-1] + 1
 
 
 class TestStepSizeAdmissibility:

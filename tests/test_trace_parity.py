@@ -12,7 +12,15 @@ did not count.  The eight ``vrssd-two-{zero,one,approx,exact}-w{0,3}-theory-exac
 cases were re-pinned when an option-two restart stopped evaluating f again
 at an inner iterate whose value its trace entry already held: every entry
 keeps its iterate, value, step and direction norm, and only the cumulative
-evaluation counts drop.
+evaluation counts drop.  The 58 forward-difference cases were re-pinned
+when a known value at the iterate (the start value, an accepted Armijo
+trial, a probe set's or an anchor's base value) became the base of the next
+forward differences instead of being evaluated again; the exact-eta
+single-step cases moved because their full gradient now shares the base
+value of the sketched probes.  Every entry keeps its iteration, value,
+step and direction norm and every run its status; only the evaluation
+counts drop, and the budget-stop cases fit more steps on the same budget.
+No centered, exact-gradient or layer case moved.
 
 The matrix covers the step rules and difference schemes of ssd and gd, the
 anchor options, eta modes and warmup of vrssd, every gradient source of
@@ -167,46 +175,46 @@ def digest(name):
 DIGESTS = {
     "bfgs-chain-centered": "5f94a0bcda4eb012e59eceaf634646ebafd56d6bcfb75376b6ea03f390544d8d",
     "bfgs-chain-exact": "4d24618cae08bb98caa29c60ae3aa9bb6618f4716a8da54e0d969c1c9d3df7c6",
-    "bfgs-chain-forward": "15d3c607d92ca349f95302b462455b57877b165f7d57802e2d65c220e4266a3c",
+    "bfgs-chain-forward": "489d5b22a90ab2dfe7af8276e92c0be16579172ffa5bb41fd5b363857a849472",
     "bfgs-lstsq-centered": "39935b71c325556c9f8ed5e78f88591e87c11029739177659bc2d3136e1d4bd6",
     "bfgs-lstsq-exact": "3e62e898a425db3ac1e3e776e443af5535abe8a69b44a17e7ec69c5256aae29e",
-    "bfgs-lstsq-forward": "53600c8449d16aec59e2759c8360ea0da544105942420a2bcb1b63c06ae2a5c4",
+    "bfgs-lstsq-forward": "47c4c1db110d968aaa90dad8ffe9df7998363aa481a0af227660662617273ab4",
     "gd-chain-armijo-centered": "614570b08f275b44051cfa90530af33dee10e2c401ecb3ea6326bc472f087d34",
     "gd-chain-armijo-exact": "c38a9aefd1947294f8050151ddd10617f79daf89384c1956c3d082b01f534cf6",
-    "gd-chain-armijo-forward": "c8d50b5a840f933f64dd02c5201600e538986d3f643b3b51baddfc8f5eebf826",
+    "gd-chain-armijo-forward": "1dce928a4b4e22bcb368b61fe825ab34127f4b1f1b98becd90a4e8871d8a9170",
     "gd-chain-fixed-centered": "71f215ddff22bf7c651dc0d0e4d5411b663e23415203c0f48459b1e28a787916",
     "gd-chain-fixed-exact": "5cde6fba24c7b3839a34daad680933243322a63350a3cd75cdab2a43baeb304a",
-    "gd-chain-fixed-forward": "ffa5970cc1dc07ee2b34ee6b4c8da62078dc9f175daf37f05ed772c01ad62785",
+    "gd-chain-fixed-forward": "497822ea5100dff10f8d6cff40307af50be5b61f3a31033e969478c1a5849e3f",
     "gd-chain-theory-centered": "25bda911d025c3f4d2317198c096594e5981aa6d8c0b207251f282643dfbdc34",
     "gd-chain-theory-exact": "e7c1b397fd05595a78cd375b68062158f4d1ad7aede75bce2ffeb547ecd8b669",
-    "gd-chain-theory-forward": "67122561648329f0a7e63f22a03336e1f01895cc8f95e790a54c40fc01c72a2c",
+    "gd-chain-theory-forward": "6408958495c779bdc979a47018b6a1ea1f7480a2e4d3c047a597d9cbe23643cd",
     "gd-lstsq-armijo-centered": "cb68aa4da442d5ccfa6cbbd718d7e7f8074f26c4a29c838c95dcfb5eb98a6de0",
     "gd-lstsq-armijo-exact": "d2d6442649fbdf0fa8f01c89b2bfac80e085b0fa114d4f147c51647642a07a39",
-    "gd-lstsq-armijo-forward": "9155ae3678d70f7eb75e75541e7f35ada42fb08cfb07168cc6d498856b2996d8",
+    "gd-lstsq-armijo-forward": "8be86d28eca0fd58600ac12583cb90e33e6db7644ed2cc2dd75604570531f31f",
     "gd-lstsq-fixed-centered": "c2c408ca539ace10913955a674d00bf0e10e628379f75ad0abffc7b5be08c259",
     "gd-lstsq-fixed-exact": "c9058d0fc05129d3c14e4873ce7556f95be8d97db89021df3145563eca0ac5c0",
-    "gd-lstsq-fixed-forward": "0bf086b5b9e336a8c94125f8036d2a53ab8b385c132f5fc329535f708205578d",
+    "gd-lstsq-fixed-forward": "aaa8b7404fc03a8bc46dfe3906a999620619cbc3b59b303beb41fb11a9f5371a",
     "gd-lstsq-theory-centered": "61dbcfa67891065da298b192c3ebf54659ec0c1077f1404333a9c3a1abb039ef",
     "gd-lstsq-theory-exact": "d537d4acb618eab1d51f7d633912dcfd3127723c68b691baed6088cba67dde72",
-    "gd-lstsq-theory-forward": "64e54135ff09a871ce91792daad9e2371cade0b7c873a7a427df07486a70d872",
+    "gd-lstsq-theory-forward": "c841fecface02658fec339dbf0d57fb372ae2728d0b69decc70f5077610bea81",
     "ssd-chain-armijo-centered": "37d3fa4c801737a3542e0cd6afb433b056cd95bbe535da585589f9fa2fc5279a",
     "ssd-chain-armijo-exact": "52cc27e668c175f82486d633e90fba99b87a661b1797c2f0c3e0f3ecc49db2b5",
-    "ssd-chain-armijo-forward": "b88bdf65616d6761f23e12e7a4aef5a8cff5c8a4a2c1dedf0c3255a78a6b8696",
+    "ssd-chain-armijo-forward": "ba723c9085b569f2b062186f57879f645f506af7c96c7af574471df373f82749",
     "ssd-chain-fixed-centered": "898cc03471c5aaa7555cbcaf78ba61d9ae908759fe4ebb03fc905cd8cb8918da",
     "ssd-chain-fixed-exact": "b23efe5700bc107d4a41fe000f20f1e10a57f8563ce6a518a60e8f7aa9277839",
-    "ssd-chain-fixed-forward": "0ab5a7b18991cb3a34f76153a4ab715aeeae6c867c3b507e5d34a09178af4ebf",
+    "ssd-chain-fixed-forward": "4d6229c90fffd9e23a2678cc4c500431c919044f4d18470f2abdff1c063416c6",
     "ssd-chain-theory-centered": "07a62b87e15c9a5089a266dddb6dc4389337c35c73f875992f136a3251a3913b",
     "ssd-chain-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
-    "ssd-chain-theory-forward": "4e02ccf26c0af40c6d0335355629f5039545772c2faf2909e5f22377d9789477",
+    "ssd-chain-theory-forward": "ee22c8ba4e4dabb48265ffab7b826471d838274411bd7021a1844ab49dd66416",
     "ssd-lstsq-armijo-centered": "6eb540547b876f7ffd565582866c02f3480ff940eb223bfa5f7509beb9bd388f",
     "ssd-lstsq-armijo-exact": "ef159ffbced328b333cf785dd43b9131f9285ecb873e8054186976bb93207a9d",
-    "ssd-lstsq-armijo-forward": "4e06c9634b2d9a2d0b97ea2b5b00f51d4b42ca1ff67b8738366a5dec4f065c70",
+    "ssd-lstsq-armijo-forward": "6bbbf7c8b284a4674bcb4e7567d8d24d1985a5de0ffa8a310f51aeb209790d49",
     "ssd-lstsq-fixed-centered": "b9992c571b5e5f6f5f80691e4feff8a3c474594c2c82b97b97458eb16f2c35f2",
     "ssd-lstsq-fixed-exact": "b681057f1c4698ab9584d48981c6d87687b8354e7c79b9a43fb884257af4eeae",
-    "ssd-lstsq-fixed-forward": "e212fd280cbd0beb561674f8f1bb0cbf6cb257000ea0f1a7f8a07ed71f65f301",
+    "ssd-lstsq-fixed-forward": "cbb6b15df2251724dc02ffa4be6fe3639170f343cbb7e471066edb6e1440e412",
     "ssd-lstsq-theory-centered": "1c5efad8703154cefdb306b02cdef0cc9834552bd213e1b6259caa7c2a04bf77",
     "ssd-lstsq-theory-exact": "18802aff64896205de1aa4273109c1aa5584402cdf75fa84898de131789a6403",
-    "ssd-lstsq-theory-forward": "30036eb314250e4e568e16a7290ea3c06b2bc3867a9b4689c7cc5a85fe2d7367",
+    "ssd-lstsq-theory-forward": "35641bb98aeb7144488e6ef72e2f4e362d6d65904b7922a0538b1960fcc6928f",
     "step-ssd-armijo-centered": "1fba1b5e92be9130180fdac805a5c60944986b6438204236cd95a816b6e1442b",
     "step-ssd-armijo-exact": "a08a266ef21755c8e8c200deaff6e98f2d2c9fbf0511536ab157b9ef9029562f",
     "step-ssd-armijo-forward": "004d8068783b773a10d298e701919d48b1e076c3139384003182421c6642f91e",
@@ -225,7 +233,7 @@ DIGESTS = {
     "step-vrssd-armijo-exact-one": "affb75e17c12770aeea5bc9761a0d592438bd1a33054671dafc3558a2d0190be",
     "step-vrssd-armijo-exact-zero": "1c0017b5c25b5a6380b4e56d6734eae623031d316d6d61c1dfc373ed34936d74",
     "step-vrssd-armijo-forward-approx": "9ebca96091e2cb4cdc9c4fd4305b3c65745a2191f2da2083089cc951c28ed46b",
-    "step-vrssd-armijo-forward-exact": "0832756ade0bc66d972e1fb8edbf30912e94702fff4036cb1653e530c4e30f6a",
+    "step-vrssd-armijo-forward-exact": "0f0899299b1ff215a510fb426c1acb059f1942f0ccef146d3abd227e6e644d5f",
     "step-vrssd-armijo-forward-one": "2e295ec3c4b60217fade5b124e7b5eb3379e2c426691365127245c4ae68a2a7f",
     "step-vrssd-armijo-forward-zero": "31fa5f8ab8876fb170afac7ef25fb013715be806f998ec79f075d946b8b7424f",
     "step-vrssd-fixed-centered-approx": "71cc32a50003c220ec334d7123a4528561e87a8c67e8d80bca6bafe73eac7137",
@@ -237,7 +245,7 @@ DIGESTS = {
     "step-vrssd-fixed-exact-one": "cd75ab222f62884054deccbd27e27abc6f54b6dc8f5aa03639a2c93543db76e4",
     "step-vrssd-fixed-exact-zero": "b847ad34f2aac5459149a8f950fdb1f33e19d0b25a65ec1a6a22613cf6eee6ea",
     "step-vrssd-fixed-forward-approx": "a433fb1672ba98059d2957e16aa7b51522c70e03a79d9f438c73261d1d17341c",
-    "step-vrssd-fixed-forward-exact": "6435a2ef0dab26833e0515c0446e6403cb4b182336700cbe94d73565d1ba6148",
+    "step-vrssd-fixed-forward-exact": "51524e3a0d5e48dd5252942cbde50ea87a9cfbdd65c9022a5323bb129ae3e649",
     "step-vrssd-fixed-forward-one": "06af2fadb03210d321c2da930cb5ab9be216cf7c53ac4d854eac8cef9c525094",
     "step-vrssd-fixed-forward-zero": "478d8d9b996ff7f25fc5b3c15fbcd662dd40ad5d8bdde9070b4580e9f9ce5cfc",
     "step-vrssd-theory-centered-approx": "c56055e2ba2bcb02067337b0267364ebd496886c3aab40d7565d5d165a2f3a1a",
@@ -249,95 +257,95 @@ DIGESTS = {
     "step-vrssd-theory-exact-one": "eeba19aa6a79ffed9e184a8566dc601e5098a342d19989d514871792b5a6d3ed",
     "step-vrssd-theory-exact-zero": "fab83e8c0912e2b7686a3e36c0e9911f9323aa6719a0a093892ab2d124e6430b",
     "step-vrssd-theory-forward-approx": "49bb85b9859d6d2cfc18929b950a04574bd0dd5fb6bca3157e948bdd088886fc",
-    "step-vrssd-theory-forward-exact": "51204887061811a4ea546a7d397cd63a1e13c0f9ad2ccd8eee842b63030a08e7",
+    "step-vrssd-theory-forward-exact": "21ab9d3d0cfea017a1ca769cf82d315eab920f6249700cc079214da80f90d445",
     "step-vrssd-theory-forward-one": "3ad786606f1e581ad1f7149cb4e3075f6f89f30d0469889d927e1ebe859648fc",
     "step-vrssd-theory-forward-zero": "59506d8106d274a63ce68d88da89cf655c75a081d39ba84f37e1f80f6f190051",
     "stop-bfgs-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-bfgs-budget-mid-step-armijo": "97fe23c57d19102c5fde6096915a0e855db2e0a45c0aced91ec4380822513d7b",
-    "stop-bfgs-line-search-failed-armijo": "f1d8d551efcd0451543c35fcfd0fdda7de65fe8b23d936f27b65540b182b05a8",
-    "stop-bfgs-max-iters-armijo": "8f78a2d0cd360174483c19ea68775cc5639f8f2ed9fa65f246b2033dbd0077fd",
+    "stop-bfgs-budget-mid-step-armijo": "9ccf6e0cd9466e770cebcb94d0fba2477a3a40b05555f2eeb061de7f3638da7b",
+    "stop-bfgs-line-search-failed-armijo": "54f4b01b523e91672a19703db7b0e5ac0c9e1c45e61c8790dd367f0b7b64522b",
+    "stop-bfgs-max-iters-armijo": "5085b27cf55d05cc87263b5c3395671cb566ef525f10e19db959d39e864852a6",
     "stop-bfgs-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-bfgs-target-mid-run-armijo": "e16458aa48ed39b89f76ce0e8f5a4fe848691933bcdb471e15023aecee5d25d7",
+    "stop-bfgs-target-mid-run-armijo": "f41c4112120ad9761347a991d7bcbe48a8997f2bd9684a800d3aa5b07844b803",
     "stop-gd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-gd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-gd-budget-mid-step-armijo": "97fe23c57d19102c5fde6096915a0e855db2e0a45c0aced91ec4380822513d7b",
-    "stop-gd-budget-mid-step-fixed": "2348527f36557393081928a764a49a4c7f6d63f72c23de9ba8add99ca18b19dd",
-    "stop-gd-line-search-failed-armijo": "f1d8d551efcd0451543c35fcfd0fdda7de65fe8b23d936f27b65540b182b05a8",
-    "stop-gd-max-iters-armijo": "17b9d472768746d67143570167533fcd64a6a98e3484cc478fa7462cb07ae324",
-    "stop-gd-max-iters-fixed": "7608d7fa6a51445f219d0cc3c526d7313e85f80c6dfe04c44266a1b86b662ead",
+    "stop-gd-budget-mid-step-armijo": "9ccf6e0cd9466e770cebcb94d0fba2477a3a40b05555f2eeb061de7f3638da7b",
+    "stop-gd-budget-mid-step-fixed": "277a61192d14d38f45dbc0ee3b1b0ccf7243ce2bbfdc6ff0088e75d3ee10c06f",
+    "stop-gd-line-search-failed-armijo": "54f4b01b523e91672a19703db7b0e5ac0c9e1c45e61c8790dd367f0b7b64522b",
+    "stop-gd-max-iters-armijo": "1e1976ad7b3ac99287ffe01f97cf65e18719c25cfa0ba7cca4d8d999fc19cbc3",
+    "stop-gd-max-iters-fixed": "0731ca3a7dcb38468e8aee60f116fd1d888816c7034a37a9434b7f546f1944f1",
     "stop-gd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-gd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-gd-target-mid-run-armijo": "3a3dc36936ba38e0a73a4028ac399a999c396e9732b0de822acaa59ba50f5d20",
-    "stop-gd-target-mid-run-fixed": "b10862b99ec28b225272d7dca5fc01b2e8677e448665d72c27296d585e979b2f",
+    "stop-gd-target-mid-run-armijo": "99fe00efd5ce854bb9783563a9c35a213cc3b74c9a0e7243881276f51ea3f807",
+    "stop-gd-target-mid-run-fixed": "f25a7d21b08bacfae5c99e4e4a53421dee18769ceabbc0d456d00b6aea71cc6c",
     "stop-ssd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-ssd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-ssd-budget-mid-step-armijo": "bb0be6b59d04a80a16c9b999027ba032384207414430be5c2459cd97d0ee072e",
-    "stop-ssd-budget-mid-step-fixed": "358d1583f0880b8d8475afd8549e9b4577bf052029619c38633f8ae7d022b0e5",
-    "stop-ssd-line-search-failed-armijo": "e0d6ba0b0f85158f2fd4e5e4f89c97da91885ea3cb7a9392d4431e9eb935f982",
-    "stop-ssd-max-iters-armijo": "816efdd648406a92ad548773c68addc0e5647a8b30f73031f6ddb5d25483bda1",
-    "stop-ssd-max-iters-fixed": "230f4dd7577fd48620ccec1b71ac05624857f03e521e13394625802ce29e5060",
+    "stop-ssd-budget-mid-step-armijo": "46f77ec199e877e7684dcb3b53af3cd3a87319463e0f12511575a3301f1e1e80",
+    "stop-ssd-budget-mid-step-fixed": "d91da4129f8c97e0265562539c58173d44590508bdcfe5d821e45410909e062e",
+    "stop-ssd-line-search-failed-armijo": "2744a26cb6a62fc3d693b21b2d685b7b5396aca77e2193447fce0eb0f79863a7",
+    "stop-ssd-max-iters-armijo": "ffb7b55491e112cc12435c2e9920a896ebf6d3a072441052632039081b705797",
+    "stop-ssd-max-iters-fixed": "fe3e9b0c6c2cef5a4a773cb3027fa00eb288d7c14b7375526ad32ff9e77c94f8",
     "stop-ssd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-ssd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-ssd-target-mid-run-armijo": "56c5c685ed6d1e15aaa574922e70700b07f4da20f9ac9b504da6afab83dcb9c8",
-    "stop-ssd-target-mid-run-fixed": "e6c40ab914f3828368fbcc009bf9b099a2e6608914948ec296e4be6315ce6c8a",
+    "stop-ssd-target-mid-run-armijo": "5148ea8444afbc9dd89d60841cf4c19769c505f7156547a48ab750c687d13a21",
+    "stop-ssd-target-mid-run-fixed": "e5b78069faac8c790eb27f22b9308096de013640d2d8655e5820d94a04801db2",
     "stop-vrssd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-vrssd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-vrssd-budget-mid-step-armijo": "ef275e96c80798704425b3308405071da8085b65c0ffcad9bf930761df1dfc0c",
-    "stop-vrssd-budget-mid-step-fixed": "0df61f497aca9a85483426c0a91d0773b9774c98fd55d5568acd98739977b06a",
-    "stop-vrssd-line-search-failed-armijo": "e0d6ba0b0f85158f2fd4e5e4f89c97da91885ea3cb7a9392d4431e9eb935f982",
-    "stop-vrssd-max-iters-armijo": "0e98a433292ac53259815dee90597689ffc570392fda5769e2e1b4fab2405549",
-    "stop-vrssd-max-iters-fixed": "5f1d1373df8354944195915ab1b9335d7233b7cea3e323b9d5a3aefb5c14622a",
+    "stop-vrssd-budget-mid-step-armijo": "38c0d11ee7661fef9953ba75718e597588712b4d853f9d8b5c486601b4be6f58",
+    "stop-vrssd-budget-mid-step-fixed": "85d33342415eda6d423231def7dedcae0fd65cbcfb55c6e80017add7699a035d",
+    "stop-vrssd-line-search-failed-armijo": "2744a26cb6a62fc3d693b21b2d685b7b5396aca77e2193447fce0eb0f79863a7",
+    "stop-vrssd-max-iters-armijo": "56c43853b1d2462c94d85474f8da26676c4954378e8f143b3b29d635b44cea5c",
+    "stop-vrssd-max-iters-fixed": "755e2474ff51b02ad67e3017843d141252124e34cc1a44e1052ddf991c04c7dc",
     "stop-vrssd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-vrssd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-vrssd-target-mid-run-armijo": "1927ed4a6f6ea39353dc7e5648e45043c455cbaedd87979d2bc58ec80e7fc8cd",
-    "stop-vrssd-target-mid-run-fixed": "bb90030c4810b186f09f0260d2ac9907a2d516aa6d5084f6df96b5d9bab7d869",
+    "stop-vrssd-target-mid-run-armijo": "f8bc294636ffe0b130070ef6ff1fd84240c50ff5ba43254fb728d8fab4389319",
+    "stop-vrssd-target-mid-run-fixed": "25359bb999935c6ff92e6b6e385f039e362dc5a3f042d9ea964ce06c2ac857b6",
     "vrssd-one-approx-w0-armijo-centered": "b6c1e5433560fe3c4c0b303d4f7b70e38d98bf6fee36d697f6f1cc3b9de2c90d",
-    "vrssd-one-approx-w0-fixed-forward": "94a5ed8152d92d784839806842259192279525933516634a7e99596605c2db54",
+    "vrssd-one-approx-w0-fixed-forward": "4fff567da1aa726ea523fe7f77d97b146fa7b28223955eab26d95c790a96ed4f",
     "vrssd-one-approx-w0-theory-exact": "1c6be2f4a869130808b05f8385c909f8d046913c983e48c0278018ae19f56aa4",
     "vrssd-one-approx-w3-armijo-centered": "15830580ce975a11fda94581d8b8cfeec014f19bd0b0bcd9cd4f3f052635daae",
-    "vrssd-one-approx-w3-fixed-forward": "ea04969f82e2d9ce643106d1e2d64b3e02f3feb1d10c8608a7ce4eeea4b0b12c",
+    "vrssd-one-approx-w3-fixed-forward": "779e75748556e9e2eed99f5e0b1e4ecdf4f57bd1b6132e7eab74fe14bfd1a441",
     "vrssd-one-approx-w3-theory-exact": "542b6a71d7ae3916d631b657b910da8247f510b823fc760da6982b2ab811d756",
     "vrssd-one-exact-w0-armijo-centered": "2f5e4cde88015d31a368b9798692fc44cb5cd2255806dc0847beba4bbb3b7c6b",
-    "vrssd-one-exact-w0-fixed-forward": "c8bf41f5abcf3cbeab3087b98514f6e29d5e33fd7051e65e79a5e58262a3452a",
+    "vrssd-one-exact-w0-fixed-forward": "ac79cab103bc7d5b11f1a1a78a6dc2ab64d86f60f9d50b54ea2f7166340fd5d4",
     "vrssd-one-exact-w0-theory-exact": "4d94aa8f7c178714365b938adf6c44b9fd6c0116c7a6a9a170368845312368d4",
     "vrssd-one-exact-w3-armijo-centered": "2ee2ad8b9a7ef777b904aa8b60037e0b1f4c6f32d0453106057b6e7549d4f9c9",
-    "vrssd-one-exact-w3-fixed-forward": "eeec72be4d89dfafe7d9d9596959df560629ad1941948343bffad553072bbb25",
+    "vrssd-one-exact-w3-fixed-forward": "e723486e8bd2dffe2231da4b011b085041045560f7b6743a086c158f76e84df5",
     "vrssd-one-exact-w3-theory-exact": "e987bc55fbb7d1fdbab94134a45976c46074d200cba7fe8603b05e4ada0e2544",
     "vrssd-one-one-w0-armijo-centered": "e78931b78177a6add63041a61f33b91d44dc6b6092baad65cf541f177e4782b3",
-    "vrssd-one-one-w0-fixed-forward": "8d1f58c9225a5098f01950fd072358417d888a4648a8334ad19a3ee6ce9bfcff",
+    "vrssd-one-one-w0-fixed-forward": "2fc76b76b93159afab6eebbf9a98c87d5e81257ee39cb4d2b4229cf41862490a",
     "vrssd-one-one-w0-theory-exact": "289cd5591aa259592c58ef13c38d66d9074a100887c8a432da6892e5e41fd597",
     "vrssd-one-one-w3-armijo-centered": "cf346ad3432b0e2e5fd4bbbaaa5a64a49b5d26b5dce9e7f6995e3878ceb41259",
-    "vrssd-one-one-w3-fixed-forward": "94b2fde9861f570e1879537b80ef4bcc3d589ee4dc1840f23062b0bb278e7069",
+    "vrssd-one-one-w3-fixed-forward": "4141074fd106e8712e2c7912ef7ec42b2a18cf214e0d9f26d8d9ac049ba377bc",
     "vrssd-one-one-w3-theory-exact": "5b9ac2a616932ac9c4b594fd89f47b8e49fae452ded80459d6e82df20fe60fd3",
     "vrssd-one-zero-w0-armijo-centered": "420c86bab6da9ad52f3d3aa279ce568129257416560d2d777399ac7899031eec",
-    "vrssd-one-zero-w0-fixed-forward": "077d0b69ff9d1df2019c1fd507a9ccbe4c4f89500586e8768be363c3cfe4ee1e",
+    "vrssd-one-zero-w0-fixed-forward": "fc511ed9fb34366536392cd324eb586bda40126e961a788ba31d9c480b2788b9",
     "vrssd-one-zero-w0-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
     "vrssd-one-zero-w3-armijo-centered": "f1de48494b7b8ae568753ac1187bb9c3437bd302d9a45c33d8cd1f8cf97e81e1",
-    "vrssd-one-zero-w3-fixed-forward": "a8d08a4e97f7b7df22404b9ea1b354c6e819d3cc9daa4990764a37d2ecaf1647",
+    "vrssd-one-zero-w3-fixed-forward": "cafa2e7ee86ac9498142f83c09f4cf6d8b21aeacb7895eef722b7f1b30e16085",
     "vrssd-one-zero-w3-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
     "vrssd-two-approx-w0-armijo-centered": "b6c1e5433560fe3c4c0b303d4f7b70e38d98bf6fee36d697f6f1cc3b9de2c90d",
-    "vrssd-two-approx-w0-fixed-forward": "64a5110bac49c020966a3f9a82bb4b2bef8fedde852d18dc7e4a5869a0a96026",
+    "vrssd-two-approx-w0-fixed-forward": "bf2b71c28b4cfeb06118e9662a328063dc4c4680fb3643876969efc80e459185",
     "vrssd-two-approx-w0-theory-exact": "c43663a46cb238204fd10fa3703c4092a81bd60558b60ea6fdb7b5a92475214a",
     "vrssd-two-approx-w3-armijo-centered": "af9df431872832e8a7603586b8b77d3d28cd3df8af3c4b8e8b5e1b891ea4b290",
-    "vrssd-two-approx-w3-fixed-forward": "25258128fba7e041032b4380f9d6818d1e13b9114e92d2f29a185076ed02b3f7",
+    "vrssd-two-approx-w3-fixed-forward": "0bb0f8add3128a4a0bdff55b8d06794cd85e6c6a6cf4e49b33f57b95b92bd43d",
     "vrssd-two-approx-w3-theory-exact": "573de8d83af2912e0157db96f124604f98fd77b969a3fe282b1236679b9c5217",
     "vrssd-two-exact-w0-armijo-centered": "f295d30f7fe5a93da63110dab640cedee07f7d462a0b5f37baa98e7ae123e456",
-    "vrssd-two-exact-w0-fixed-forward": "b48d8ceb60d32ad8b8114508a5e132189dc5a833d65e5446afc9c72638544d98",
+    "vrssd-two-exact-w0-fixed-forward": "420baf84b37492c6477e6efcf1bdff9f468fbdbb1b3f4837efc5dabd88f94e50",
     "vrssd-two-exact-w0-theory-exact": "ea551cfa84d41f5685918cf7b7648c8a218a3a198d371fb0d56b1d2583371628",
     "vrssd-two-exact-w3-armijo-centered": "d43e1de0c2563a160c2d207c392b9e0892a76bc6d977c1618914110dd3b0838b",
-    "vrssd-two-exact-w3-fixed-forward": "ceeee969da70ac66dd79d89e2e3943647e465abf371c3404c1e41d15994293e9",
+    "vrssd-two-exact-w3-fixed-forward": "267cdd1cbc873076d26fd0d4cbcdc997a77359769acef730943bfec40342193e",
     "vrssd-two-exact-w3-theory-exact": "f5c3827feb81d04a9f125bb7d09a9f9ed92178d6bf44fbee24d8c1b219736c5a",
     "vrssd-two-one-w0-armijo-centered": "3ba13bda8002313ab1a8ae5a8bcfb7580ec0b27a3194eb3ed399d0542a0fd3be",
-    "vrssd-two-one-w0-fixed-forward": "628588422fef2070941122641cc36150851e7615675fb8f597cfeb58c393a044",
+    "vrssd-two-one-w0-fixed-forward": "e14945f3d240c67efd383efea84f73dde674e705f18ba7047ab68eb751ae78d1",
     "vrssd-two-one-w0-theory-exact": "2b208cb59e6757ea7ee6033180a05b8257bace9488620538b7b971831e25e77a",
     "vrssd-two-one-w3-armijo-centered": "cf346ad3432b0e2e5fd4bbbaaa5a64a49b5d26b5dce9e7f6995e3878ceb41259",
-    "vrssd-two-one-w3-fixed-forward": "c2842704988d6a03dd24f16348671157a85f263cf1539f119ad52eeb015d38b8",
+    "vrssd-two-one-w3-fixed-forward": "87c1308eedb11a2647349acb68b124349fb521ae1d143321fc52b09fa69b546a",
     "vrssd-two-one-w3-theory-exact": "8e3adc72fe8f1bae5edda2a2b316ef59ef6ccc77b71c4565e14cd2bc4c9d664d",
     "vrssd-two-zero-w0-armijo-centered": "45ff955460ddfbd20c3f61e513ce6f2effc3cb0c9be40117ee6dbafffb1081b8",
-    "vrssd-two-zero-w0-fixed-forward": "df9e55c1ebefa14509ab69a8d84537ea8a1dfdf46abc82b78051975b4631f259",
+    "vrssd-two-zero-w0-fixed-forward": "c1e6449fb154b5d2d041bd7abd6ed47a844278371a71867b6e435ef7b60ed706",
     "vrssd-two-zero-w0-theory-exact": "c2d805269f895a2ff31b937e0a7342bc8a6fe98fabfa5a525a490ac6a0f697cc",
     "vrssd-two-zero-w3-armijo-centered": "d80b5edcdc65d0e65533f3b9b44eac075e4a6fb904e7096bdb174c099a30a2b5",
-    "vrssd-two-zero-w3-fixed-forward": "c809489cbcd8ae69b1c1b35c5c8030e040fc1762c3329d3dfeda80f25cf49c7c",
+    "vrssd-two-zero-w3-fixed-forward": "bb90c99cf60b8f13df656237356789c9385b10019e79e68a9676143b2dd60dd7",
     "vrssd-two-zero-w3-theory-exact": "3c6c3572d5d21fa71c2c18b4f9e5d327f6fd2dee8a9075356fea2cad0a249ae8",
 }
 
