@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -135,7 +135,8 @@ class ExperimentSpec:
     solver's own target.
 
     Making a spec checks it against the built problem, evaluating nothing:
-    bad input raises :class:`ConfigurationError` before any run.
+    bad input raises :class:`ConfigurationError` before any run.  The
+    check keeps that problem's known minimum as ``minimum_value``.
     """
 
     problem: ProblemSpec
@@ -144,6 +145,7 @@ class ExperimentSpec:
     x0: Tuple = ("zeros",)
     threshold: Optional[Tuple] = None
     base_seed: int = 0
+    minimum_value: Optional[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_ints(self, "trials", "base_seed")
@@ -164,6 +166,7 @@ class ExperimentSpec:
             # dimension exceeded", "Unable to allocate ...").
             raise ConfigurationError(
                 f"cannot set up problem {self.problem.name!r}: {exc}") from None
+        object.__setattr__(self, "minimum_value", obj.minimum_value)
         target = {} if self.threshold is None else {
             "target_value": _threshold_level(self.threshold, obj.minimum_value, lambda: None)}
         for setup in self.solvers:

@@ -412,7 +412,7 @@ def cmd_sweep(args) -> int:
         export_traces(records, trace_path, "csv")
     # Without a threshold rule, success is each solver's own target.
     counts = _counts_to_threshold(
-        records, spec.threshold, spec.problem.build().minimum_value,
+        records, spec.threshold, spec.minimum_value,
         {setup.label: setup.config.target_value for setup in spec.solvers},
     )
     print("[summary]")
