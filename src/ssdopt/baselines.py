@@ -2,9 +2,9 @@
 
 Both estimate the complete gradient every iteration (d forward differences
 plus f(x) when the run does not know it yet, or 2 d centered ones), which
-is what the sketched methods are trying to beat.  They
-run on the shared driver of :mod:`ssdopt.ssd` with d coordinate directions
-per step; each supplies only its direction proposer.
+is what the sketched methods are trying to beat.  They run on the shared
+driver of :mod:`ssdopt.ssd` with d coordinate directions per step; each
+supplies only its direction proposer.
 """
 
 from __future__ import annotations

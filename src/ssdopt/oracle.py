@@ -131,7 +131,8 @@ def directional_derivatives(
     """
     validate_scheme(scheme, obj)
     x = np.asarray(x, dtype=float)
-    cols = P.matrix
+    # In float64 like x, so the buffers below hold every intermediate exactly.
+    cols = np.asarray(P.matrix, dtype=float)
     if cols.shape[0] != x.shape[0]:
         raise ConfigurationError(
             f"sketch has dimension {cols.shape[0]}, point has {x.shape[0]}"
@@ -144,14 +145,14 @@ def directional_derivatives(
     norms = np.sqrt(np.add.reduce(squares, axis=0))
     h = default_step(x, scheme.kind) if scheme.step is None else float(scheme.step)
     # Row j is h times unit column j; a zero column keeps a zero probe
-    # direction and hence a zero estimate.  Both steps write into the spent
-    # squares: at d=1000 each fresh d x ell temporary costs more than its
-    # arithmetic.
+    # direction and hence a zero estimate.  The steps, and the forward
+    # probes after them, overwrite the spent squares: at d=1000 a fresh
+    # d x ell temporary costs more than its arithmetic.
     steps = np.divide(cols, np.where(norms > 0.0, norms, 1.0), out=squares)
     steps *= h
     steps = steps.T
     if scheme.kind == "forward":
-        fx, values = _forward_values(obj, x, x + steps, fx)
+        fx, values = _forward_values(obj, x, np.add(x, steps, out=steps), fx)
         s = (values - fx) * norms / h
         return (s, fx) if return_value else s
     values = _evaluate_probes(obj, x + steps, x - steps)

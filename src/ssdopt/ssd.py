@@ -25,10 +25,10 @@ decrease, f(x) or None)``; the loop takes the direction norm itself.  A
 run knows f at its iterate after its start evaluation, after Armijo
 accepts a trial (whose point becomes the iterate as evaluated) and after
 an anchor or probe set supplies it, so forward differences evaluate each
-iterate at most once.  ``run_ssd`` proposes
-sketched directions, the baselines propose full-gradient and quasi-Newton
-ones, and the variance-reduced solver runs its anchored epochs inside the
-same driver, one ``_loop`` call per stretch of steps.
+iterate at most once.  ``run_ssd`` proposes sketched directions, the
+baselines propose full-gradient and quasi-Newton ones, and the
+variance-reduced solver runs its anchored epochs inside the same driver,
+one ``_loop`` call per stretch of steps.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The run is organized in epochs. Each epoch refreshes an anchor: the current
 iterate x~ together with a full finite-difference gradient estimate g~ at it
 (d forward differences and f(x~) unless the run already knows it, or 2 d
-centered ones). Inner steps then combine the fresh sketched
-derivative with the anchor as a control variate,
+centered ones). Inner steps then combine the fresh sketched derivative
+with the anchor as a control variate,
 
     v = P (s - eta t) + eta g~,      t = P^T g~,
 

@@ -332,3 +332,18 @@ def test_known_base_value_gives_the_same_estimate_without_evaluating_it(oracle, 
     else:
         assert value is value_known is None
         assert seen_known == seen
+
+
+@pytest.mark.parametrize("kind", ["forward", "centered"])
+def test_integer_sketch_matrix_probes_like_its_float_copy(kind):
+    # A hand-built sketch may hold integers; the oracle works in float64.
+    d = 5
+    x = np.linspace(-1.0, 1.0, d)
+    cols = np.eye(d, dtype=int)[:, :2] * 2
+
+    def estimate(matrix):
+        obj = nesterov_worst(4.0, 3, d)
+        s = directional_derivatives(obj, x, Sketch(matrix, d, 2, "coordinate"), FdScheme(kind))
+        return s.tobytes(), obj.eval_count
+
+    assert estimate(cols) == estimate(cols.astype(float))
