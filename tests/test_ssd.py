@@ -399,7 +399,7 @@ def test_charged_count_is_the_change_in_the_counter(case):
 
 
 
-# Each iterate is evaluated once: the value a run knows at its iterate (the
+# The value at each iterate is evaluated once: what a run knows there (the
 # start, an accepted Armijo trial, a probe set's or an anchor's base value)
 # is the base of the next forward differences.
 ONCE_PROBLEMS = {
