@@ -8,7 +8,9 @@ surrogate for gradient descent at a fraction of the evaluation cost.
 Three step rules are supported: a fixed alpha, the theoretical
 ell / (d lambda), and Armijo backtracking whose sufficient-decrease test
 uses s^T s (already available from the sketch) so it needs no extra
-derivative information.
+derivative information.  The same s^T s is the slope of a quadratic fit
+through the first rejected trial, which lets the search skip the trials
+that fit rules out.
 
 Every solver in the package runs on one driver, ``_drive``.  The state of a
 run (step plan, budget, trace entries and current iterate) is one ``_Run``
@@ -64,6 +66,15 @@ class TheoreticalStep:
 
 @dataclass(frozen=True)
 class ArmijoStep:
+    """Backtracking on the grid alpha_init shrink^n, n < max_backtracks.
+
+    ``max_backtracks`` counts grid steps, evaluated or skipped: after a
+    rejected first trial a quadratic fit skips the steps it rules out (see
+    ``_armijo``).  Along a quadratic, with an accurate slope, the accepted
+    step is plain backtracking's; otherwise a fit off by more than a factor
+    1/shrink can give a smaller step, which still passes the decrease test.
+    """
+
     c1: float = 1e-4
     shrink: float = 0.5
     alpha_init: float = 1.0
@@ -240,6 +251,8 @@ class _Run:
         self.rule = cfg.step_rule
         self.alpha_fixed = _fixed_alpha(cfg.step_rule, obj, n_dirs)
         self.step_cost = _step_cost(cfg, n_dirs)
+        # The proposer's decrease is the slope of f along -g, so Armijo may fit it.
+        self.fit = True
         # Forward differences evaluate f(x) as their base point when it is unknown.
         self.supplies_value = cfg.fd.kind == "forward"
         self.target = cfg.target_value
@@ -287,20 +300,53 @@ class _Run:
             raise _TargetReached
 
 
-def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease, rule: ArmijoStep):
-    """Largest alpha in {alpha_init shrink^n} with
+def _fit_limit(f0, decrease, alpha, trial, c1) -> Optional[float]:
+    """The largest step that the quadratic through f0, slope -decrease and
+    the rejected trial (alpha, trial) accepts, (1 - c1) decrease / curvature;
+    None unless that fit is finite and convex."""
+    curvature = (trial - float(f0) + alpha * decrease) / alpha / alpha
+    if not (math.isfinite(curvature) and curvature > 0):
+        return None
+    return (1.0 - c1) * decrease / curvature
+
+
+def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease,
+            rule: ArmijoStep, fit: bool = True):
+    """Largest alpha in {alpha_init shrink^n, n < max_backtracks} with
     f(x - alpha g) <= f0 - c1 alpha decrease; ``evaluate`` values each trial.
+
+    When the first trial is rejected and ``fit`` holds (``decrease`` is the
+    slope of f along -g), the quadratic fit of :func:`_fit_limit` skips every
+    grid step it rejects by more than one grid step, so the next trial sits
+    one grid step above the fit's largest acceptable step and checks it.
+    The search halves plainly when the fit is not finite and convex, or when
+    the skip would pass the last grid step, so the smallest step is always
+    tried before the search fails.  ``max_backtracks`` counts grid steps,
+    evaluated or skipped.  Along a quadratic, with an accurate slope, the
+    accepted step is plain backtracking's; otherwise a fit off by more than
+    a factor 1/shrink can give a smaller step, which still passes the same
+    test.
 
     Returns ``(alpha, point, value)`` with the accepted trial point itself,
     so its value belongs to exactly that array.
     """
-    alpha = rule.alpha_init
-    for _ in range(rule.max_backtracks):
+    alpha, n = rule.alpha_init, 0
+    while n < rule.max_backtracks:
         point = x - alpha * direction
         trial = evaluate(point)
         if trial <= f0 - rule.c1 * alpha * decrease:
             return alpha, point, trial
+        limit = _fit_limit(f0, decrease, alpha, trial, rule.c1) if fit and n == 0 else None
         alpha *= rule.shrink
+        n += 1
+        if limit is not None:
+            skip_n, skip_alpha = n, alpha
+            # Skip a grid step while the fit also rejects the step after it.
+            while skip_n < rule.max_backtracks and skip_alpha * rule.shrink > limit:
+                skip_alpha *= rule.shrink
+                skip_n += 1
+            if skip_n < rule.max_backtracks:
+                n, alpha = skip_n, skip_alpha
     raise LineSearchError(
         f"no sufficient decrease within {rule.max_backtracks} backtracks"
     )
@@ -332,7 +378,8 @@ def _loop(run: _Run, stop_k: int, propose: Propose) -> None:
         if run.f is None:
             run.observe(fx)
         if armijo:
-            alpha, run.x, f_new = _armijo(run.evaluate, run.x, g, run.f, decrease, run.rule)
+            alpha, run.x, f_new = _armijo(run.evaluate, run.x, g, run.f, decrease, run.rule,
+                                          run.fit)
         else:
             alpha, f_new = run.alpha_fixed, None
             run.x = run.x - alpha * g
@@ -365,11 +412,13 @@ def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng, fx=None):
     return P.matrix @ s, float(s @ s), fx
 
 
-def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction):
+def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction,
+                 fit: bool = True):
     """One step outside a run, for the diagnostic hooks.
 
     ``direction(x)`` returns a proposal as :data:`Propose` does; the step
-    rule then moves along it without a budget.  Returns ``(x_next, entry)``
+    rule then moves along it without a budget, with the quadratic fit of
+    :func:`_armijo` when ``fit`` holds.  Returns ``(x_next, entry)``
     with the evaluations charged by this call.
     """
     cfg.check(obj)
@@ -379,7 +428,7 @@ def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction):
     alpha = _fixed_alpha(cfg.step_rule, obj, cfg.ell)
     if alpha is None:
         f0 = fx if fx is not None else obj.evaluate(x)
-        alpha, x_next, f_entry = _armijo(obj.evaluate, x, g, f0, decrease, cfg.step_rule)
+        alpha, x_next, f_entry = _armijo(obj.evaluate, x, g, f0, decrease, cfg.step_rule, fit)
     else:
         x_next, f_entry = x - alpha * g, (fx if fx is not None else math.nan)
     entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha,

@@ -15,8 +15,9 @@ uniformly random one (which is also where the next epoch restarts).
 
 The weight eta is "zero" (plain sketched descent), "one" (classic control
 variate), "exact" (the variance-optimal projection of the true gradient onto
-g~, at d extra forward evaluations per step, which share the base value of
-the sketched probes; a diagnostic), or "approx" (the same projection
+g~, a diagnostic: d extra forward evaluations per step, which share the
+base value of the sketched probes, except on an epoch's first inner step,
+which sits on the anchor and reuses its gradient), or "approx" (the same projection
 assembled from already-sketched quantities at zero extra cost).
 
 The run shares the config check, start, budget, stepping and close of
@@ -182,20 +183,22 @@ def rate_bound_vrssd(alpha: float, gamma: float, lam: float, m: int, rho: float,
     raise ConfigurationError(f"part must be 'i' or 'ii', got {part!r}")
 
 
-def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng, fx=None):
+def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng, fx=None, g_full=None):
     """Proposal ``(v, s^T s, f(x) or None)`` for a sketch drawn from ``rng``;
     ``fx`` is f(x) when known.
 
     The exact eta mode adds a full gradient from ``cfg.fd`` to the sketched
     derivatives, charged as the run's step cost counts it (nothing when the
     source is ``FdScheme("exact")``); forward differences take the base
-    value the sketched probes used.
+    value the sketched probes used.  ``g_full`` supplies that gradient when
+    the caller already has it at ``x``.
     """
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
     s_vec, fx = directional_derivatives(obj, x, P, cfg.fd, return_value=True, fx=fx)
     t = P.apply_transpose(anchor.gradient)
     if cfg.eta_mode == "exact":
-        g_full = full_gradient_fd(obj, x, cfg.fd, fx=fx)
+        if g_full is None:
+            g_full = full_gradient_fd(obj, x, cfg.fd, fx=fx)
         eta = eta_value("exact", s_vec, t, anchor.gradient, g_full)
     else:
         eta = eta_value(cfg.eta_mode, s_vec, t, anchor.gradient)
@@ -208,11 +211,13 @@ def vrssd_inner_step(obj: Objective, x, anchor: AnchorState, cfg: VrssdConfig,
     """One variance-reduced step with an explicitly supplied stream.
 
     Diagnostic hook mirroring :func:`ssdopt.ssd.ssd_step`; returns
-    ``(x_next, entry)``.
+    ``(x_next, entry)``.  Armijo fits its first rejected trial only with
+    ``eta_mode="zero"``, where s^T s is the slope along v.
     """
     _check_vrssd_config(cfg, "vrssd_inner_step")
     return _single_step(obj, x, cfg, iteration,
-                        lambda x: _vr_direction(obj, x, anchor, cfg, rng))
+                        lambda x: _vr_direction(obj, x, anchor, cfg, rng),
+                        fit=cfg.eta_mode == "zero")
 
 
 def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
@@ -241,6 +246,8 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
         stream = SketchStream(cfg.seed)
         _loop(run, min(cfg.warmup_iters, cfg.max_iters),
               lambda x, k, fx: _sketched_direction(obj, x, cfg, stream.at(k), fx))
+        # With eta != 0, s^T s is not the slope of f along v: plain backtracking.
+        run.fit = cfg.eta_mode == "zero"
         if cfg.eta_mode == "exact":
             run.step_cost += anchor_cost
         epoch = 0
@@ -254,10 +261,19 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
             if run.f is None and f_anchor is not None:
                 run.observe(f_anchor)
 
-            def propose(x, k, fx):
-                return _vr_direction(obj, x, anchor, cfg, stream.at(k), fx)
-
             start, end = run.k, run.k + cfg.m
+
+            def propose(x, k, fx):
+                # The first inner step sits on the anchor: its full gradient
+                # would repeat the anchor's probes at the same base value.
+                g_full = anchor.gradient if k == start else None
+                return _vr_direction(obj, x, anchor, cfg, stream.at(k), fx, g_full)
+
+            if cfg.eta_mode == "exact":
+                # So that first step is admitted at its own, smaller cost.
+                run.step_cost -= anchor_cost
+                _loop(run, min(start + 1, cfg.max_iters), propose)
+                run.step_cost += anchor_cost
             if cfg.option == "two":
                 # The next epoch restarts from a uniformly chosen inner iterate.
                 rng = RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator()

@@ -16,7 +16,14 @@ known value at the iterate became the base of the next forward
 differences instead of being evaluated again: each trace keeps its
 iterates, values, steps, norms and status, and only the evaluation counts,
 the medians and the profile ratios built from them moved (the README run
-charges 7487 evaluations instead of 8460).
+charges 7487 evaluations instead of 8460).  Five cases were re-pinned when
+Armijo began to skip the trials that a quadratic fit through its first
+rejected trial rules out, and an exact-eta vrssd step on the anchor began
+to reuse the anchor's gradient: ``readme`` (6173 evaluations instead of
+7487), ``armijo-params`` (361 instead of 465), ``sweep-fraction`` (median
+evaluations sk 43 to 41 and the exact-eta vr 60 to 48) and the two
+profiles of its traces.  Every trace keeps its iterates, values, steps,
+norms and status; only evaluation counts and what is built from them moved.
 """
 
 import hashlib
@@ -105,12 +112,12 @@ x0 = zeros
 
 status = line_search_failed
 f = -0.9090909090909084
-evals = 7487
+evals = 6173
 trace written to trace.csv
 """,
         {
             "trace.csv":
-                "587ec39442cef5d16addc8a96e3839599e7dbfc23f9c3bd9b23df5f1cf9d63b3",
+                "734c71daa10f68af4cd4a7f60547ab9f32d520cf0d5eeb88137b9afff9c3615a",
         },
     ),
     "vrssd-aliases": (
@@ -201,12 +208,12 @@ x0 = zeros
 
 status = max_iters
 f = 0.7173342167847353
-evals = 465
+evals = 361
 trace written to trace.csv
 """,
         {
             "trace.csv":
-                "c8162b39d7e674700fdcb7c2bbaa2914259e3ff8da3f4df6884bb34251eb9108",
+                "c3ed1abf23f20cfca9db841d0602c75e8a829f473d006a10510fcc3c6918493d",
         },
     ),
     "sweep-fraction": (
@@ -260,15 +267,15 @@ warmup = 1
 
 [summary]
 solver trials success median_evals
-sk 3 1.000 43.0
+sk 3 1.000 41.0
 gd 3 1.000 26.0
-vr 3 1.000 60.0
+vr 3 1.000 48.0
 
 traces written to frac/traces.csv
 """,
         {
             os.path.join("frac", "traces.csv"):
-                "e5662ffa2f1ef6d41d77343a5d64392ea6df2c229363aab4e9017d3c7cf5b9f0",
+                "f8a5191a462b3aa1d14e7d6a71be13d07edd0f4db79f0383e3f2456bf4f95802",
         },
     ),
     "sweep-own": (
@@ -341,19 +348,19 @@ traces = frac/traces.csv
 
 solver,tau,rho
 gd,1.0,0.3333333333333333
-gd,1.6538461538461537,0.3333333333333333
-gd,2.3076923076923075,0.3333333333333333
+gd,1.5769230769230769,0.3333333333333333
+gd,1.8461538461538463,0.3333333333333333
 sk,1.0,0.0
-sk,1.6538461538461537,0.3333333333333333
-sk,2.3076923076923075,0.3333333333333333
+sk,1.5769230769230769,0.3333333333333333
+sk,1.8461538461538463,0.3333333333333333
 vr,1.0,0.0
-vr,1.6538461538461537,0.0
-vr,2.3076923076923075,0.3333333333333333
+vr,1.5769230769230769,0.0
+vr,1.8461538461538463,0.3333333333333333
 profile written to pt.csv
 """,
         {
             "pt.csv":
-                "ff180ba8184b9759869762385f8179ff3b9f261414b689accfb3430286fd3c0c",
+                "62929b56fe619564d66747e44d396fa8352eec307a36c34fe4f0aab401394931",
         },
     ),
     "profile-fraction": (
@@ -369,27 +376,30 @@ traces = frac/traces.csv
 solver,tau,rho
 gd,1.0,0.6666666666666666
 gd,1.2380952380952381,1.0
-gd,1.6538461538461537,1.0
-gd,2.142857142857143,1.0
+gd,1.5714285714285714,1.0
+gd,1.5769230769230769,1.0
+gd,1.8461538461538463,1.0
 gd,2.3076923076923075,1.0
-gd,6.8076923076923075,1.0
+gd,5.884615384615385,1.0
 sk,1.0,0.3333333333333333
 sk,1.2380952380952381,0.3333333333333333
-sk,1.6538461538461537,0.6666666666666666
-sk,2.142857142857143,0.6666666666666666
+sk,1.5714285714285714,0.3333333333333333
+sk,1.5769230769230769,0.6666666666666666
+sk,1.8461538461538463,0.6666666666666666
 sk,2.3076923076923075,1.0
-sk,6.8076923076923075,1.0
+sk,5.884615384615385,1.0
 vr,1.0,0.0
 vr,1.2380952380952381,0.0
-vr,1.6538461538461537,0.0
-vr,2.142857142857143,0.3333333333333333
+vr,1.5714285714285714,0.3333333333333333
+vr,1.5769230769230769,0.3333333333333333
+vr,1.8461538461538463,0.6666666666666666
 vr,2.3076923076923075,0.6666666666666666
-vr,6.8076923076923075,1.0
+vr,5.884615384615385,1.0
 profile written to pf.csv
 """,
         {
             "pf.csv":
-                "7984730ef92f7d02beafab5837d9304158fbc659557c5c829c560575c9e7f4e7",
+                "61eab103c00cec57773dcef49bdd4ed1e5b328389b703123a0bfc587f3947587",
         },
     ),
 }

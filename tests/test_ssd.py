@@ -5,7 +5,9 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import ssdopt.ssd as ssd_module
 from ssdopt import (
     ArmijoStep,
     ConfigurationError,
@@ -30,6 +32,8 @@ from ssdopt import (
     estimate_linear_rate,
     theoretical_step,
 )
+from ssdopt.errors import LineSearchError
+from ssdopt.ssd import _armijo
 
 
 def orth(rows, cols, seed):
@@ -412,6 +416,7 @@ ONCE_RUNNERS = {
     "bfgs": (run_fd_bfgs, SsdConfig, {}),
     "vrssd-one-approx": (run_vrssd, VrssdConfig, dict(m=4)),
     "vrssd-two-approx": (run_vrssd, VrssdConfig, dict(m=4, option="two", warmup_iters=1)),
+    "vrssd-one-exact": (run_vrssd, VrssdConfig, dict(m=4, eta_mode="exact")),
 }
 ONCE_RULES = {"armijo": ArmijoStep(), "fixed": FixedStep(0.02), "theory": TheoreticalStep()}
 ONCE_CASES = [
@@ -452,17 +457,148 @@ def test_no_point_is_evaluated_twice_in_a_run(runner, fd, rule, problem):
 @pytest.mark.parametrize("runner", ["ssd", "gd", "bfgs"])
 def test_armijo_forward_step_costs_its_directions_and_trials(runner):
     # Each accepted step after the start pays its n directions, not f(x)
-    # again, plus its trials: alpha_init 1 and shrink 1/2 make a step of
-    # 2^-b the (b + 1)-th trial.
+    # again, plus its trials.  With alpha_init 1 and shrink 1/2 a step of
+    # 2^-b is grid step b, the (b + 1)-th trial of plain backtracking.  The
+    # chain is quadratic along every line, so the fit through a rejected
+    # first trial lands on the grid step above 2^-b and the search tries at
+    # most three: 1, 2^(1-b) and 2^-b.  Within 1e-12 of f* the trial values
+    # differ from f0 by rounding alone, the fit sees noise, and the search
+    # may try more, but never more than plain backtracking.
     run = {"ssd": run_ssd, "gd": run_fd_gd, "bfgs": run_fd_bfgs}[runner]
     obj = nesterov_worst(8.0, 6, 16)
     trace = run(obj, np.linspace(-1.0, 1.0, 16), SsdConfig(ell=3, max_iters=30, seed=5))
     n = 3 if runner == "ssd" else 16
-    assert len(trace.entries) > 3
+    fitted = 0
     for before, after in zip(trace.entries, trace.entries[1:]):
-        trials = 1 - int(math.log2(after.step))
-        assert after.step == 2.0 ** (1 - trials)
-        assert after.evals - before.evals == n + trials
+        b = -int(math.log2(after.step))
+        assert after.step == 2.0 ** -b
+        assert n + 1 <= after.evals - before.evals <= n + b + 1
+        if before.f - obj.minimum_value > 1e-12:
+            assert after.evals - before.evals == n + min(b + 1, 3)
+            fitted += 1
+    assert fitted > 3
+
+
+def plain_backtracking(evaluate, x, direction, f0, decrease, rule):
+    """Armijo without the fit: every grid step in turn, None when all fail."""
+    alpha = rule.alpha_init
+    for _ in range(rule.max_backtracks):
+        point = x - alpha * direction
+        trial = evaluate(point)
+        if trial <= f0 - rule.c1 * alpha * decrease:
+            return alpha, point, trial
+        alpha *= rule.shrink
+    return None
+
+
+def counted(f):
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        return f(x)
+    return evaluate, calls
+
+
+@given(
+    d=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    alpha_init=st.floats(min_value=1e-2, max_value=1e3),
+    shrink=st.floats(min_value=0.1, max_value=0.9),
+    c1=st.floats(min_value=1e-4, max_value=0.5),
+    max_backtracks=st.integers(min_value=1, max_value=60),
+)
+def test_fit_accepts_plain_backtracking_step_on_convex_quadratics(
+        d, seed, alpha_init, shrink, c1, max_backtracks):
+    rng = np.random.default_rng(seed)
+    A = (orth(d, d, seed) * 10.0 ** rng.uniform(-2.0, 2.0, d)) @ orth(d, d, seed).T
+    center = rng.standard_normal(d)
+    x = center + rng.standard_normal(d)
+
+    def f(y):
+        return float(0.5 * (y - center) @ A @ (y - center))
+
+    g = A @ (x - center)  # the exact gradient: decrease is the slope along -g
+    rule = ArmijoStep(c1=c1, shrink=shrink, alpha_init=alpha_init,
+                      max_backtracks=max_backtracks)
+    plain_eval, plain_calls = counted(f)
+    expected = plain_backtracking(plain_eval, x, g, f(x), float(g @ g), rule)
+    fit_eval, fit_calls = counted(f)
+    try:
+        alpha, point, value = _armijo(fit_eval, x, g, f(x), float(g @ g), rule)
+    except LineSearchError:
+        assert expected is None
+    else:
+        assert (alpha, point.tobytes(), value) == (expected[0], expected[1].tobytes(),
+                                                   expected[2])
+    assert len(fit_calls) <= len(plain_calls)
+
+
+def scripted_search(values, rule):
+    """Search along x = 0, g = 1 with f0 = 0 and slope -1; ``values(alpha, n)``
+    gives the n-th trial's value.  Returns the steps tried and the outcome."""
+    tried = []
+
+    def evaluate(point):
+        tried.append(-float(point[0]))
+        return values(tried[-1], len(tried) - 1)
+    try:
+        return tried, _armijo(evaluate, np.zeros(1), np.ones(1), 0.0, 1.0, rule)[0]
+    except LineSearchError:
+        return tried, None
+
+
+@pytest.mark.parametrize("first, alpha_init, fitted", [
+    (1e6, 1.0, True),
+    (math.nan, 1.0, False),
+    (math.inf, 1.0, False),
+    # At alpha 1e-160 a rise of 1e-30 fits a curvature of 1e290, and one of
+    # 1e-5 a curvature that overflows.
+    (1e-30, 1e-160, True),
+    (1e-5, 1e-160, False),
+])
+def test_fit_needs_a_finite_convex_curvature(first, alpha_init, fitted):
+    # f falls along the line after the first trial, so the second is accepted.
+    rule = ArmijoStep(alpha_init=alpha_init, max_backtracks=1000)
+    tried, alpha = scripted_search(lambda a, n: first if n == 0 else -a, rule)
+    assert len(tried) == 2 and alpha == tried[1]
+    assert (tried[1] != alpha_init * 0.5) == fitted
+
+
+@pytest.mark.parametrize("first, tried", [
+    # The fit's largest step, 0.9999 / 21, lies between the last grid step
+    # and the one after it: the search skips to the last grid step.
+    (20.0, [1.0, 0.0625]),
+    # It lies below the step after the last: plain halving.
+    (1e6, [1.0, 0.5, 0.25, 0.125, 0.0625]),
+])
+def test_fit_that_rules_out_the_grid_still_tries_its_smallest_step(first, tried):
+    rule = ArmijoStep(max_backtracks=5)
+    assert scripted_search(lambda a, n: first, rule) == (tried, None)
+
+
+@pytest.mark.parametrize("eta, fits", [("zero", True), ("one", False), ("approx", False),
+                                       ("exact", False)])
+def test_vr_search_with_a_weight_keeps_plain_backtracking(monkeypatch, eta, fits):
+    # With eta != 0, s^T s is not the slope of f along v, so the search
+    # evaluates the points plain backtracking evaluates; the control with
+    # eta = 0 shows that the fit would move them.
+    def evaluated_points():
+        obj = nesterov_worst(8.0, 6, 16)
+        evaluator, seen = obj.evaluator, []
+
+        def logged(x):
+            seen.append(np.asarray(x, dtype=float).tobytes())
+            return evaluator(x)
+
+        obj.evaluator = logged
+        run_vrssd(obj, np.linspace(-1.0, 1.0, 16),
+                  VrssdConfig(ell=3, m=4, eta_mode=eta, max_iters=30, seed=5))
+        return seen
+
+    with_fit = evaluated_points()
+    monkeypatch.setattr(ssd_module, "_fit_limit", lambda *args: None)
+    assert (evaluated_points() != with_fit) == fits
 
 
 @pytest.mark.parametrize("runner", ["ssd", "gd"])

@@ -20,7 +20,17 @@ single-step cases moved because their full gradient now shares the base
 value of the sketched probes.  Every entry keeps its iteration, value,
 step and direction norm and every run its status; only the evaluation
 counts drop, and the budget-stop cases fit more steps on the same budget.
-No centered, exact-gradient or layer case moved.
+No centered, exact-gradient or layer case moved.  Then 41 cases were
+re-pinned when Armijo began to skip the trials that a quadratic fit
+through its first rejected trial rules out (33 cases whose searches reject
+a first trial), and when an exact-eta vrssd step on the anchor began to
+reuse the anchor's gradient instead of probing it again (the eight
+forward and centered exact-eta runs).  In 38 of them only the evaluation
+counts moved.  ``stop-ssd-budget-mid-step-armijo`` and
+``stop-vrssd-budget-mid-step-armijo`` keep every entry and fit one more on
+the same budget.  In ``bfgs-lstsq-centered`` the iterates first differ at
+entry 11, at f - f* = -8.9e-16, where the trial values differ from f0 by
+rounding alone and the fit sees noise.  No layer case moved.
 
 The matrix covers the step rules and difference schemes of ssd and gd, the
 anchor options, eta modes and warmup of vrssd, every gradient source of
@@ -175,10 +185,10 @@ def digest(name):
 DIGESTS = {
     "bfgs-chain-centered": "5f94a0bcda4eb012e59eceaf634646ebafd56d6bcfb75376b6ea03f390544d8d",
     "bfgs-chain-exact": "4d24618cae08bb98caa29c60ae3aa9bb6618f4716a8da54e0d969c1c9d3df7c6",
-    "bfgs-chain-forward": "489d5b22a90ab2dfe7af8276e92c0be16579172ffa5bb41fd5b363857a849472",
-    "bfgs-lstsq-centered": "39935b71c325556c9f8ed5e78f88591e87c11029739177659bc2d3136e1d4bd6",
-    "bfgs-lstsq-exact": "3e62e898a425db3ac1e3e776e443af5535abe8a69b44a17e7ec69c5256aae29e",
-    "bfgs-lstsq-forward": "47c4c1db110d968aaa90dad8ffe9df7998363aa481a0af227660662617273ab4",
+    "bfgs-chain-forward": "a40cd3527fbf7c1d1d3223fb2054609e73d63a9bebb9b8621ccfca0eaa046d9e",
+    "bfgs-lstsq-centered": "1897587e37c243144e99949f611f60db2dc046b7165db449aa5ead3299e3f863",
+    "bfgs-lstsq-exact": "9a7be161dfab134774bb9d4797c8a645f73ec730406ece711c365214842c9333",
+    "bfgs-lstsq-forward": "9d317e4f1421c8452a9d7f6577570f64a0390b0a0e9b1282864b4e96c6ec4bcc",
     "gd-chain-armijo-centered": "614570b08f275b44051cfa90530af33dee10e2c401ecb3ea6326bc472f087d34",
     "gd-chain-armijo-exact": "c38a9aefd1947294f8050151ddd10617f79daf89384c1956c3d082b01f534cf6",
     "gd-chain-armijo-forward": "1dce928a4b4e22bcb368b61fe825ab34127f4b1f1b98becd90a4e8871d8a9170",
@@ -188,36 +198,36 @@ DIGESTS = {
     "gd-chain-theory-centered": "25bda911d025c3f4d2317198c096594e5981aa6d8c0b207251f282643dfbdc34",
     "gd-chain-theory-exact": "e7c1b397fd05595a78cd375b68062158f4d1ad7aede75bce2ffeb547ecd8b669",
     "gd-chain-theory-forward": "6408958495c779bdc979a47018b6a1ea1f7480a2e4d3c047a597d9cbe23643cd",
-    "gd-lstsq-armijo-centered": "cb68aa4da442d5ccfa6cbbd718d7e7f8074f26c4a29c838c95dcfb5eb98a6de0",
-    "gd-lstsq-armijo-exact": "d2d6442649fbdf0fa8f01c89b2bfac80e085b0fa114d4f147c51647642a07a39",
-    "gd-lstsq-armijo-forward": "8be86d28eca0fd58600ac12583cb90e33e6db7644ed2cc2dd75604570531f31f",
+    "gd-lstsq-armijo-centered": "bbc99c97e886c63d2d515dd7530040b842b4c3271b970d6217d3d933491ae202",
+    "gd-lstsq-armijo-exact": "135b4cac5b955a6fddd5cbe6fda535c6de940caccaae2eb7bb6b82633b9b1e55",
+    "gd-lstsq-armijo-forward": "4bf71b4133cd1382b1514fc868588edb2fc4812a2d698016a2b31ef017c9335a",
     "gd-lstsq-fixed-centered": "c2c408ca539ace10913955a674d00bf0e10e628379f75ad0abffc7b5be08c259",
     "gd-lstsq-fixed-exact": "c9058d0fc05129d3c14e4873ce7556f95be8d97db89021df3145563eca0ac5c0",
     "gd-lstsq-fixed-forward": "aaa8b7404fc03a8bc46dfe3906a999620619cbc3b59b303beb41fb11a9f5371a",
     "gd-lstsq-theory-centered": "61dbcfa67891065da298b192c3ebf54659ec0c1077f1404333a9c3a1abb039ef",
     "gd-lstsq-theory-exact": "d537d4acb618eab1d51f7d633912dcfd3127723c68b691baed6088cba67dde72",
     "gd-lstsq-theory-forward": "c841fecface02658fec339dbf0d57fb372ae2728d0b69decc70f5077610bea81",
-    "ssd-chain-armijo-centered": "37d3fa4c801737a3542e0cd6afb433b056cd95bbe535da585589f9fa2fc5279a",
-    "ssd-chain-armijo-exact": "52cc27e668c175f82486d633e90fba99b87a661b1797c2f0c3e0f3ecc49db2b5",
-    "ssd-chain-armijo-forward": "ba723c9085b569f2b062186f57879f645f506af7c96c7af574471df373f82749",
+    "ssd-chain-armijo-centered": "7af3281ac530b4dab6bb44872d34e674991024e8c8de7e2e976e61685bbf3a18",
+    "ssd-chain-armijo-exact": "bc707c4f331a1a44ab29b5206ff117a3503f07dcf86cdf4b46e59ef469cae04d",
+    "ssd-chain-armijo-forward": "22aa9dfb18cd1b9c8dd46a93300c8c064b4a07167511281582ceee01314d1102",
     "ssd-chain-fixed-centered": "898cc03471c5aaa7555cbcaf78ba61d9ae908759fe4ebb03fc905cd8cb8918da",
     "ssd-chain-fixed-exact": "b23efe5700bc107d4a41fe000f20f1e10a57f8563ce6a518a60e8f7aa9277839",
     "ssd-chain-fixed-forward": "4d6229c90fffd9e23a2678cc4c500431c919044f4d18470f2abdff1c063416c6",
     "ssd-chain-theory-centered": "07a62b87e15c9a5089a266dddb6dc4389337c35c73f875992f136a3251a3913b",
     "ssd-chain-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
     "ssd-chain-theory-forward": "ee22c8ba4e4dabb48265ffab7b826471d838274411bd7021a1844ab49dd66416",
-    "ssd-lstsq-armijo-centered": "6eb540547b876f7ffd565582866c02f3480ff940eb223bfa5f7509beb9bd388f",
-    "ssd-lstsq-armijo-exact": "ef159ffbced328b333cf785dd43b9131f9285ecb873e8054186976bb93207a9d",
-    "ssd-lstsq-armijo-forward": "6bbbf7c8b284a4674bcb4e7567d8d24d1985a5de0ffa8a310f51aeb209790d49",
+    "ssd-lstsq-armijo-centered": "29733c87d2eb52c8044a81a5a39d462fe69a92b1028d9a8738611f83001979be",
+    "ssd-lstsq-armijo-exact": "247834e982744809a0a64564154456c405ef9aba7b76fe385e70b862d3b62bd6",
+    "ssd-lstsq-armijo-forward": "32adedf5a1309c30adc8c0e3830bb409fffc8f8f5dc76d198201b38fe03013cb",
     "ssd-lstsq-fixed-centered": "b9992c571b5e5f6f5f80691e4feff8a3c474594c2c82b97b97458eb16f2c35f2",
     "ssd-lstsq-fixed-exact": "b681057f1c4698ab9584d48981c6d87687b8354e7c79b9a43fb884257af4eeae",
     "ssd-lstsq-fixed-forward": "cbb6b15df2251724dc02ffa4be6fe3639170f343cbb7e471066edb6e1440e412",
     "ssd-lstsq-theory-centered": "1c5efad8703154cefdb306b02cdef0cc9834552bd213e1b6259caa7c2a04bf77",
     "ssd-lstsq-theory-exact": "18802aff64896205de1aa4273109c1aa5584402cdf75fa84898de131789a6403",
     "ssd-lstsq-theory-forward": "35641bb98aeb7144488e6ef72e2f4e362d6d65904b7922a0538b1960fcc6928f",
-    "step-ssd-armijo-centered": "1fba1b5e92be9130180fdac805a5c60944986b6438204236cd95a816b6e1442b",
-    "step-ssd-armijo-exact": "a08a266ef21755c8e8c200deaff6e98f2d2c9fbf0511536ab157b9ef9029562f",
-    "step-ssd-armijo-forward": "004d8068783b773a10d298e701919d48b1e076c3139384003182421c6642f91e",
+    "step-ssd-armijo-centered": "0257432a4bb17df7a69a07f6cb6eb12fc302c1e47894ee3e60db4b6a3f31de7e",
+    "step-ssd-armijo-exact": "4afef325334fcb9623af2a7e70803e377b26fdf6c7cb48391cde0c3a71fa75e8",
+    "step-ssd-armijo-forward": "98dcc561bb3e59fa0320602e9fc1693f519b5616fafeffc711c00b27405074d2",
     "step-ssd-fixed-centered": "b8c500cb41edea0b89670cd05cdb8650460f197329d31394beaa3bc37182bdd1",
     "step-ssd-fixed-exact": "a9f67d31737aa185ec9ea36e5dcc8ce5c8119461265585052303746c059b822d",
     "step-ssd-fixed-forward": "6c9e5747e67eec4ad6adbba64fa325dad9dd9acd97d758f0b0cd18bc9dc58322",
@@ -227,15 +237,15 @@ DIGESTS = {
     "step-vrssd-armijo-centered-approx": "f81f17efdf77481397bb664c5a5d55c6f88bb21e625be4a37ce350fdab446209",
     "step-vrssd-armijo-centered-exact": "91020a56ad337f493bfd623463307013a9bec0ed01f92b47c7e16f4b6768cb0c",
     "step-vrssd-armijo-centered-one": "b0dd181b75db877d00d79a8e62e26ee52e90904875ec87d3c9f2298014867335",
-    "step-vrssd-armijo-centered-zero": "4579a856727538833f2ad39541a72e45cf79dc0fe2a108ad6178a36e1b23c3b2",
+    "step-vrssd-armijo-centered-zero": "5279b4deb5b175f1694732902c3eff8751884a90384bb25597853349ea485f3c",
     "step-vrssd-armijo-exact-approx": "aabb23729f03b379327fd1c5872f7bb089799cee06ce63fdc36f094a34bc388d",
     "step-vrssd-armijo-exact-exact": "6750d9666ee0191cc717186a44e5ba60b0ff19a7592ff694bb10923551d08029",
     "step-vrssd-armijo-exact-one": "affb75e17c12770aeea5bc9761a0d592438bd1a33054671dafc3558a2d0190be",
-    "step-vrssd-armijo-exact-zero": "1c0017b5c25b5a6380b4e56d6734eae623031d316d6d61c1dfc373ed34936d74",
+    "step-vrssd-armijo-exact-zero": "24047931bcdea6dfe247b70bac85e5d08745cd1e1b2b944fd81b9fd1654710ad",
     "step-vrssd-armijo-forward-approx": "9ebca96091e2cb4cdc9c4fd4305b3c65745a2191f2da2083089cc951c28ed46b",
     "step-vrssd-armijo-forward-exact": "0f0899299b1ff215a510fb426c1acb059f1942f0ccef146d3abd227e6e644d5f",
     "step-vrssd-armijo-forward-one": "2e295ec3c4b60217fade5b124e7b5eb3379e2c426691365127245c4ae68a2a7f",
-    "step-vrssd-armijo-forward-zero": "31fa5f8ab8876fb170afac7ef25fb013715be806f998ec79f075d946b8b7424f",
+    "step-vrssd-armijo-forward-zero": "e45891be9ad64acd5e75fc2aa1fad1fdb84e737896150fd0e364224ed6179b4a",
     "step-vrssd-fixed-centered-approx": "71cc32a50003c220ec334d7123a4528561e87a8c67e8d80bca6bafe73eac7137",
     "step-vrssd-fixed-centered-exact": "7dcae381bf5be22e9df8391237d8759a57ae798c4fc9f927686e93e97cae59c6",
     "step-vrssd-fixed-centered-one": "09c8e7f33163a532df7a6cdd1d35dcb2574bd5f6bd3679780dd389480d72d345",
@@ -279,72 +289,72 @@ DIGESTS = {
     "stop-gd-target-mid-run-fixed": "f25a7d21b08bacfae5c99e4e4a53421dee18769ceabbc0d456d00b6aea71cc6c",
     "stop-ssd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-ssd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-ssd-budget-mid-step-armijo": "46f77ec199e877e7684dcb3b53af3cd3a87319463e0f12511575a3301f1e1e80",
+    "stop-ssd-budget-mid-step-armijo": "ca77060955fec69dbe6d6b8b5444d4d2e78e8a7df6f2f040ae981699e4df57ad",
     "stop-ssd-budget-mid-step-fixed": "d91da4129f8c97e0265562539c58173d44590508bdcfe5d821e45410909e062e",
     "stop-ssd-line-search-failed-armijo": "2744a26cb6a62fc3d693b21b2d685b7b5396aca77e2193447fce0eb0f79863a7",
-    "stop-ssd-max-iters-armijo": "ffb7b55491e112cc12435c2e9920a896ebf6d3a072441052632039081b705797",
+    "stop-ssd-max-iters-armijo": "894d624320e84dd18c7c15f09c128dac9c219cb28c0dd3ea852d0a8fe2d59793",
     "stop-ssd-max-iters-fixed": "fe3e9b0c6c2cef5a4a773cb3027fa00eb288d7c14b7375526ad32ff9e77c94f8",
     "stop-ssd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-ssd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-ssd-target-mid-run-armijo": "5148ea8444afbc9dd89d60841cf4c19769c505f7156547a48ab750c687d13a21",
+    "stop-ssd-target-mid-run-armijo": "43f3138bd018b133e81eab020cea7d33ec4b87f11feb515727680e952d0632b7",
     "stop-ssd-target-mid-run-fixed": "e5b78069faac8c790eb27f22b9308096de013640d2d8655e5820d94a04801db2",
     "stop-vrssd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-vrssd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-vrssd-budget-mid-step-armijo": "38c0d11ee7661fef9953ba75718e597588712b4d853f9d8b5c486601b4be6f58",
+    "stop-vrssd-budget-mid-step-armijo": "c06ebec4d718c60e6b8d42e61e25da111f2374d4e25f25b3f52dc55b3eecf93c",
     "stop-vrssd-budget-mid-step-fixed": "85d33342415eda6d423231def7dedcae0fd65cbcfb55c6e80017add7699a035d",
     "stop-vrssd-line-search-failed-armijo": "2744a26cb6a62fc3d693b21b2d685b7b5396aca77e2193447fce0eb0f79863a7",
-    "stop-vrssd-max-iters-armijo": "56c43853b1d2462c94d85474f8da26676c4954378e8f143b3b29d635b44cea5c",
+    "stop-vrssd-max-iters-armijo": "74cb3b334740a35cef2a167f6d7745c6016f596784cebf35ee0bcb34794f8da3",
     "stop-vrssd-max-iters-fixed": "755e2474ff51b02ad67e3017843d141252124e34cc1a44e1052ddf991c04c7dc",
     "stop-vrssd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-vrssd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-vrssd-target-mid-run-armijo": "f8bc294636ffe0b130070ef6ff1fd84240c50ff5ba43254fb728d8fab4389319",
+    "stop-vrssd-target-mid-run-armijo": "049b2531bdcf6521616060537f7f14ac342cfda715897998a0f669f83014a8e8",
     "stop-vrssd-target-mid-run-fixed": "25359bb999935c6ff92e6b6e385f039e362dc5a3f042d9ea964ce06c2ac857b6",
     "vrssd-one-approx-w0-armijo-centered": "b6c1e5433560fe3c4c0b303d4f7b70e38d98bf6fee36d697f6f1cc3b9de2c90d",
     "vrssd-one-approx-w0-fixed-forward": "4fff567da1aa726ea523fe7f77d97b146fa7b28223955eab26d95c790a96ed4f",
     "vrssd-one-approx-w0-theory-exact": "1c6be2f4a869130808b05f8385c909f8d046913c983e48c0278018ae19f56aa4",
-    "vrssd-one-approx-w3-armijo-centered": "15830580ce975a11fda94581d8b8cfeec014f19bd0b0bcd9cd4f3f052635daae",
+    "vrssd-one-approx-w3-armijo-centered": "2c59797f9d63c9a7e15b21c3f951aa00b2050ffccc288f843cf09fda3adc91bf",
     "vrssd-one-approx-w3-fixed-forward": "779e75748556e9e2eed99f5e0b1e4ecdf4f57bd1b6132e7eab74fe14bfd1a441",
     "vrssd-one-approx-w3-theory-exact": "542b6a71d7ae3916d631b657b910da8247f510b823fc760da6982b2ab811d756",
-    "vrssd-one-exact-w0-armijo-centered": "2f5e4cde88015d31a368b9798692fc44cb5cd2255806dc0847beba4bbb3b7c6b",
-    "vrssd-one-exact-w0-fixed-forward": "ac79cab103bc7d5b11f1a1a78a6dc2ab64d86f60f9d50b54ea2f7166340fd5d4",
+    "vrssd-one-exact-w0-armijo-centered": "a91729c6623c3e7a286f2037493548e7883316d50bc5d05fb1e7fa53725fca62",
+    "vrssd-one-exact-w0-fixed-forward": "d401edcfa3efa23f9fe5a803f88929ecc73a2d0eb1194415411827763391251c",
     "vrssd-one-exact-w0-theory-exact": "4d94aa8f7c178714365b938adf6c44b9fd6c0116c7a6a9a170368845312368d4",
-    "vrssd-one-exact-w3-armijo-centered": "2ee2ad8b9a7ef777b904aa8b60037e0b1f4c6f32d0453106057b6e7549d4f9c9",
-    "vrssd-one-exact-w3-fixed-forward": "e723486e8bd2dffe2231da4b011b085041045560f7b6743a086c158f76e84df5",
+    "vrssd-one-exact-w3-armijo-centered": "3d734debe5d4c9d274736619812a6d4c5032d9b6e88d1fd4400e27526039f5f7",
+    "vrssd-one-exact-w3-fixed-forward": "b9dd55341433a2b01dfa41c5a23519b7ccede8c0ad638752c1c4373af1ed3c44",
     "vrssd-one-exact-w3-theory-exact": "e987bc55fbb7d1fdbab94134a45976c46074d200cba7fe8603b05e4ada0e2544",
     "vrssd-one-one-w0-armijo-centered": "e78931b78177a6add63041a61f33b91d44dc6b6092baad65cf541f177e4782b3",
     "vrssd-one-one-w0-fixed-forward": "2fc76b76b93159afab6eebbf9a98c87d5e81257ee39cb4d2b4229cf41862490a",
     "vrssd-one-one-w0-theory-exact": "289cd5591aa259592c58ef13c38d66d9074a100887c8a432da6892e5e41fd597",
-    "vrssd-one-one-w3-armijo-centered": "cf346ad3432b0e2e5fd4bbbaaa5a64a49b5d26b5dce9e7f6995e3878ceb41259",
+    "vrssd-one-one-w3-armijo-centered": "8c270436c3c610d31b85062ecb4bd0dbf035d59efc205d27065ea8b4351465b7",
     "vrssd-one-one-w3-fixed-forward": "4141074fd106e8712e2c7912ef7ec42b2a18cf214e0d9f26d8d9ac049ba377bc",
     "vrssd-one-one-w3-theory-exact": "5b9ac2a616932ac9c4b594fd89f47b8e49fae452ded80459d6e82df20fe60fd3",
-    "vrssd-one-zero-w0-armijo-centered": "420c86bab6da9ad52f3d3aa279ce568129257416560d2d777399ac7899031eec",
+    "vrssd-one-zero-w0-armijo-centered": "06dfe931408815073002ea0be5a36c7938ed7fabcf9844d9aed50f50b1334640",
     "vrssd-one-zero-w0-fixed-forward": "fc511ed9fb34366536392cd324eb586bda40126e961a788ba31d9c480b2788b9",
     "vrssd-one-zero-w0-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
-    "vrssd-one-zero-w3-armijo-centered": "f1de48494b7b8ae568753ac1187bb9c3437bd302d9a45c33d8cd1f8cf97e81e1",
+    "vrssd-one-zero-w3-armijo-centered": "aabbcac4774a1f5e201cce54f4cfb56120d7f7e148f535164a2fab4be904e78f",
     "vrssd-one-zero-w3-fixed-forward": "cafa2e7ee86ac9498142f83c09f4cf6d8b21aeacb7895eef722b7f1b30e16085",
     "vrssd-one-zero-w3-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
     "vrssd-two-approx-w0-armijo-centered": "b6c1e5433560fe3c4c0b303d4f7b70e38d98bf6fee36d697f6f1cc3b9de2c90d",
     "vrssd-two-approx-w0-fixed-forward": "bf2b71c28b4cfeb06118e9662a328063dc4c4680fb3643876969efc80e459185",
     "vrssd-two-approx-w0-theory-exact": "c43663a46cb238204fd10fa3703c4092a81bd60558b60ea6fdb7b5a92475214a",
-    "vrssd-two-approx-w3-armijo-centered": "af9df431872832e8a7603586b8b77d3d28cd3df8af3c4b8e8b5e1b891ea4b290",
+    "vrssd-two-approx-w3-armijo-centered": "75d36afe996bf6be57cedc6f5a2995c74c4112a887bd42b3b45140b51953b375",
     "vrssd-two-approx-w3-fixed-forward": "0bb0f8add3128a4a0bdff55b8d06794cd85e6c6a6cf4e49b33f57b95b92bd43d",
     "vrssd-two-approx-w3-theory-exact": "573de8d83af2912e0157db96f124604f98fd77b969a3fe282b1236679b9c5217",
-    "vrssd-two-exact-w0-armijo-centered": "f295d30f7fe5a93da63110dab640cedee07f7d462a0b5f37baa98e7ae123e456",
-    "vrssd-two-exact-w0-fixed-forward": "420baf84b37492c6477e6efcf1bdff9f468fbdbb1b3f4837efc5dabd88f94e50",
+    "vrssd-two-exact-w0-armijo-centered": "aae14f505d0f2ce2d1cc205d3316ac8d1b6f3f7adc3718110aa2225249ad710a",
+    "vrssd-two-exact-w0-fixed-forward": "da93c19462d1e85f55cb0681ff144d200254cb6e0f031780ea90b85046f38ec6",
     "vrssd-two-exact-w0-theory-exact": "ea551cfa84d41f5685918cf7b7648c8a218a3a198d371fb0d56b1d2583371628",
-    "vrssd-two-exact-w3-armijo-centered": "d43e1de0c2563a160c2d207c392b9e0892a76bc6d977c1618914110dd3b0838b",
-    "vrssd-two-exact-w3-fixed-forward": "267cdd1cbc873076d26fd0d4cbcdc997a77359769acef730943bfec40342193e",
+    "vrssd-two-exact-w3-armijo-centered": "ce25e13262258b15c8cae8bb471a706ea6906c382a10d59cc9005ae8e868ffa3",
+    "vrssd-two-exact-w3-fixed-forward": "eedadaab9249b5259423a6b19d2a1cc9cb56d756692707adefe95d9ec96bc245",
     "vrssd-two-exact-w3-theory-exact": "f5c3827feb81d04a9f125bb7d09a9f9ed92178d6bf44fbee24d8c1b219736c5a",
     "vrssd-two-one-w0-armijo-centered": "3ba13bda8002313ab1a8ae5a8bcfb7580ec0b27a3194eb3ed399d0542a0fd3be",
     "vrssd-two-one-w0-fixed-forward": "e14945f3d240c67efd383efea84f73dde674e705f18ba7047ab68eb751ae78d1",
     "vrssd-two-one-w0-theory-exact": "2b208cb59e6757ea7ee6033180a05b8257bace9488620538b7b971831e25e77a",
-    "vrssd-two-one-w3-armijo-centered": "cf346ad3432b0e2e5fd4bbbaaa5a64a49b5d26b5dce9e7f6995e3878ceb41259",
+    "vrssd-two-one-w3-armijo-centered": "8c270436c3c610d31b85062ecb4bd0dbf035d59efc205d27065ea8b4351465b7",
     "vrssd-two-one-w3-fixed-forward": "87c1308eedb11a2647349acb68b124349fb521ae1d143321fc52b09fa69b546a",
     "vrssd-two-one-w3-theory-exact": "8e3adc72fe8f1bae5edda2a2b316ef59ef6ccc77b71c4565e14cd2bc4c9d664d",
-    "vrssd-two-zero-w0-armijo-centered": "45ff955460ddfbd20c3f61e513ce6f2effc3cb0c9be40117ee6dbafffb1081b8",
+    "vrssd-two-zero-w0-armijo-centered": "9a702b22529f3ffd58525fcbc97351d099247f086167ffb84c13acfec47ff593",
     "vrssd-two-zero-w0-fixed-forward": "c1e6449fb154b5d2d041bd7abd6ed47a844278371a71867b6e435ef7b60ed706",
     "vrssd-two-zero-w0-theory-exact": "c2d805269f895a2ff31b937e0a7342bc8a6fe98fabfa5a525a490ac6a0f697cc",
-    "vrssd-two-zero-w3-armijo-centered": "d80b5edcdc65d0e65533f3b9b44eac075e4a6fb904e7096bdb174c099a30a2b5",
+    "vrssd-two-zero-w3-armijo-centered": "b8018c9955dab69bd761887d6cdac693b5378a941fe54590dc73f4df4248fcf3",
     "vrssd-two-zero-w3-fixed-forward": "bb90c99cf60b8f13df656237356789c9385b10019e79e68a9676143b2dd60dd7",
     "vrssd-two-zero-w3-theory-exact": "3c6c3572d5d21fa71c2c18b4f9e5d327f6fd2dee8a9075356fea2cad0a249ae8",
 }

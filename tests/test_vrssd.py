@@ -333,10 +333,22 @@ class TestEpochAccounting:
         cfg = VrssdConfig(ell=2, step_rule=FixedStep(0.01), m=2, seed=0,
                           eta_mode="exact", max_iters=2)
         run_vrssd(obj, np.full(8, 1.5), cfg)
-        # start, anchor (reusing the start value), a step that reuses the
-        # anchor's value, a step that evaluates its base once for both
-        # estimates, close
-        assert obj.eval_count == 1 + 8 + (2 + 8) + (1 + 2 + 8) + 1
+        # start, anchor (reusing the start value), a step on the anchor that
+        # reuses its value and its gradient, a step that evaluates its base
+        # once for both estimates, close
+        assert obj.eval_count == 1 + 8 + 2 + (1 + 2 + 8) + 1
+
+    def test_exact_eta_step_on_the_anchor_is_admitted_at_its_own_cost(self):
+        # The budget fits the start, the anchor, the first inner step's two
+        # probes and the evaluation kept back for its value; it does not fit
+        # a second full gradient at the anchor, which that step no longer pays.
+        obj = isotropic_quadratic(8)
+        cfg = VrssdConfig(ell=2, step_rule=FixedStep(0.01), m=2, seed=0,
+                          eta_mode="exact", max_iters=2, eval_budget=1 + 8 + 2 + 1)
+        trace = run_vrssd(obj, np.full(8, 1.5), cfg)
+        assert trace.terminal_status == "budget_exhausted"
+        assert [e.evals for e in trace.entries] == [1, 11]
+        assert trace.charged == obj.eval_count == 12
 
 
 class TestOptionTwo:
