@@ -1,8 +1,8 @@
 """Zeroth-order baselines: full finite-difference gradient descent and BFGS.
 
 Both estimate the complete gradient every iteration (d forward differences
-plus f(x) when the run does not know it yet, or 2 d centered ones), which
-is what the sketched methods are trying to beat.  They run on the shared
+from the value the run knows at x, or 2 d centered ones), which is what
+the sketched methods are trying to beat.  They run on the shared
 driver of :mod:`ssdopt.ssd` with d coordinate directions per step; each
 supplies only its direction proposer.
 """

@@ -15,22 +15,22 @@ that fit rules out.
 Every solver in the package runs on one driver, ``_drive``.  The state of a
 run (step plan, budget, trace entries and current iterate) is one ``_Run``
 object.  ``_Run.evaluate`` admits and charges every single evaluation a run
-makes outside the oracle, and ``_Run.observe`` is the one place where a
-newly known value is checked to be finite, resolves a deferred entry,
-becomes current and is tested against the target.  The driver checks the
-config with ``SsdConfig.check`` (no runner checks its own; ``_single_step``
-checks for the one-step hooks), charges the first evaluation, steps through
-``_loop`` with the solver's direction proposer, and closes the run with its
+makes outside the oracle, and ``_Run.record`` is the one place where a
+value at a new iterate is checked to be finite, enters the trace, becomes
+current and is tested against the target.  The driver checks the config
+with ``SsdConfig.check`` (no runner checks its own; ``_single_step`` checks
+for the one-step hooks), charges the first evaluation, steps through
+``_loop`` with the solver's direction proposer, and ends the run with its
 terminal status.  A proposer takes the iterate, the step index and the
-value at the iterate when the run knows it, and returns ``(direction,
-decrease, f(x) or None)``; the loop takes the direction norm itself.  A
-run knows f at its iterate after its start evaluation, after Armijo
-accepts a trial (whose point becomes the iterate as evaluated) and after
-an anchor or probe set supplies it, so forward differences evaluate each
-iterate at most once.  ``run_ssd`` proposes sketched directions, the
-baselines propose full-gradient and quasi-Newton ones, and the
-variance-reduced solver runs its anchored epochs inside the same driver,
-one ``_loop`` call per stretch of steps.
+value at the iterate, and returns ``(direction, decrease, f(x) or None)``;
+the loop takes the direction norm itself.  From its start evaluation on, a
+run knows f at its iterate: Armijo's accepted trial is the new iterate as
+evaluated, and a fixed-rule step evaluates its new iterate at once.  So
+forward differences evaluate each iterate once, as the base of the next
+probe set.  ``run_ssd`` proposes sketched directions, the baselines
+propose full-gradient and quasi-Newton ones, and the variance-reduced
+solver runs its anchored epochs inside the same driver, one ``_loop`` call
+per stretch of steps.
 """
 
 from __future__ import annotations
@@ -168,9 +168,11 @@ class RunTrace:
     evaluations charged up to the moment it was reached (line-search trials
     included), its objective value, and the step size and direction norm
     that produced it.  Entry 0 is the starting point; its single evaluation
-    is part of the run's cost.  ``charged`` counts every evaluation of the
-    run, trials and a closing value after the last entry included; a trace
-    read back from a file has None.
+    is part of the run's cost.  A fixed-rule entry's count stops just before
+    the evaluation of its own value, while entry 0 and Armijo entries include
+    theirs.  ``charged`` counts every evaluation of the run, including that
+    last value and any trials or probes after the last entry; a trace read
+    back from a file has None.
     """
 
     entries: List[TraceEntry]
@@ -229,21 +231,17 @@ def _fixed_alpha(rule: StepRule, obj: Objective, ell: int) -> Optional[float]:
 
 
 class _TargetReached(Exception):
-    """Raised by :meth:`_Run.observe` once a recorded value meets the target."""
+    """Raised by :meth:`_Run.record` once a recorded value meets the target."""
 
 
 class _Run:
     """The state of one run: its step plan, budget, entries and iterate.
 
-    ``x`` is the current iterate after ``k`` steps and ``f`` its value, or
-    None while that value is unknown.  A new iterate's entry waits in
-    ``deferred`` until its value is observed: Armijo knows it at once, while
-    a fixed-rule step leaves it to the next shared evaluation at ``x``.  Once
-    the run has started, ``f`` is None exactly while an entry waits, which
-    is the one test for a value still owed.  A known ``f`` is the base value
-    of the next forward probe set, so that set evaluates only its shifted
-    points; ``step_cost`` counts those, and a probe set that must find f(x)
-    first costs one more.
+    ``x`` is the current iterate after ``k`` steps and ``f`` its value,
+    known from the start evaluation on: every step that moves ``x`` records
+    the new value with it.  A known ``f`` is the base value of the next
+    forward probe set, so that set evaluates only its shifted points;
+    ``step_cost`` counts those.
     """
 
     def __init__(self, obj: Objective, cfg: SsdConfig, n_dirs: int, x: np.ndarray):
@@ -253,13 +251,10 @@ class _Run:
         self.step_cost = _step_cost(cfg, n_dirs)
         # The proposer's decrease is the slope of f along -g, so Armijo may fit it.
         self.fit = True
-        # Forward differences evaluate f(x) as their base point when it is unknown.
-        self.supplies_value = cfg.fd.kind == "forward"
         self.target = cfg.target_value
         self.start = obj.eval_count
         self.limit = cfg.eval_budget
         self.entries: List[TraceEntry] = []
-        self.deferred: Optional[Tuple[int, int, float, float]] = None
         self.x = x
         self.f: Optional[float] = None
         self.k = 0
@@ -277,24 +272,14 @@ class _Run:
         self.ensure(1)
         return self.obj.evaluate(x)
 
-    def record(self, f: Optional[float], step: float, dirnorm: float) -> None:
-        """Enter iterate ``k`` at the evaluations charged so far; its value is
-        ``f``, or the next one observed when ``f`` is None."""
-        self.deferred = (self.k, self.used(), float(step), float(dirnorm))
-        self.f = None
-        if f is not None:
-            self.observe(f)
-
-    def observe(self, f: float) -> None:
-        """Take ``f`` as the value at ``x``: it resolves a deferred entry and
-        becomes current, then raises :class:`_TargetReached` if it meets the
-        target.  A NaN or inf value raises :class:`EvaluationError` instead."""
+    def record(self, f: float, step: float, dirnorm: float, evals: int) -> None:
+        """Enter iterate ``k`` with value ``f`` at ``evals`` charged
+        evaluations; ``f`` becomes current, then raises
+        :class:`_TargetReached` if it meets the target.  A NaN or inf value
+        raises :class:`EvaluationError` instead and is not recorded."""
         if not math.isfinite(f):
             raise EvaluationError("objective returned a non-finite value at an iterate", self.x)
-        if self.deferred is not None:
-            k, evals, step, dirnorm = self.deferred
-            self.entries.append(TraceEntry(k, evals, float(f), step, dirnorm))
-            self.deferred = None
+        self.entries.append(TraceEntry(self.k, evals, float(f), float(step), float(dirnorm)))
         self.f = f
         if self.target is not None and f <= self.target:
             raise _TargetReached
@@ -352,39 +337,35 @@ def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease,
     )
 
 
-# propose(x, k, f(x) or None) -> (direction g, decrease for the Armijo test, f(x) or None)
-Propose = Callable[[np.ndarray, int, Optional[float]],
-                   Tuple[np.ndarray, float, Optional[float]]]
+# propose(x, k, f(x)) -> (direction g, decrease for the Armijo test, f(x) or None);
+# _loop ignores the returned f(x), which only the one-step hooks read.
+Propose = Callable[[np.ndarray, int, float], Tuple[np.ndarray, float, Optional[float]]]
 
 
 def _loop(run: _Run, stop_k: int, propose: Propose) -> None:
     """Step ``run`` with ``propose`` until ``stop_k`` steps.
 
-    ``propose`` gets f(x) when the run knows it and gives it when its probes
-    evaluated it; each entry records the direction's norm.  Every stop (the
-    target, the budget, a failed line search or evaluation) is raised to
+    ``propose`` gets f(x), which the run knows at every iterate; each entry
+    records the direction's norm.  A fixed-rule step evaluates f at its new
+    iterate at once, admitted with the probes, and its entry counts the
+    evaluations charged before that value.  Every stop (the target, the
+    budget, a failed line search or evaluation) is raised to
     :func:`_drive`, which turns it into a status.
     """
     armijo = isinstance(run.rule, ArmijoStep)
-    # One evaluation is reserved after every fixed-rule step so the final
-    # iterate's value can always be recorded, even on a budget stop.
-    reserve = 0 if armijo else 1
     while run.k < stop_k:
-        if run.f is None and not run.supplies_value:
-            run.observe(run.evaluate(run.x))
-        # Only forward differences leave f unknown here; they evaluate it first.
-        run.ensure(run.step_cost + (run.f is None) + reserve)
-        g, decrease, fx = propose(run.x, run.k, run.f)
-        if run.f is None:
-            run.observe(fx)
+        run.ensure(run.step_cost + (not armijo))
+        g, decrease, _ = propose(run.x, run.k, run.f)
         if armijo:
             alpha, run.x, f_new = _armijo(run.evaluate, run.x, g, run.f, decrease, run.rule,
                                           run.fit)
+            evals = run.used()
         else:
-            alpha, f_new = run.alpha_fixed, None
+            alpha, evals = run.alpha_fixed, run.used()
             run.x = run.x - alpha * g
+            f_new = run.evaluate(run.x)
         run.k += 1
-        run.record(f_new, alpha, math.sqrt(g.dot(g)))
+        run.record(f_new, alpha, math.sqrt(g.dot(g)), evals)
 
 
 def _start_point(obj: Objective, x0) -> np.ndarray:
@@ -398,8 +379,7 @@ def _start_point(obj: Objective, x0) -> np.ndarray:
 
 def _step_cost(cfg: SsdConfig, n_dirs: int) -> int:
     """Evaluations one oracle call over ``n_dirs`` directions charges when
-    f at its point is known; a forward call that must evaluate it costs one
-    more."""
+    f at its point is known."""
     return {"forward": n_dirs, "centered": 2 * n_dirs, "exact": 0}[cfg.fd.kind]
 
 
@@ -446,18 +426,17 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
     step.  The driver checks ``cfg`` against ``obj``, builds the
     :class:`_Run`, charges the first evaluation, then steps through
     :func:`_loop` with ``propose``; a solver with its own outer structure
-    passes ``epochs`` instead, which continues the started run.  The four stops (target, budget, line search,
-    evaluation) are raised anywhere in the run and end it here with their
-    status; a run that ends without one is ``max_iters``.  After any stop
-    but a failed evaluation, a value still deferred at the final iterate is
-    evaluated, admitted like any other: every fixed-rule step keeps one
-    evaluation back for it.  It leaves the status as it is, unless it is NaN
-    or inf, which ends the run with ``evaluation_failed``.
+    passes ``epochs`` instead, which continues the started run.  The four
+    stops (target, budget, line search, evaluation) are raised anywhere in
+    the run and end it here with their status; a run that ends without one
+    is ``max_iters``.  Every entry's value is known when it is recorded, so
+    nothing is evaluated after the stepping ends.
     """
     cfg.check(obj)
     run = _Run(obj, cfg, n_dirs, _start_point(obj, x0))
     try:
-        run.record(run.evaluate(run.x), 0.0, 0.0)
+        f0 = run.evaluate(run.x)
+        run.record(f0, 0.0, 0.0, run.used())
         if epochs is None:
             _loop(run, cfg.max_iters, propose)
         else:
@@ -470,15 +449,7 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
     except LineSearchError:
         status = STATUS_LINE_SEARCH
     except EvaluationError:
-        # No evaluation is charged after the objective failed.
-        return RunTrace(run.entries, STATUS_EVALUATION, run.used())
-    if run.f is None:
-        # Meeting the target with the value at the close changes no status.
-        run.target = None
-        try:
-            run.observe(run.evaluate(run.x))
-        except EvaluationError:
-            status = STATUS_EVALUATION
+        status = STATUS_EVALUATION
     return RunTrace(run.entries, status, run.used())
 
 
@@ -502,10 +473,10 @@ def run_ssd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     ``budget_exhausted`` (the next operation would not fit; a partial step is
     discarded), ``max_iters``, ``line_search_failed``, or
     ``evaluation_failed`` (a finite-difference probe or the value at an
-    iterate was NaN or inf; that value is not recorded, and an entry still
-    waiting for its value is dropped).  Line-search trials are not checked:
-    a NaN or inf trial fails the decrease test and backtracks.  The trace
-    carries one entry per iterate with cumulative evaluation counts.
+    iterate was NaN or inf; that value is not recorded).  Line-search
+    trials are not checked: a NaN or inf trial fails the decrease test and
+    backtracks.  The trace carries one entry per iterate with cumulative
+    evaluation counts.
     """
     stream = SketchStream(cfg.seed)
     return _drive(obj, x0, cfg, cfg.ell,

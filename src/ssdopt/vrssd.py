@@ -2,8 +2,8 @@
 
 The run is organized in epochs. Each epoch refreshes an anchor: the current
 iterate x~ together with a full finite-difference gradient estimate g~ at it
-(d forward differences and f(x~) unless the run already knows it, or 2 d
-centered ones). Inner steps then combine the fresh sketched derivative
+(d forward differences from the value the run knows at x~, or 2 d centered
+ones). Inner steps then combine the fresh sketched derivative
 with the anchor as a control variate,
 
     v = P (s - eta t) + eta g~,      t = P^T g~,
@@ -20,7 +20,7 @@ base value of the sketched probes, except on an epoch's first inner step,
 which sits on the anchor and reuses its gradient), or "approx" (the same projection
 assembled from already-sketched quantities at zero extra cost).
 
-The run shares the config check, start, budget, stepping and close of
+The run shares the config check, start, budget, stepping and statuses of
 :func:`ssdopt.ssd.run_ssd` through its driver; ``VrssdConfig.check`` adds
 the epoch rules to the SSD ones, and only the epoch loop here knows about
 warmup, anchors and the option-two restart.
@@ -231,13 +231,9 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     With option "two", each epoch's restart index j is drawn from the epoch
     channel before the epoch starts, as it does not depend on the
     trajectory.  Once the epoch is complete, the run restarts at inner
-    iterate j with the value its trace entry holds, at no evaluation.  With
-    a fixed step rule, recording the value of the last inner iterate before
-    the jump still costs one evaluation per completed epoch; Armijo runs
-    already know it.  An anchor reuses a value the run knows at its point
-    and otherwise evaluates it with its forward differences.  One that does
-    not supply it (centered differences, ``FdScheme("exact")``) keeps one
-    evaluation back for it, so the run never charges past its budget.
+    iterate j with the value its trace entry holds, at no evaluation.  An
+    anchor's forward differences take the value the run knows at its point
+    as their base.
     """
     _check_vrssd_config(cfg, "run_vrssd")
 
@@ -252,14 +248,9 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
             run.step_cost += anchor_cost
         epoch = 0
         while run.k < cfg.max_iters:
-            # An unknown f(x) costs one more: the forward base point, or the
-            # evaluation kept back for a value the anchor will not supply.
-            run.ensure(anchor_cost + (run.f is None))
-            g_anchor, f_anchor = full_gradient_fd(obj, run.x, cfg.fd, return_value=True,
-                                                  fx=run.f)
+            run.ensure(anchor_cost)
+            g_anchor = full_gradient_fd(obj, run.x, cfg.fd, fx=run.f)
             anchor = AnchorState(run.x.copy(), g_anchor, epoch)
-            if run.f is None and f_anchor is not None:
-                run.observe(f_anchor)
 
             start, end = run.k, run.k + cfg.m
 
@@ -282,9 +273,6 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
                 restart = run.x
             _loop(run, min(end, cfg.max_iters), propose)
             if cfg.option == "two" and run.k == end:
-                # Resolve the deferred last entry at the pre-jump point first.
-                if run.f is None:
-                    run.observe(run.evaluate(run.x))
                 run.x, run.f = restart, run.entries[start + j].f
             epoch += 1
 

@@ -41,8 +41,8 @@ class TestGradientDescent:
         assert trace.entries[1].step == pytest.approx(0.2)
 
     def test_forward_accounting(self):
-        # The first gradient reuses the start value (d), each later one
-        # evaluates its unknown base (d + 1), and the close resolves the last.
+        # Each gradient takes the known value as its base (d), then the step
+        # evaluates its new iterate (1).
         for k in (4, 6):
             obj = isotropic_quadratic(6)
             run_fd_gd(obj, np.ones(6), SsdConfig(ell=1, step_rule=FixedStep(0.1), max_iters=k))

@@ -24,6 +24,10 @@ to reuse the anchor's gradient: ``readme`` (6173 evaluations instead of
 evaluations sk 43 to 41 and the exact-eta vr 60 to 48) and the two
 profiles of its traces.  Every trace keeps its iterates, values, steps,
 norms and status; only evaluation counts and what is built from them moved.
+``fixed-json-uniform-target`` was re-pinned (``evals = 75`` to ``73``) when
+a fixed-rule step began to evaluate its new iterate at once, so the run
+stops at the target before the next step's probes; ``t.json`` is
+byte-identical.
 """
 
 import hashlib
@@ -177,7 +181,7 @@ x0 = uniform:-1.0,2.5
 
 status = target_reached
 f = 5.944144507464465e-05
-evals = 75
+evals = 73
 trace written to t.json
 """,
         {

@@ -1,6 +1,7 @@
 """Subspace descent driver: steps, budgets, traces, admissibility."""
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -217,9 +218,9 @@ class TestTraceContract:
         assert final(0) != final(1)
 
     def test_forward_fixed_eval_stamps(self):
-        # base value is shared with the differences: the first step reuses
-        # the start value (ell), every later one evaluates its base (ell + 1),
-        # and one trailing evaluation resolves the last deferred entry.
+        # Each step's probes take the known value as their base (ell), then
+        # the step evaluates its new iterate (1); an entry counts the
+        # evaluations before its own value, so the run charges one more.
         obj = isotropic_quadratic(20)
         cfg = SsdConfig(ell=5, step_rule=FixedStep(0.25), max_iters=20)
         trace = run_ssd(obj, np.ones(20), cfg)
@@ -276,9 +277,9 @@ class TestTermination:
         assert obj.eval_count == 1
 
     def test_budget_reserve_resolves_last_entry(self):
-        # budget 7 with ell = 2 forward: start (1) + a first step that reuses
-        # the start value (2) + a second step (3) + the reserved closing
-        # evaluation lands exactly on the budget.
+        # budget 7 with ell = 2 forward: the start (1) and two steps, each
+        # admitted with its new iterate's value (2 + 1), land exactly on the
+        # budget.
         obj = isotropic_quadratic(6)
         trace = run_ssd(obj, np.ones(6), SsdConfig(ell=2, step_rule=FixedStep(0.1), eval_budget=7))
         assert trace.terminal_status == "budget_exhausted"
@@ -305,9 +306,9 @@ class TestTermination:
         assert len(trace.entries) == 4
 
     def test_non_finite_probe_ends_the_run(self):
-        # A step of 1e10 leaves the region where f is finite; the probes at
-        # the first such iterate end the run, and nothing is charged after
-        # them, so that iterate's deferred entry stays unrecorded.
+        # A step of 1e10 leaves the region where f is finite; the value at
+        # the first such iterate ends the run before any probe there, and
+        # that iterate gets no entry.
         seen = []
 
         def f(x):
@@ -319,9 +320,9 @@ class TestTermination:
         assert trace.terminal_status == "evaluation_failed"
         assert not math.isfinite(seen[-1])
         assert all(math.isfinite(e.f) for e in trace.entries)
-        # The last entry's value came from the next step's ell + 1 probes;
-        # the step after that spent ell + 1 more and failed.
-        assert obj.eval_count == trace.entries[-1].evals + 2 * 2
+        # The last entry's own value, then the next step's ell probes and
+        # its failed value.
+        assert obj.eval_count == trace.entries[-1].evals + 3
 
     @pytest.mark.parametrize(
         "gradient",
@@ -371,7 +372,7 @@ CHARGED_CASES = {
                                   step_rule=ArmijoStep(alpha_init=3.0, max_backtracks=1)),
                         "line_search_failed", 1),
     "ssd-evaluation": (run_ssd, partial(beyond_1e30_is_inf, 4),
-                       SsdConfig(ell=1, step_rule=FixedStep(1e10)), "evaluation_failed", 4),
+                       SsdConfig(ell=1, step_rule=FixedStep(1e10)), "evaluation_failed", 3),
     "gd-armijo-max-iters": (run_fd_gd, partial(nesterov_worst, 8.0, 5, 12),
                             SsdConfig(ell=1, max_iters=3), "max_iters", 0),
     "bfgs-armijo-budget": (run_fd_bfgs, partial(nesterov_worst, 8.0, 5, 12),
@@ -383,14 +384,15 @@ CHARGED_CASES = {
                           VrssdConfig(ell=2, m=3, max_iters=7), "line_search_failed", 44),
     "vrssd-evaluation": (run_vrssd, partial(beyond_1e30_is_inf, 4),
                          VrssdConfig(ell=1, step_rule=FixedStep(1e10), m=3),
-                         "evaluation_failed", 7),
+                         "evaluation_failed", 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHARGED_CASES))
 def test_charged_count_is_the_change_in_the_counter(case):
-    # Line-search trials after the last entry and a fixed-rule run's closing
-    # value are charged but recorded in no entry; the trace still counts them.
+    # A fixed-rule entry counts the evaluations before its own value, and
+    # probes and line-search trials after the last entry are recorded in no
+    # entry; the trace still counts them.
     runner, problem, cfg, status, after_last_entry = CHARGED_CASES[case]
     obj = problem()
     obj.evaluate(np.zeros(obj.d))  # a charge from before the run
@@ -402,10 +404,66 @@ def test_charged_count_is_the_change_in_the_counter(case):
     assert trace.charged - trace.entries[-1].evals == after_last_entry
 
 
+# A fixed-rule step evaluates its new iterate at once, so a run that stops
+# on its target, its iteration limit or its budget has charged exactly its
+# last entry's count and that entry's own value.  With m = 3, the vrssd
+# target step (the sixth) closes an epoch.
+FIXED_RULE_RUNNERS = {
+    "ssd": (run_ssd, SsdConfig, {}),
+    "gd": (run_fd_gd, SsdConfig, {}),
+    "vrssd": (run_vrssd, VrssdConfig, dict(m=3)),
+}
+FIXED_RULE_STOPS = {"target": "target_reached", "max-iters": "max_iters",
+                    "budget": "budget_exhausted"}
+
+
+@pytest.mark.parametrize("stop", sorted(FIXED_RULE_STOPS))
+@pytest.mark.parametrize("fd", ["forward", "centered", "exact"])
+@pytest.mark.parametrize("rule", [FixedStep(0.02), TheoreticalStep()], ids=["fixed", "theory"])
+@pytest.mark.parametrize("runner", sorted(FIXED_RULE_RUNNERS))
+def test_fixed_rule_run_charges_only_its_last_value_after_its_last_entry(runner, rule, fd, stop):
+    run, config, extra = FIXED_RULE_RUNNERS[runner]
+    cfg = config(ell=3, step_rule=rule, fd=FdScheme(fd), max_iters=7, seed=5, **extra)
+    if stop == "target":
+        free = run(nesterov_worst(8.0, 6, 16), np.linspace(-1.0, 1.0, 16), cfg)
+        assert free.entries[6].f < min(e.f for e in free.entries[:6])
+        cfg = replace(cfg, target_value=free.entries[6].f)
+    elif stop == "budget":
+        cfg = replace(cfg, max_iters=1000, eval_budget=100)
+    obj = nesterov_worst(8.0, 6, 16)
+    trace = run(obj, np.linspace(-1.0, 1.0, 16), cfg)
+    assert trace.terminal_status == FIXED_RULE_STOPS[stop]
+    if stop == "target":
+        assert trace.entries == free.entries[:7]
+    assert trace.charged == obj.eval_count == trace.entries[-1].evals + 1
+
+
+# The setups of test_max_iters_status (with a longer step) and
+# test_budget_reserve_resolves_last_entry: dimension, options, status.
+LIMIT_STOPS = {
+    "max-iters": (4, dict(step_rule=FixedStep(0.3), max_iters=3), "max_iters"),
+    "budget": (6, dict(step_rule=FixedStep(0.1), eval_budget=7), "budget_exhausted"),
+}
+
+
+@pytest.mark.parametrize("fd", ["forward", "centered"])
+@pytest.mark.parametrize("stop", sorted(LIMIT_STOPS))
+def test_fixed_rule_run_whose_last_value_meets_the_target_reaches_it(stop, fd):
+    # As an Armijo run does: the last value is known when it is recorded, so
+    # meeting the target there is the stop, not the limit that came next.
+    d, options, status = LIMIT_STOPS[stop]
+    cfg = SsdConfig(ell=2, fd=FdScheme(fd), **options)
+    free = run_ssd(isotropic_quadratic(d), np.ones(d), cfg)
+    assert free.terminal_status == status
+    trace = run_ssd(isotropic_quadratic(d), np.ones(d), replace(cfg, target_value=free.final.f))
+    assert trace.terminal_status == "target_reached"
+    assert trace.entries == free.entries
+
+
 
 # The value at each iterate is evaluated once: what a run knows there (the
-# start, an accepted Armijo trial, a probe set's or an anchor's base value)
-# is the base of the next forward differences.
+# start, an accepted Armijo trial, a fixed-rule step's new value) is the
+# base of the next forward differences.
 ONCE_PROBLEMS = {
     "chain": partial(nesterov_worst, 8.0, 6, 16),
     "lstsq": lambda: ProblemSpec.make("lstsq", {"m": 10, "d": 16, "rank": 5, "seed": 2}).build(),

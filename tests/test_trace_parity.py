@@ -30,7 +30,14 @@ counts moved.  ``stop-ssd-budget-mid-step-armijo`` and
 ``stop-vrssd-budget-mid-step-armijo`` keep every entry and fit one more on
 the same budget.  In ``bfgs-lstsq-centered`` the iterates first differ at
 entry 11, at f - f* = -8.9e-16, where the trial values differ from f0 by
-rounding alone and the fit sees noise.  No layer case moved.
+rounding alone and the fit sees noise.  No layer case moved.  Three
+cases were re-pinned when a fixed-rule step began to evaluate its new
+iterate at once instead of leaving that value to the next probe set or a
+closing evaluation, so a target met by a fixed-rule step stops the run
+before the next step's probes: ``stop-ssd-target-mid-run-fixed`` (eval
+count 188 -> 185), ``stop-gd-target-mid-run-fixed`` (1105 -> 1089) and
+``stop-vrssd-target-mid-run-fixed`` (441 -> 425).  Their entries and
+statuses are unchanged.
 
 The matrix covers the step rules and difference schemes of ssd and gd, the
 anchor options, eta modes and warmup of vrssd, every gradient source of
@@ -286,7 +293,7 @@ DIGESTS = {
     "stop-gd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-gd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-gd-target-mid-run-armijo": "99fe00efd5ce854bb9783563a9c35a213cc3b74c9a0e7243881276f51ea3f807",
-    "stop-gd-target-mid-run-fixed": "f25a7d21b08bacfae5c99e4e4a53421dee18769ceabbc0d456d00b6aea71cc6c",
+    "stop-gd-target-mid-run-fixed": "1eb41024e67d029a494f45e5a24140fd505854c66e0e895297efe91374896e4a",
     "stop-ssd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-ssd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-ssd-budget-mid-step-armijo": "ca77060955fec69dbe6d6b8b5444d4d2e78e8a7df6f2f040ae981699e4df57ad",
@@ -297,7 +304,7 @@ DIGESTS = {
     "stop-ssd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-ssd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-ssd-target-mid-run-armijo": "43f3138bd018b133e81eab020cea7d33ec4b87f11feb515727680e952d0632b7",
-    "stop-ssd-target-mid-run-fixed": "e5b78069faac8c790eb27f22b9308096de013640d2d8655e5820d94a04801db2",
+    "stop-ssd-target-mid-run-fixed": "67c5fd9762a4084393d41f7c69853c71ceafd39e7cd8cff56982c8a7c663570f",
     "stop-vrssd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-vrssd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-vrssd-budget-mid-step-armijo": "c06ebec4d718c60e6b8d42e61e25da111f2374d4e25f25b3f52dc55b3eecf93c",
@@ -308,7 +315,7 @@ DIGESTS = {
     "stop-vrssd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-vrssd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-vrssd-target-mid-run-armijo": "049b2531bdcf6521616060537f7f14ac342cfda715897998a0f669f83014a8e8",
-    "stop-vrssd-target-mid-run-fixed": "25359bb999935c6ff92e6b6e385f039e362dc5a3f042d9ea964ce06c2ac857b6",
+    "stop-vrssd-target-mid-run-fixed": "3242fe7276d02355f22c817d575eaa391498de334234b61cec4ae22451f94147",
     "vrssd-one-approx-w0-armijo-centered": "b6c1e5433560fe3c4c0b303d4f7b70e38d98bf6fee36d697f6f1cc3b9de2c90d",
     "vrssd-one-approx-w0-fixed-forward": "4fff567da1aa726ea523fe7f77d97b146fa7b28223955eab26d95c790a96ed4f",
     "vrssd-one-approx-w0-theory-exact": "1c6be2f4a869130808b05f8385c909f8d046913c983e48c0278018ae19f56aa4",

@@ -314,9 +314,8 @@ class TestEpochAccounting:
         return obj.eval_count
 
     def test_forward_epoch_cost(self):
-        # start 1, anchor d + 1 (d when it reuses the start value), m inner
-        # steps at ell + 1 each but the first, which reuses the anchor's
-        # value (ell), final resolve
+        # start 1, anchor d (it reuses the value the run knows), m inner
+        # steps at ell probes plus the new iterate's value each
         one = self.count(4)
         two = self.count(8)
         assert one == 1 + 12 + 3 + 3 * 4 + 1
@@ -334,13 +333,13 @@ class TestEpochAccounting:
                           eta_mode="exact", max_iters=2)
         run_vrssd(obj, np.full(8, 1.5), cfg)
         # start, anchor (reusing the start value), a step on the anchor that
-        # reuses its value and its gradient, a step that evaluates its base
-        # once for both estimates, close
+        # reuses its gradient, then its new value, a step whose two estimates
+        # share that base value, then its new value
         assert obj.eval_count == 1 + 8 + 2 + (1 + 2 + 8) + 1
 
     def test_exact_eta_step_on_the_anchor_is_admitted_at_its_own_cost(self):
         # The budget fits the start, the anchor, the first inner step's two
-        # probes and the evaluation kept back for its value; it does not fit
+        # probes and its new iterate's value; it does not fit
         # a second full gradient at the anchor, which that step no longer pays.
         obj = isotropic_quadratic(8)
         cfg = VrssdConfig(ell=2, step_rule=FixedStep(0.01), m=2, seed=0,
@@ -426,10 +425,9 @@ class TestOptionTwo:
             run_vrssd(obj, np.ones(6), cfg)
             return obj.eval_count
 
-        # One pre-jump resolve per completed epoch, but the anchor at the
-        # restart point reuses the value its trace entry holds, where option
-        # "one" evaluates f at its new anchor; the last resolve doubles as
-        # the terminal value that option "one" pays at close.
+        # The jump costs nothing: the restart point's value is the one its
+        # trace entry holds, and the anchor there reuses it, as option "one"'s
+        # anchor reuses the last inner iterate's value.
         for epochs in (2, 3):
             assert total("two", epochs) == total("one", epochs)
 
@@ -466,8 +464,8 @@ class TestTermination:
         assert obj.eval_count == 1
 
     def test_budget_stops_mid_epoch_with_resolved_entries(self):
-        # start 1, anchor 6 (reusing the start value), one inner step 2,
-        # then the reserved closing evaluation: the next step would need 4.
+        # start 1, anchor 6 (reusing the start value), one inner step 2 and
+        # its new iterate's value 1: the next step would need 3.
         obj = isotropic_quadratic(6)
         cfg = VrssdConfig(ell=2, m=3, step_rule=FixedStep(0.1), eval_budget=10)
         trace = run_vrssd(obj, np.ones(6), cfg)
@@ -478,9 +476,9 @@ class TestTermination:
 
     @pytest.mark.parametrize("eta_mode", ["zero", "approx", "exact"])
     def test_centered_fixed_step_never_charges_past_the_budget(self, eta_mode):
-        # Centered differences do not supply the value at an iterate, so an
-        # anchor that fits exactly must still leave one evaluation for the
-        # last inner iterate's value, which the close records.
+        # Each inner step is admitted with its new iterate's value, so an
+        # anchor that fits the budget exactly leaves the run nothing to
+        # overspend.
         for budget in range(1, 81):
             obj = isotropic_quadratic(4)
             cfg = VrssdConfig(ell=1, m=1, fd=FdScheme("centered"), eta_mode=eta_mode,
@@ -500,8 +498,9 @@ class TestTermination:
         assert trace.entries[-1].f <= 1e-3 * f0
 
     def test_target_met_before_a_restart_ends_the_run(self):
-        # Option "two" learns the last inner iterate's value just before the
-        # restart jumps away from it; meeting the target there ends the run.
+        # The last inner iterate's value is evaluated with its step, before
+        # the restart jumps away from it; meeting the target there ends the
+        # run.
         cfg = VrssdConfig(ell=2, m=3, option="two", fd=FdScheme("exact"),
                           step_rule=FixedStep(0.5), max_iters=30, seed=3)
         free = run_vrssd(isotropic_quadratic(4), np.ones(4), cfg)
@@ -512,17 +511,17 @@ class TestTermination:
         assert trace.entries == free.entries[:4]
 
     def test_non_finite_anchor_probe_ends_the_run(self):
-        # The objective turns NaN after 6 calls: the start (1) and two warmup
-        # steps (2, reusing the start value, then 3) are finite, the first
-        # anchor's d + 1 probes are not.
+        # The objective turns NaN after 6 calls: the start (1), the first
+        # warmup step (2 probes and its value) and the second step's probes
+        # (2) are finite, the second warmup iterate's value is not.
         calls = iter(range(10**6))
         obj = Objective(6, lambda x: 0.5 * float(x @ x) if next(calls) < 6 else math.nan)
         cfg = VrssdConfig(ell=2, m=3, step_rule=FixedStep(0.1), warmup_iters=2)
         trace = run_vrssd(obj, np.ones(6), cfg)
         assert trace.terminal_status == "evaluation_failed"
-        assert obj.eval_count == 6 + 7
-        # The second warmup step's value was to come from the anchor, so its
-        # entry stays unrecorded.
+        assert obj.eval_count == 7
+        # The run ends before the first anchor's probes, and the second
+        # warmup iterate gets no entry.
         assert [e.iteration for e in trace.entries] == [0, 1]
 
     def test_max_iters_counts_inner_steps(self):
