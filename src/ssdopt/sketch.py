@@ -24,9 +24,21 @@ counter zeroed and the buffer empty, which is exactly the state
 ``Philox(SeedSequence(...))`` starts in, so every sketch is the byte-for-byte
 sketch of ``RngStream(seed, 0, k)``.  The keys come from
 :func:`philox_keys`, a port of SeedSequence's hashing that derives them for
-:data:`KEY_BLOCK` consecutive steps in one vectorized pass.  The stream is
-mutable state: each run builds its own, and no stream is ever shared
-between runs or threads.
+:data:`KEY_BLOCK` consecutive steps in one vectorized pass.
+
+A step's sketch depends only on the seed and the step index, so the stream
+draws Haar frames for several steps at once.  It fills one ``(n, d, ell)``
+block, slice i from the generator keyed for step k + i, and factors it with
+one stacked QR, which LAPACK computes slice by slice exactly as it would
+each slice alone.  n starts at 1, at a run's start and after any jump out
+of the block, and doubles while the steps run on, up to :data:`KEY_BLOCK`
+frames and :data:`BLOCK_FLOATS` floats: a run that stops early draws fewer
+than twice its steps, and memory stays bounded at any d.  A slice with a
+zero pivot is redrawn by the per-call :func:`draw_haar` at its own address,
+which replays that step's redraw.  The frames are read-only views into the
+block.  Gaussian and coordinate sketches have no factorization to share and
+stay one draw per step.  The stream is mutable state: each run builds
+its own, and no stream is ever shared between runs or threads.
 
 The Haar frame comes from a thin QR factorization that calls the two
 LAPACK gufuncs behind :func:`numpy.linalg.qr` (``qr_r_raw``, then
@@ -85,6 +97,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 KEY_BLOCK = 64
+# The most floats one block of Haar frames holds (512 KiB).
+BLOCK_FLOATS = 2**16
 
 
 def _words(n: int) -> list:
@@ -164,6 +178,18 @@ class SketchStream:
     starts in, so it yields the same bytes.  The returned generator is the
     same object every time and is only valid until the next call, so a
     stream belongs to one run and is never shared between runs or threads.
+
+    :meth:`haar` serves step k's Haar frame from the current block, and
+    fills a new block when k lies outside it or the shape differs: slice i
+    is the first fill :func:`draw_haar` takes for step k + i, from
+    ``generator()`` keyed for that step, and one stacked :func:`_signed_qr`
+    factors the block.  The block holds n frames, where n doubles from 1
+    while the steps run on from the block's end and falls back to 1 after a
+    jump, up to :data:`KEY_BLOCK` frames and :data:`BLOCK_FLOATS` floats
+    (one frame at least).  A slice whose R diagonal has a zero is replaced
+    by ``draw_haar(d, ell, RngStream(seed, outer, k + i))``, which replays
+    that step's redraw.  Frames are read-only views into a block no other
+    call writes to.
     """
 
     def __init__(self, seed: int, outer: int = SKETCH_CHANNEL):
@@ -175,6 +201,8 @@ class SketchStream:
         self._state = {"bit_generator": "Philox", "state": self._key_state,
                        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
+        # The Haar block: its first step and its read-only frames.
+        self._frames_start, self._frames = 0, np.empty((0, 0, 0))
 
     def at(self, inner: int) -> "SketchStream":
         self.inner = inner
@@ -189,6 +217,31 @@ class SketchStream:
         self._key_state["key"] = self._keys[j]
         self._bitgen.state = self._state
         return self._gen
+
+    def haar(self, d: int, ell: int) -> np.ndarray:
+        """The current step's scaled Haar frame, a read-only view."""
+        frames, k = self._frames, self.inner
+        j = k - self._frames_start
+        if not 0 <= j < len(frames) or frames.shape[1:] != (d, ell):
+            # The block doubles while the steps run on from its end.
+            runs_on = j == len(frames) and frames.shape[1:] == (d, ell)
+            frames, j = self._fill_haar(d, ell, k, 2 * len(frames) if runs_on else 1), 0
+        return frames[j]
+
+    def _fill_haar(self, d: int, ell: int, k: int, n: int) -> np.ndarray:
+        """Factor the block of at most n frames from step k on."""
+        n = min(n, KEY_BLOCK, max(1, BLOCK_FLOATS // (d * ell)))
+        fill = np.empty((n, d, ell))
+        for i in range(n):
+            self.inner = k + i
+            self.generator().standard_normal(out=fill[i])
+        self.inner = k
+        frames, diag = _signed_qr(fill, np.sqrt(d / ell))
+        for i in np.flatnonzero((diag == 0.0).any(axis=-1)):
+            frames[i] = draw_haar(d, ell, RngStream(self.seed, self.outer, k + int(i))).matrix
+        frames.flags.writeable = False
+        self._frames_start, self._frames = k, frames
+        return frames
 
 
 @dataclass(frozen=True)
@@ -256,8 +309,14 @@ def _qr_failed(err, flag):
 
 
 def draw_haar(d: int, ell: int, rng: RngStream) -> Sketch:
-    """Uniformly random orthonormal ell-frame, scaled by sqrt(d/ell)."""
+    """Uniformly random orthonormal ell-frame, scaled by sqrt(d/ell).
+
+    A :class:`SketchStream` serves the frame from its block; any other
+    stream draws it here, from its own generator.
+    """
     _check_ell(d, ell)
+    if isinstance(rng, SketchStream):
+        return Sketch(rng.haar(d, ell), d, ell, "haar")
     gen = rng.generator()
     scale = np.sqrt(d / ell)
     while True:
