@@ -9,8 +9,9 @@ Three step rules are supported: a fixed alpha, the theoretical
 ell / (d lambda), and Armijo backtracking whose sufficient-decrease test
 uses s^T s (already available from the sketch) so it needs no extra
 derivative information.  The same s^T s is the slope of a quadratic fit
-through the first rejected trial, which lets the search skip the trials
-that fit rules out.
+through the first rejected trial: the search tries that fit's step next,
+and the skipped step above it only when a second fit, through the
+accepted trial, allows it.
 
 Every solver in the package runs on one driver, ``_drive``.  The state of a
 run (step plan, budget, trace entries and current iterate) is one ``_Run``
@@ -69,10 +70,12 @@ class ArmijoStep:
     """Backtracking on the grid alpha_init shrink^n, n < max_backtracks.
 
     ``max_backtracks`` counts grid steps, evaluated or skipped: after a
-    rejected first trial a quadratic fit skips the steps it rules out (see
-    ``_armijo``).  Along a quadratic, with an accurate slope, the accepted
-    step is plain backtracking's; otherwise a fit off by more than a factor
-    1/shrink can give a smaller step, which still passes the decrease test.
+    rejected first trial a quadratic fit skips the steps it rules out, and
+    the step just above the fit's is tried only when a second fit allows it
+    (see ``_armijo``).  Along a quadratic, with an accurate slope, the
+    accepted step is plain backtracking's; otherwise a fit off by more than
+    a factor 1/shrink can give a smaller step, which still passes the
+    decrease test.
     """
 
     c1: float = 1e-4
@@ -169,10 +172,11 @@ class RunTrace:
     included), its objective value, and the step size and direction norm
     that produced it.  Entry 0 is the starting point; its single evaluation
     is part of the run's cost.  A fixed-rule entry's count stops just before
-    the evaluation of its own value, while entry 0 and Armijo entries include
-    theirs.  ``charged`` counts every evaluation of the run, including that
-    last value and any trials or probes after the last entry; a trace read
-    back from a file has None.
+    the evaluation of its own value, while entry 0 and Armijo entries end at
+    the evaluation that produced theirs; a rejected Armijo look-ahead after
+    it is counted by the next entry.  ``charged`` counts every evaluation of
+    the run, including that last value and any trials or probes after the
+    last entry; a trace read back from a file has None.
     """
 
     entries: List[TraceEntry]
@@ -281,14 +285,23 @@ class _Run:
             raise EvaluationError("objective returned a non-finite value at an iterate", self.x)
         self.entries.append(TraceEntry(self.k, evals, float(f), float(step), float(dirnorm)))
         self.f = f
-        if self.target is not None and f <= self.target:
+        if self.meets_target(f):
             raise _TargetReached
+
+    def meets_target(self, f: float) -> bool:
+        return self.target is not None and f <= self.target
+
+    def may_look(self, f: float) -> bool:
+        """Whether a line search that found ``f`` may evaluate one more
+        trial: not when ``f`` meets the target, where the run stops, nor
+        when the budget has no evaluation left."""
+        return not self.meets_target(f) and self.used() < self.limit
 
 
 def _fit_limit(f0, decrease, alpha, trial, c1) -> Optional[float]:
     """The largest step that the quadratic through f0, slope -decrease and
-    the rejected trial (alpha, trial) accepts, (1 - c1) decrease / curvature;
-    None unless that fit is finite and convex."""
+    the trial (alpha, trial) accepts, (1 - c1) decrease / curvature; None
+    unless that fit is finite and convex."""
     curvature = (trial - float(f0) + alpha * decrease) / alpha / alpha
     if not (math.isfinite(curvature) and curvature > 0):
         return None
@@ -296,42 +309,60 @@ def _fit_limit(f0, decrease, alpha, trial, c1) -> Optional[float]:
 
 
 def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease,
-            rule: ArmijoStep, fit: bool = True):
+            rule: ArmijoStep, fit: bool = True,
+            may_look: Callable[[float], bool] = lambda value: True):
     """Largest alpha in {alpha_init shrink^n, n < max_backtracks} with
     f(x - alpha g) <= f0 - c1 alpha decrease; ``evaluate`` values each trial.
 
     When the first trial is rejected and ``fit`` holds (``decrease`` is the
-    slope of f along -g), the quadratic fit of :func:`_fit_limit` skips every
-    grid step it rejects by more than one grid step, so the next trial sits
-    one grid step above the fit's largest acceptable step and checks it.
-    The search halves plainly when the fit is not finite and convex, or when
-    the skip would pass the last grid step, so the smallest step is always
-    tried before the search fails.  ``max_backtracks`` counts grid steps,
-    evaluated or skipped.  Along a quadratic, with an accurate slope, the
-    accepted step is plain backtracking's; otherwise a fit off by more than
-    a factor 1/shrink can give a smaller step, which still passes the same
-    test.
+    slope of f along -g), the next trial is the largest grid step that the
+    quadratic fit of :func:`_fit_limit` accepts.  If that trial passes and
+    ``may_look(value)`` holds, a second fit through it decides on the
+    skipped step just above: that step is evaluated unless the second fit
+    rules it out, and taken if it passes.  When the fit's step lies just
+    past the grid the search tries the last grid step; it halves plainly
+    when the fit is not finite and convex or rules out the whole grid, so
+    the smallest step is always tried before the search fails.
+    ``max_backtracks`` counts grid steps, evaluated or skipped.  Along a
+    quadratic, with an accurate slope, the accepted step is plain
+    backtracking's; otherwise a fit off by more than a factor 1/shrink can
+    give a smaller step, which still passes the same test.
 
-    Returns ``(alpha, point, value)`` with the accepted trial point itself,
-    so its value belongs to exactly that array.
+    Returns ``(alpha, point, value, late)`` with the accepted trial point
+    itself, so its value belongs to exactly that array; ``late`` is 1 when a
+    rejected look-ahead was evaluated after the accepted trial, else 0.
     """
-    alpha, n = rule.alpha_init, 0
+    def passes(step, value):
+        return value <= f0 - rule.c1 * step * decrease
+
+    alpha, n, above = rule.alpha_init, 0, None
     while n < rule.max_backtracks:
         point = x - alpha * direction
         trial = evaluate(point)
-        if trial <= f0 - rule.c1 * alpha * decrease:
-            return alpha, point, trial
+        if passes(alpha, trial):
+            if above is not None and may_look(trial):
+                limit = _fit_limit(f0, decrease, alpha, trial, rule.c1)
+                if limit is None or limit >= above:
+                    point_above = x - above * direction
+                    trial_above = evaluate(point_above)
+                    if passes(above, trial_above):
+                        return above, point_above, trial_above, 0
+                    return alpha, point, trial, 1
+            return alpha, point, trial, 0
         limit = _fit_limit(f0, decrease, alpha, trial, rule.c1) if fit and n == 0 else None
         alpha *= rule.shrink
         n += 1
+        above = None
         if limit is not None:
-            skip_n, skip_alpha = n, alpha
-            # Skip a grid step while the fit also rejects the step after it.
-            while skip_n < rule.max_backtracks and skip_alpha * rule.shrink > limit:
-                skip_alpha *= rule.shrink
-                skip_n += 1
-            if skip_n < rule.max_backtracks:
-                n, alpha = skip_n, skip_alpha
+            # Walk down the grid to the fit's largest acceptable step.
+            fit_n, fit_alpha, up = n, alpha, None
+            while fit_n < rule.max_backtracks and fit_alpha > limit:
+                up, fit_alpha, fit_n = fit_alpha, fit_alpha * rule.shrink, fit_n + 1
+            if fit_n < rule.max_backtracks:
+                n, alpha, above = fit_n, fit_alpha, up
+            elif fit_alpha <= limit and up is not None:
+                # That step lies just past the grid: try the last grid step.
+                n, alpha = fit_n - 1, up
     raise LineSearchError(
         f"no sufficient decrease within {rule.max_backtracks} backtracks"
     )
@@ -348,18 +379,19 @@ def _loop(run: _Run, stop_k: int, propose: Propose) -> None:
     ``propose`` gets f(x), which the run knows at every iterate; each entry
     records the direction's norm.  A fixed-rule step evaluates f at its new
     iterate at once, admitted with the probes, and its entry counts the
-    evaluations charged before that value.  Every stop (the target, the
-    budget, a failed line search or evaluation) is raised to
-    :func:`_drive`, which turns it into a status.
+    evaluations charged before that value.  An Armijo entry counts up to
+    its accepted trial; a rejected look-ahead after it is left to the next
+    entry.  Every stop (the target, the budget, a failed line search or
+    evaluation) is raised to :func:`_drive`, which turns it into a status.
     """
     armijo = isinstance(run.rule, ArmijoStep)
     while run.k < stop_k:
         run.ensure(run.step_cost + (not armijo))
         g, decrease, _ = propose(run.x, run.k, run.f)
         if armijo:
-            alpha, run.x, f_new = _armijo(run.evaluate, run.x, g, run.f, decrease, run.rule,
-                                          run.fit)
-            evals = run.used()
+            alpha, run.x, f_new, late = _armijo(run.evaluate, run.x, g, run.f, decrease,
+                                                run.rule, run.fit, run.may_look)
+            evals = run.used() - late
         else:
             alpha, evals = run.alpha_fixed, run.used()
             run.x = run.x - alpha * g
@@ -408,7 +440,8 @@ def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction,
     alpha = _fixed_alpha(cfg.step_rule, obj, cfg.ell)
     if alpha is None:
         f0 = fx if fx is not None else obj.evaluate(x)
-        alpha, x_next, f_entry = _armijo(obj.evaluate, x, g, f0, decrease, cfg.step_rule, fit)
+        alpha, x_next, f_entry, _ = _armijo(obj.evaluate, x, g, f0, decrease, cfg.step_rule,
+                                            fit)
     else:
         x_next, f_entry = x - alpha * g, (fx if fx is not None else math.nan)
     entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha,

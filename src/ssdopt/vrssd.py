@@ -17,8 +17,10 @@ The weight eta is "zero" (plain sketched descent), "one" (classic control
 variate), "exact" (the variance-optimal projection of the true gradient onto
 g~, a diagnostic: d extra forward evaluations per step, which share the
 base value of the sketched probes, except on an epoch's first inner step,
-which sits on the anchor and reuses its gradient), or "approx" (the same projection
-assembled from already-sketched quantities at zero extra cost).
+which sits on the anchor and reuses its gradient; an option "two" anchor in
+turn reuses the gradient that the step at its restart point took), or
+"approx" (the same projection assembled from already-sketched quantities
+at zero extra cost).
 
 The run shares the config check, start, budget, stepping and statuses of
 :func:`ssdopt.ssd.run_ssd` through its driver; ``VrssdConfig.check`` adds
@@ -184,14 +186,14 @@ def rate_bound_vrssd(alpha: float, gamma: float, lam: float, m: int, rho: float,
 
 
 def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng, fx=None, g_full=None):
-    """Proposal ``(v, s^T s, f(x) or None)`` for a sketch drawn from ``rng``;
-    ``fx`` is f(x) when known.
+    """Proposal ``(v, s^T s, f(x) or None, full gradient or None)`` for a
+    sketch drawn from ``rng``; ``fx`` is f(x) when known.
 
     The exact eta mode adds a full gradient from ``cfg.fd`` to the sketched
     derivatives, charged as the run's step cost counts it (nothing when the
     source is ``FdScheme("exact")``); forward differences take the base
     value the sketched probes used.  ``g_full`` supplies that gradient when
-    the caller already has it at ``x``.
+    the caller already has it at ``x``; the gradient used is returned last.
     """
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
     s_vec, fx = directional_derivatives(obj, x, P, cfg.fd, return_value=True, fx=fx)
@@ -203,7 +205,7 @@ def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng, fx=None, g
     else:
         eta = eta_value(cfg.eta_mode, s_vec, t, anchor.gradient)
     v = P.apply(s_vec - eta * t) + eta * anchor.gradient
-    return v, float(s_vec @ s_vec), fx
+    return v, float(s_vec @ s_vec), fx, g_full
 
 
 def vrssd_inner_step(obj: Objective, x, anchor: AnchorState, cfg: VrssdConfig,
@@ -216,7 +218,7 @@ def vrssd_inner_step(obj: Objective, x, anchor: AnchorState, cfg: VrssdConfig,
     """
     _check_vrssd_config(cfg, "vrssd_inner_step")
     return _single_step(obj, x, cfg, iteration,
-                        lambda x: _vr_direction(obj, x, anchor, cfg, rng),
+                        lambda x: _vr_direction(obj, x, anchor, cfg, rng)[:3],
                         fit=cfg.eta_mode == "zero")
 
 
@@ -233,7 +235,9 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     trajectory.  Once the epoch is complete, the run restarts at inner
     iterate j with the value its trace entry holds, at no evaluation.  An
     anchor's forward differences take the value the run knows at its point
-    as their base.
+    as their base.  With ``eta_mode="exact"`` the step at inner iterate j
+    < m already took the full gradient there, from that same base value,
+    so the next anchor reuses it and is admitted at no cost.
     """
     _check_vrssd_config(cfg, "run_vrssd")
 
@@ -246,19 +250,32 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
         run.fit = cfg.eta_mode == "zero"
         if cfg.eta_mode == "exact":
             run.step_cost += anchor_cost
-        epoch = 0
+        epoch, restart_gradient = 0, None
         while run.k < cfg.max_iters:
-            run.ensure(anchor_cost)
-            g_anchor = full_gradient_fd(obj, run.x, cfg.fd, fx=run.f)
+            if restart_gradient is None:
+                run.ensure(anchor_cost)
+                g_anchor = full_gradient_fd(obj, run.x, cfg.fd, fx=run.f)
+            else:
+                g_anchor, restart_gradient = restart_gradient, None
             anchor = AnchorState(run.x.copy(), g_anchor, epoch)
 
             start, end = run.k, run.k + cfg.m
+            if cfg.option == "two":
+                # The next epoch restarts from a uniformly chosen inner iterate.
+                rng = RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator()
+                j = int(rng.integers(1, cfg.m + 1))
 
             def propose(x, k, fx):
+                nonlocal restart_gradient
                 # The first inner step sits on the anchor: its full gradient
                 # would repeat the anchor's probes at the same base value.
                 g_full = anchor.gradient if k == start else None
-                return _vr_direction(obj, x, anchor, cfg, stream.at(k), fx, g_full)
+                v, decrease, fx, g_full = _vr_direction(obj, x, anchor, cfg, stream.at(k), fx,
+                                                        g_full)
+                if cfg.option == "two" and k == start + j:
+                    # The next anchor sits here, with the same base value.
+                    restart_gradient = g_full
+                return v, decrease, fx
 
             if cfg.eta_mode == "exact":
                 # So that first step is admitted at its own, smaller cost.
@@ -266,9 +283,6 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
                 _loop(run, min(start + 1, cfg.max_iters), propose)
                 run.step_cost += anchor_cost
             if cfg.option == "two":
-                # The next epoch restarts from a uniformly chosen inner iterate.
-                rng = RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator()
-                j = int(rng.integers(1, cfg.m + 1))
                 _loop(run, min(start + j, cfg.max_iters), propose)
                 restart = run.x
             _loop(run, min(end, cfg.max_iters), propose)

@@ -10,24 +10,8 @@ three-solver sweep under a fraction threshold, a sweep where each solver
 keeps its own target, and a profile under each threshold rule.  All
 commands share one working directory and run in the order listed, so the
 profiles read the fraction sweep's traces.  Like ``test_trace_parity``, the
-floats were recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64.  Every
-case but ``armijo-params`` (centered differences) was re-pinned when a
-known value at the iterate became the base of the next forward
-differences instead of being evaluated again: each trace keeps its
-iterates, values, steps, norms and status, and only the evaluation counts,
-the medians and the profile ratios built from them moved (the README run
-charges 7487 evaluations instead of 8460).  Five cases were re-pinned when
-Armijo began to skip the trials that a quadratic fit through its first
-rejected trial rules out, and an exact-eta vrssd step on the anchor began
-to reuse the anchor's gradient: ``readme`` (6173 evaluations instead of
-7487), ``armijo-params`` (361 instead of 465), ``sweep-fraction`` (median
-evaluations sk 43 to 41 and the exact-eta vr 60 to 48) and the two
-profiles of its traces.  Every trace keeps its iterates, values, steps,
-norms and status; only evaluation counts and what is built from them moved.
-``fixed-json-uniform-target`` was re-pinned (``evals = 75`` to ``73``) when
-a fixed-rule step began to evaluate its new iterate at once, so the run
-stops at the target before the next step's probes; ``t.json`` is
-byte-identical.
+floats were recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64.
+CHANGES.md records each re-pin and why it moved.
 """
 
 import hashlib
@@ -115,13 +99,13 @@ target = none
 x0 = zeros
 
 status = line_search_failed
-f = -0.9090909090909084
-evals = 6173
+f = -0.909090909090908
+evals = 4816
 trace written to trace.csv
 """,
         {
             "trace.csv":
-                "734c71daa10f68af4cd4a7f60547ab9f32d520cf0d5eeb88137b9afff9c3615a",
+                "0d03bd461fa38bc50fcae5ece1a236cf2288b3915985852ba94f659588329ae0",
         },
     ),
     "vrssd-aliases": (
@@ -212,12 +196,12 @@ x0 = zeros
 
 status = max_iters
 f = 0.7173342167847353
-evals = 361
+evals = 321
 trace written to trace.csv
 """,
         {
             "trace.csv":
-                "c3ed1abf23f20cfca9db841d0602c75e8a829f473d006a10510fcc3c6918493d",
+                "a94e5ea3a033127eb5bedf551ba2eb86e863cc1f4a01341aaf815fdadcd9caba",
         },
     ),
     "sweep-fraction": (
@@ -271,7 +255,7 @@ warmup = 1
 
 [summary]
 solver trials success median_evals
-sk 3 1.000 41.0
+sk 3 1.000 36.0
 gd 3 1.000 26.0
 vr 3 1.000 48.0
 
@@ -279,7 +263,7 @@ traces written to frac/traces.csv
 """,
         {
             os.path.join("frac", "traces.csv"):
-                "f8a5191a462b3aa1d14e7d6a71be13d07edd0f4db79f0383e3f2456bf4f95802",
+                "1c9d4eb5a4fd1cf325f0e4acc88f2023b656c646715c408119a55e90ec283049",
         },
     ),
     "sweep-own": (
@@ -352,19 +336,19 @@ traces = frac/traces.csv
 
 solver,tau,rho
 gd,1.0,0.3333333333333333
-gd,1.5769230769230769,0.3333333333333333
+gd,1.3846153846153846,0.3333333333333333
 gd,1.8461538461538463,0.3333333333333333
 sk,1.0,0.0
-sk,1.5769230769230769,0.3333333333333333
+sk,1.3846153846153846,0.3333333333333333
 sk,1.8461538461538463,0.3333333333333333
 vr,1.0,0.0
-vr,1.5769230769230769,0.0
+vr,1.3846153846153846,0.0
 vr,1.8461538461538463,0.3333333333333333
 profile written to pt.csv
 """,
         {
             "pt.csv":
-                "62929b56fe619564d66747e44d396fa8352eec307a36c34fe4f0aab401394931",
+                "eb59a6d753e3d433e6bb4c59f0904efde84a2d5f13ce9520e0fa3ccc186b2d1e",
         },
     ),
     "profile-fraction": (
@@ -379,31 +363,31 @@ traces = frac/traces.csv
 
 solver,tau,rho
 gd,1.0,0.6666666666666666
-gd,1.2380952380952381,1.0
-gd,1.5714285714285714,1.0
-gd,1.5769230769230769,1.0
+gd,1.3,1.0
+gd,1.3846153846153846,1.0
+gd,1.65,1.0
 gd,1.8461538461538463,1.0
-gd,2.3076923076923075,1.0
-gd,5.884615384615385,1.0
+gd,2.1153846153846154,1.0
+gd,5.423076923076923,1.0
 sk,1.0,0.3333333333333333
-sk,1.2380952380952381,0.3333333333333333
-sk,1.5714285714285714,0.3333333333333333
-sk,1.5769230769230769,0.6666666666666666
+sk,1.3,0.3333333333333333
+sk,1.3846153846153846,0.6666666666666666
+sk,1.65,0.6666666666666666
 sk,1.8461538461538463,0.6666666666666666
-sk,2.3076923076923075,1.0
-sk,5.884615384615385,1.0
+sk,2.1153846153846154,1.0
+sk,5.423076923076923,1.0
 vr,1.0,0.0
-vr,1.2380952380952381,0.0
-vr,1.5714285714285714,0.3333333333333333
-vr,1.5769230769230769,0.3333333333333333
+vr,1.3,0.0
+vr,1.3846153846153846,0.0
+vr,1.65,0.3333333333333333
 vr,1.8461538461538463,0.6666666666666666
-vr,2.3076923076923075,0.6666666666666666
-vr,5.884615384615385,1.0
+vr,2.1153846153846154,0.6666666666666666
+vr,5.423076923076923,1.0
 profile written to pf.csv
 """,
         {
             "pf.csv":
-                "61eab103c00cec57773dcef49bdd4ed1e5b328389b703123a0bfc587f3947587",
+                "04b3699b1d8e2fd8981a72de1e868e0c85b09f0910cb759c63e3afc48816b268",
         },
     ),
 }

@@ -34,7 +34,7 @@ from ssdopt import (
     theoretical_step,
 )
 from ssdopt.errors import LineSearchError
-from ssdopt.ssd import _armijo
+from ssdopt.ssd import TraceEntry, _armijo
 
 
 def orth(rows, cols, seed):
@@ -376,7 +376,7 @@ CHARGED_CASES = {
     "gd-armijo-max-iters": (run_fd_gd, partial(nesterov_worst, 8.0, 5, 12),
                             SsdConfig(ell=1, max_iters=3), "max_iters", 0),
     "bfgs-armijo-budget": (run_fd_bfgs, partial(nesterov_worst, 8.0, 5, 12),
-                           SsdConfig(ell=1, eval_budget=43), "budget_exhausted", 13),
+                           SsdConfig(ell=1, eval_budget=42), "budget_exhausted", 13),
     "vrssd-fixed-max-iters": (run_vrssd, partial(nesterov_worst, 8.0, 5, 12),
                               VrssdConfig(ell=2, step_rule=FixedStep(0.1), m=3, max_iters=7),
                               "max_iters", 1),
@@ -475,6 +475,7 @@ ONCE_RUNNERS = {
     "vrssd-one-approx": (run_vrssd, VrssdConfig, dict(m=4)),
     "vrssd-two-approx": (run_vrssd, VrssdConfig, dict(m=4, option="two", warmup_iters=1)),
     "vrssd-one-exact": (run_vrssd, VrssdConfig, dict(m=4, eta_mode="exact")),
+    "vrssd-two-exact": (run_vrssd, VrssdConfig, dict(m=4, option="two", eta_mode="exact")),
 }
 ONCE_RULES = {"armijo": ArmijoStep(), "fixed": FixedStep(0.02), "theory": TheoreticalStep()}
 ONCE_CASES = [
@@ -512,16 +513,100 @@ def test_no_point_is_evaluated_twice_in_a_run(runner, fd, rule, problem):
     assert len(set(seen)) == len(seen)
 
 
+def rosenbrock():
+    """100 (x2 - x1^2)^2 + (1 - x1)^2: along its curved valley the second
+    fit of a line search is sometimes right about the step above the fit's
+    and sometimes wrong."""
+    return Objective(2, lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2),
+                     minimum_value=0.0)
+
+
+ACCOUNTING_PROBLEMS = {**ONCE_PROBLEMS, "rosenbrock": rosenbrock}
+# BFGS is within rounding of f* after about ten steps on the chain and
+# lstsq problems, where probes return the bits of the entry's value too and
+# the first call to return a value need not be the one that produced it.
+ACCOUNTING_RUNNERS = {
+    "ssd": (run_ssd, SsdConfig, {}),
+    "gd": (run_fd_gd, SsdConfig, {}),
+    "bfgs": (run_fd_bfgs, SsdConfig, dict(max_iters=10)),
+    "vrssd-one-zero": (run_vrssd, VrssdConfig, dict(m=4, eta_mode="zero")),
+    "vrssd-two-zero": (run_vrssd, VrssdConfig, dict(m=4, option="two", eta_mode="zero")),
+}
+
+
+def logged_armijo_run(runner, problem, **options):
+    """An Armijo run with every value the evaluator returned, in order."""
+    run, config, extra = ACCOUNTING_RUNNERS[runner]
+    obj = ACCOUNTING_PROBLEMS[problem]()
+    evaluator, log = obj.evaluator, []
+
+    def logged(x):
+        log.append(evaluator(x))
+        return log[-1]
+
+    obj.evaluator = logged  # drops a batch form, so every value is logged
+    cfg = config(**{"ell": 1, "max_iters": 60, "seed": 0, **extra, **options})
+    return run(obj, np.linspace(-1.0, 1.0, obj.d), cfg), log
+
+
+@pytest.mark.parametrize("problem", sorted(ACCOUNTING_PROBLEMS))
+@pytest.mark.parametrize("runner", sorted(ACCOUNTING_RUNNERS))
+def test_armijo_entry_counts_end_at_the_evaluation_of_their_value(runner, problem):
+    # The benchmark's evaluation-log audit: the call that produced an
+    # entry's f is the first after the previous entry's call to return it,
+    # and the entry counts every call up to and including that one.
+    trace, log = logged_armijo_run(runner, problem)
+    assert len(trace.entries) > 5
+    assert len(log) == trace.charged
+    found = -1
+    for entry in trace.entries:
+        found = next(i for i in range(found + 1, len(log)) if log[i] == entry.f)
+        assert entry.evals == found + 1
+    # A run that stops on its target charges nothing after its last entry.
+    # That entry may be the fit's step where the free run took the step
+    # above it, since no look-ahead follows a value that meets the target.
+    hit, hit_log = logged_armijo_run(runner, problem, target_value=trace.entries[5].f)
+    assert hit.terminal_status == "target_reached"
+    assert hit.entries[:-1] == trace.entries[:len(hit.entries) - 1]
+    assert hit.final.iteration <= 5
+    assert hit.final.evals == hit.charged == len(hit_log)
+
+
+@pytest.mark.parametrize("runner", ["ssd", "vrssd-one-zero"])
+def test_rosenbrock_searches_take_and_reject_look_aheads(monkeypatch, runner):
+    # A look-ahead is the one trial farther from x than the trial before it.
+    kinds = []
+
+    def recording(evaluate, x, direction, *args):
+        points = []
+
+        def traced(point):
+            points.append(point)
+            return evaluate(point)
+
+        alpha, point, value, late = _armijo(traced, x, direction, *args)
+        if late:
+            kinds.append("rejected")
+        elif len(points) > 2 and (np.linalg.norm(points[-1] - x)
+                                  > np.linalg.norm(points[-2] - x)):
+            kinds.append("accepted")
+        return alpha, point, value, late
+
+    monkeypatch.setattr(ssd_module, "_armijo", recording)
+    logged_armijo_run(runner, "rosenbrock")
+    assert "accepted" in kinds and "rejected" in kinds
+
+
 @pytest.mark.parametrize("runner", ["ssd", "gd", "bfgs"])
 def test_armijo_forward_step_costs_its_directions_and_trials(runner):
     # Each accepted step after the start pays its n directions, not f(x)
     # again, plus its trials.  With alpha_init 1 and shrink 1/2 a step of
     # 2^-b is grid step b, the (b + 1)-th trial of plain backtracking.  The
     # chain is quadratic along every line, so the fit through a rejected
-    # first trial lands on the grid step above 2^-b and the search tries at
-    # most three: 1, 2^(1-b) and 2^-b.  Within 1e-12 of f* the trial values
-    # differ from f0 by rounding alone, the fit sees noise, and the search
-    # may try more, but never more than plain backtracking.
+    # first trial lands on 2^-b, and the second fit through that accepted
+    # trial rules out the step above it: the search tries at most two, 1
+    # and 2^-b.  Within 1e-12 of f* the trial values differ from f0 by
+    # rounding alone, the fit sees noise, and the search may try more.
     run = {"ssd": run_ssd, "gd": run_fd_gd, "bfgs": run_fd_bfgs}[runner]
     obj = nesterov_worst(8.0, 6, 16)
     trace = run(obj, np.linspace(-1.0, 1.0, 16), SsdConfig(ell=3, max_iters=30, seed=5))
@@ -532,7 +617,7 @@ def test_armijo_forward_step_costs_its_directions_and_trials(runner):
         assert after.step == 2.0 ** -b
         assert n + 1 <= after.evals - before.evals <= n + b + 1
         if before.f - obj.minimum_value > 1e-12:
-            assert after.evals - before.evals == n + min(b + 1, 3)
+            assert after.evals - before.evals == n + min(b + 1, 2)
             fitted += 1
     assert fitted > 3
 
@@ -558,16 +643,9 @@ def counted(f):
     return evaluate, calls
 
 
-@given(
-    d=st.integers(min_value=1, max_value=8),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    alpha_init=st.floats(min_value=1e-2, max_value=1e3),
-    shrink=st.floats(min_value=0.1, max_value=0.9),
-    c1=st.floats(min_value=1e-4, max_value=0.5),
-    max_backtracks=st.integers(min_value=1, max_value=60),
-)
-def test_fit_accepts_plain_backtracking_step_on_convex_quadratics(
-        d, seed, alpha_init, shrink, c1, max_backtracks):
+def convex_quadratic_line(d, seed):
+    """A random convex quadratic f, a point x and the exact gradient g there,
+    so that g^T g is the slope of f along -g."""
     rng = np.random.default_rng(seed)
     A = (orth(d, d, seed) * 10.0 ** rng.uniform(-2.0, 2.0, d)) @ orth(d, d, seed).T
     center = rng.standard_normal(d)
@@ -575,21 +653,82 @@ def test_fit_accepts_plain_backtracking_step_on_convex_quadratics(
 
     def f(y):
         return float(0.5 * (y - center) @ A @ (y - center))
+    return f, x, A @ (x - center)
 
-    g = A @ (x - center)  # the exact gradient: decrease is the slope along -g
+
+QUADRATIC_SEARCHES = dict(
+    d=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    alpha_init=st.floats(min_value=1e-2, max_value=1e3),
+    shrink=st.floats(min_value=0.1, max_value=0.9),
+    c1=st.floats(min_value=1e-4, max_value=0.5),
+    max_backtracks=st.integers(min_value=1, max_value=60),
+)
+
+
+@given(**QUADRATIC_SEARCHES)
+def test_fit_accepts_plain_backtracking_step_on_convex_quadratics(
+        d, seed, alpha_init, shrink, c1, max_backtracks):
+    f, x, g = convex_quadratic_line(d, seed)
     rule = ArmijoStep(c1=c1, shrink=shrink, alpha_init=alpha_init,
                       max_backtracks=max_backtracks)
     plain_eval, plain_calls = counted(f)
     expected = plain_backtracking(plain_eval, x, g, f(x), float(g @ g), rule)
     fit_eval, fit_calls = counted(f)
     try:
-        alpha, point, value = _armijo(fit_eval, x, g, f(x), float(g @ g), rule)
+        alpha, point, value, _ = _armijo(fit_eval, x, g, f(x), float(g @ g), rule)
     except LineSearchError:
         assert expected is None
     else:
         assert (alpha, point.tobytes(), value) == (expected[0], expected[1].tobytes(),
                                                    expected[2])
     assert len(fit_calls) <= len(plain_calls)
+
+
+def above_first_backtracking(evaluate, x, direction, f0, decrease, rule):
+    """The earlier fitted search, kept as a reference: after a rejected first
+    trial it skips to the grid step above the fit's largest acceptable step
+    (or to the last grid step), checks it, then halves.  None when all fail."""
+    alpha, n = rule.alpha_init, 0
+    while n < rule.max_backtracks:
+        point = x - alpha * direction
+        trial = evaluate(point)
+        if trial <= f0 - rule.c1 * alpha * decrease:
+            return alpha, point, trial
+        limit = ssd_module._fit_limit(f0, decrease, alpha, trial, rule.c1) if n == 0 else None
+        alpha *= rule.shrink
+        n += 1
+        if limit is not None:
+            skip_n, skip_alpha = n, alpha
+            while skip_n < rule.max_backtracks and skip_alpha * rule.shrink > limit:
+                skip_alpha *= rule.shrink
+                skip_n += 1
+            if skip_n < rule.max_backtracks:
+                n, alpha = skip_n, skip_alpha
+    return None
+
+
+@given(**QUADRATIC_SEARCHES)
+def test_fit_step_first_tries_no_more_than_the_step_above_first(
+        d, seed, alpha_init, shrink, c1, max_backtracks):
+    # On a convex quadratic with the exact slope the second fit rules out
+    # the step above the fit's, so the search accepts plain backtracking's
+    # step without trying the step above first.
+    f, x, g = convex_quadratic_line(d, seed)
+    rule = ArmijoStep(c1=c1, shrink=shrink, alpha_init=alpha_init,
+                      max_backtracks=max_backtracks)
+    expected = plain_backtracking(f, x, g, f(x), float(g @ g), rule)
+    above_eval, above_calls = counted(f)
+    above_first_backtracking(above_eval, x, g, f(x), float(g @ g), rule)
+    fit_eval, fit_calls = counted(f)
+    try:
+        alpha, point, value, late = _armijo(fit_eval, x, g, f(x), float(g @ g), rule)
+    except LineSearchError:
+        assert expected is None
+    else:
+        assert (alpha, point.tobytes(), value, late) == (expected[0], expected[1].tobytes(),
+                                                         expected[2], 0)
+    assert len(fit_calls) <= len(above_calls)
 
 
 def scripted_search(values, rule):
@@ -616,10 +755,12 @@ def scripted_search(values, rule):
     (1e-5, 1e-160, False),
 ])
 def test_fit_needs_a_finite_convex_curvature(first, alpha_init, fitted):
-    # f falls along the line after the first trial, so the second is accepted.
+    # f falls along the line after the first trial, so the second is
+    # accepted.  The line stays linear, so a fitted search then looks at the
+    # skipped step above it, which passes too.
     rule = ArmijoStep(alpha_init=alpha_init, max_backtracks=1000)
     tried, alpha = scripted_search(lambda a, n: first if n == 0 else -a, rule)
-    assert len(tried) == 2 and alpha == tried[1]
+    assert len(tried) == 2 + fitted and alpha == tried[-1]
     assert (tried[1] != alpha_init * 0.5) == fitted
 
 
@@ -633,6 +774,77 @@ def test_fit_needs_a_finite_convex_curvature(first, alpha_init, fitted):
 def test_fit_that_rules_out_the_grid_still_tries_its_smallest_step(first, tried):
     rule = ArmijoStep(max_backtracks=5)
     assert scripted_search(lambda a, n: first, rule) == (tried, None)
+
+
+# A first trial of 1e6 at alpha 1 fits the largest acceptable step
+# 0.9999 / (1e6 + 1), so the search tries grid step 2^-20 next and skips 2^-19.
+FIT_STEP, ABOVE = 2.0 ** -20, 2.0 ** -19
+
+
+@pytest.mark.parametrize("above_value, look, tried, accepted, late", [
+    # f stays linear: the second fit has no curvature, so it allows 2^-19.
+    (-ABOVE, True, [1.0, FIT_STEP, ABOVE], ABOVE, 0),
+    # 2^-19 fails the decrease test: the fit's step is kept, and the trial
+    # after it is reported as late.
+    (1.0, True, [1.0, FIT_STEP, ABOVE], FIT_STEP, 1),
+    # The caller refuses a look-ahead after the value found.
+    (-ABOVE, False, [1.0, FIT_STEP], FIT_STEP, 0),
+])
+def test_look_ahead_after_the_fit_step(above_value, look, tried, accepted, late):
+    def evaluate(point):
+        steps.append(-float(point[0]))
+        return {1.0: 1e6, ABOVE: above_value}.get(steps[-1], -steps[-1])
+
+    steps = []
+    alpha, point, value, got_late = _armijo(evaluate, np.zeros(1), np.ones(1), 0.0, 1.0,
+                                            ArmijoStep(), may_look=lambda value: look)
+    assert steps == tried
+    assert (alpha, point[0], value, got_late) == (accepted, -accepted, -accepted, late)
+
+
+def test_second_fit_that_rules_out_the_step_above_skips_it():
+    # Along f(a) = 1e6 a^2 - a both fits find the same curvature, and the
+    # step above the fit's fails it.
+    tried, alpha = scripted_search(lambda a, n: 1e6 * a * a - a, ArmijoStep())
+    assert (tried, alpha) == ([1.0, FIT_STEP], FIT_STEP)
+
+
+def scripted_line(above_passes):
+    """A 1-d objective along which a run from 0 with the exact gradient -1
+    tries steps as the scripted searches do: f(1) = 1e6, f(2^-20) = -2^-20
+    and f(2^-19) = -2^-19, or 1 when ``above_passes`` is false."""
+    def f(x):
+        t = float(x[0])
+        if t > 0.5:
+            return 1e6
+        return -t if above_passes or t <= FIT_STEP else 1.0
+    return Objective(1, f, reference_gradient=lambda x: -np.ones(1))
+
+
+EXACT_ONE_STEP = SsdConfig(ell=1, fd=FdScheme("exact"), max_iters=1)
+
+
+@pytest.mark.parametrize("above_passes, step, evals", [(True, ABOVE, 4), (False, FIT_STEP, 3)])
+def test_entry_count_ends_at_the_evaluation_of_its_value(above_passes, step, evals):
+    # The start, the first trial, the fit's step and the look-ahead: four
+    # evaluations charged.  A rejected look-ahead is charged after the entry.
+    obj = scripted_line(above_passes)
+    trace = run_ssd(obj, np.zeros(1), EXACT_ONE_STEP)
+    assert trace.entries[1] == TraceEntry(1, evals, -step, step, 1.0)
+    assert trace.charged == obj.eval_count == 4
+
+
+@pytest.mark.parametrize("options, status", [
+    (dict(target_value=-FIT_STEP), "target_reached"),  # the run stops at this value
+    (dict(eval_budget=3), "max_iters"),  # no evaluation is left for a look-ahead
+    (dict(eval_budget=3, max_iters=2), "budget_exhausted"),
+])
+def test_no_look_ahead_at_the_target_or_without_budget(options, status):
+    obj = scripted_line(True)
+    trace = run_ssd(obj, np.zeros(1), replace(EXACT_ONE_STEP, **options))
+    assert trace.terminal_status == status
+    assert trace.entries[1] == TraceEntry(1, 3, -FIT_STEP, FIT_STEP, 1.0)
+    assert trace.charged == obj.eval_count == 3
 
 
 @pytest.mark.parametrize("eta, fits", [("zero", True), ("one", False), ("approx", False),

@@ -8,24 +8,7 @@ longer than 128 steps, and for seeds that span several 32-bit words
 (2**32 + 5 and 2**130 + 1), where the seed-to-stream hashing takes its
 longer path.  The digests were recorded with numpy 2.4 and OpenBLAS 0.3.31
 on x86-64; another BLAS build may round the Haar QR differently in the
-last bit.  The nine ``vrssd-{haar,coordinate,gaussian}-{s5,s2p32,s2p130}-w70-theory-exact``
-cases were re-pinned when an option-two restart stopped evaluating f again
-at an inner iterate whose value its trace entry already held; their
-iterates and values are unchanged, and each run charges 6 fewer
-evaluations (201 instead of 207).  The nine ``ssd-*-armijo-forward`` and
-nine ``vrssd-*-w3-fixed-forward`` cases were re-pinned when a known value
-at the iterate became the base of the next forward differences instead of
-being evaluated again: entries, values, steps, norms and statuses are
-unchanged, and each run charges fewer evaluations (200 fewer for ssd, 100
-fewer for vrssd).  The nine ``ssd-*-armijo-forward`` cases were re-pinned
-again when Armijo began to skip the trials that a quadratic fit through
-its first rejected trial rules out.  Seven moved only in their counts
-(139 to 319 fewer evaluations per run).  ``ssd-haar-s5`` first differs at
-entry 192, at f - f* = 2.2e-14, and ``ssd-coordinate-s2p32`` at entry 5,
-after steps along a coordinate direction whose difference estimate is
-noise (direction norm 1.6e-7) and whose trials move f by an ulp; there the
-fit sees rounding, not curvature.  Both still end ``max_iters`` after 200
-steps, at the same gap to f* as before to two digits.
+last bit.  CHANGES.md records each re-pin and why it moved.
 """
 
 import hashlib
@@ -90,23 +73,23 @@ def digest(name):
 
 
 DIGESTS = {
-    "ssd-coordinate-s2p130-armijo-forward": "4c0b2f7e371c1828e8e830470bdff88271a03b067babe76dd0bc9b16200db797",
+    "ssd-coordinate-s2p130-armijo-forward": "724e1737990f167389bd8001ee0331588681d7688678f96d5baf6b46fc222841",
     "ssd-coordinate-s2p130-fixed-centered": "fc77dfd0e966e16f1ede79223c687a8a67bb9f35a1b7857343fb607c82f64d3a",
-    "ssd-coordinate-s2p32-armijo-forward": "f19f719276627eff3d9163c7e23e1067546d3e326450428d99d5d743c39c4ddd",
+    "ssd-coordinate-s2p32-armijo-forward": "14289e1bbaef189eeee8310706b4b7a1b5f6d177adff4824c34471b971227f58",
     "ssd-coordinate-s2p32-fixed-centered": "78f1dc9bbe9b89b8c5f93a1e9e4ec673134aedac2c8b5eddc48b3ce0a985547f",
-    "ssd-coordinate-s5-armijo-forward": "cbfed9062a4999e0fe7b7448ab2e1044496e2c3756ed389005d33eab2c289927",
+    "ssd-coordinate-s5-armijo-forward": "5d2f6763fd74edf05b285744576d2d8a6657dc92d88c95e48c8d48b08f3346d4",
     "ssd-coordinate-s5-fixed-centered": "3a379cb143ee07a025d1682479bde8863d0fdef5de4a88dd95a969821d01b9ca",
-    "ssd-gaussian-s2p130-armijo-forward": "b3793bbf422a0bbf87efbb0f0713812ca6a1e3c5d40a8e0349e7b664a0709877",
+    "ssd-gaussian-s2p130-armijo-forward": "f27eb5c4a0016810403248013876748d999daf00d1ba6a2bfb480aff46d32082",
     "ssd-gaussian-s2p130-fixed-centered": "ffb4927eb392fe1fbefc3377aeee0f4dfa6d7b4214ba0f68bcc89ad4fe308b10",
-    "ssd-gaussian-s2p32-armijo-forward": "8c973bfa6c44279d0ee32f2ad81811954ee0827964e2a83fe13f59f802f84a2e",
+    "ssd-gaussian-s2p32-armijo-forward": "6357b674b82985566ef98fe4bf2129c2e5e085accd27a87da048c58c9e15fe48",
     "ssd-gaussian-s2p32-fixed-centered": "999c2822b6472f16f303c35da7ca964d74f7e2d953159f307e1a8a38efbf5c3d",
-    "ssd-gaussian-s5-armijo-forward": "20e37a2a40540effc84e632be2b63d412fcafdcf5982c74295874ab886f7a908",
+    "ssd-gaussian-s5-armijo-forward": "3a4f3558787a67a4c65a0e0d6936433b99823f31a1639853b8ffcb476ad70c86",
     "ssd-gaussian-s5-fixed-centered": "7adc2d7ac4e6b9ebf3dbf62b50f8e5404c6f7167c20141a46311e4168e17878a",
-    "ssd-haar-s2p130-armijo-forward": "bd1ad067899b66ddc25b64be1d9ce02e67e418edd00ea0e0dc5aa3fbde9834a0",
+    "ssd-haar-s2p130-armijo-forward": "7710495ce09028b15fd0dba5e370132f548f9dcffb70fc94625cda5812cefe96",
     "ssd-haar-s2p130-fixed-centered": "694cf63ca11229fb3c9ba05f7601c9c07cbbab3963aaefc69dd732096a694ec5",
-    "ssd-haar-s2p32-armijo-forward": "3d9e00f294fc0c1530aa893d0d510b766449f93bfcbc84bbab67c637a3b977de",
+    "ssd-haar-s2p32-armijo-forward": "953d52fe6eb16b392fa1e71f64a3122db1087d9bf7352b4f3b5f43671ef112b4",
     "ssd-haar-s2p32-fixed-centered": "a929c4875db3e6cdc3d71e31af39fe1ff7385910120fa5b3932f4f71975a8773",
-    "ssd-haar-s5-armijo-forward": "1d97bf9c1b88e2a099191776d94bf76ffa76c8e993e7fb5c049047204909c4ee",
+    "ssd-haar-s5-armijo-forward": "993135d84956bc7b689bb2e72697f74cd9412da6b8e226bd607140d02ce74e7e",
     "ssd-haar-s5-fixed-centered": "7494b59e92aaec4faabdeb17e113f8211ed962d0b34cb76f169dd97e3d34d6f0",
     "vrssd-coordinate-s2p130-w3-fixed-forward": "9f531abdfa2503792d44c85824d32e28f413851bf6bbfbaac543dde792004664",
     "vrssd-coordinate-s2p130-w70-theory-exact": "b9b39440329b3da11b1ebe7c8929c825cf5f166865d97c5a09cc651a30b4d708",

@@ -2,42 +2,10 @@
 
 Each case runs one configuration and hashes
 ``repr((entries, terminal_status, eval_count))`` (for the single-step
-hooks, the returned entry and next point) with SHA-256.  The digests were
-recorded before ``run_ssd``, ``run_vrssd``, ``run_fd_gd`` and
-``run_fd_bfgs`` were moved onto one shared run driver, so a case fails as
-soon as any entry, stop status or evaluation count moves.  The seven vrssd
-cases with exact eta and the exact gradient were re-pinned when their
-per-step full gradient stopped charging d + 1 evaluations that the budget
-did not count.  The eight ``vrssd-two-{zero,one,approx,exact}-w{0,3}-theory-exact``
-cases were re-pinned when an option-two restart stopped evaluating f again
-at an inner iterate whose value its trace entry already held: every entry
-keeps its iterate, value, step and direction norm, and only the cumulative
-evaluation counts drop.  The 58 forward-difference cases were re-pinned
-when a known value at the iterate (the start value, an accepted Armijo
-trial, a probe set's or an anchor's base value) became the base of the next
-forward differences instead of being evaluated again; the exact-eta
-single-step cases moved because their full gradient now shares the base
-value of the sketched probes.  Every entry keeps its iteration, value,
-step and direction norm and every run its status; only the evaluation
-counts drop, and the budget-stop cases fit more steps on the same budget.
-No centered, exact-gradient or layer case moved.  Then 41 cases were
-re-pinned when Armijo began to skip the trials that a quadratic fit
-through its first rejected trial rules out (33 cases whose searches reject
-a first trial), and when an exact-eta vrssd step on the anchor began to
-reuse the anchor's gradient instead of probing it again (the eight
-forward and centered exact-eta runs).  In 38 of them only the evaluation
-counts moved.  ``stop-ssd-budget-mid-step-armijo`` and
-``stop-vrssd-budget-mid-step-armijo`` keep every entry and fit one more on
-the same budget.  In ``bfgs-lstsq-centered`` the iterates first differ at
-entry 11, at f - f* = -8.9e-16, where the trial values differ from f0 by
-rounding alone and the fit sees noise.  No layer case moved.  Three
-cases were re-pinned when a fixed-rule step began to evaluate its new
-iterate at once instead of leaving that value to the next probe set or a
-closing evaluation, so a target met by a fixed-rule step stops the run
-before the next step's probes: ``stop-ssd-target-mid-run-fixed`` (eval
-count 188 -> 185), ``stop-gd-target-mid-run-fixed`` (1105 -> 1089) and
-``stop-vrssd-target-mid-run-fixed`` (441 -> 425).  Their entries and
-statuses are unchanged.
+hooks, the returned entry and next point) with SHA-256, so a case fails as
+soon as any entry, stop status or evaluation count moves.  CHANGES.md
+records each re-pin: which cases moved, why, and how they were compared
+field by field with the previous revision.
 
 The matrix covers the step rules and difference schemes of ssd and gd, the
 anchor options, eta modes and warmup of vrssd, every gradient source of
@@ -190,51 +158,51 @@ def digest(name):
 
 
 DIGESTS = {
-    "bfgs-chain-centered": "5f94a0bcda4eb012e59eceaf634646ebafd56d6bcfb75376b6ea03f390544d8d",
-    "bfgs-chain-exact": "4d24618cae08bb98caa29c60ae3aa9bb6618f4716a8da54e0d969c1c9d3df7c6",
-    "bfgs-chain-forward": "a40cd3527fbf7c1d1d3223fb2054609e73d63a9bebb9b8621ccfca0eaa046d9e",
-    "bfgs-lstsq-centered": "1897587e37c243144e99949f611f60db2dc046b7165db449aa5ead3299e3f863",
-    "bfgs-lstsq-exact": "9a7be161dfab134774bb9d4797c8a645f73ec730406ece711c365214842c9333",
-    "bfgs-lstsq-forward": "9d317e4f1421c8452a9d7f6577570f64a0390b0a0e9b1282864b4e96c6ec4bcc",
-    "gd-chain-armijo-centered": "614570b08f275b44051cfa90530af33dee10e2c401ecb3ea6326bc472f087d34",
-    "gd-chain-armijo-exact": "c38a9aefd1947294f8050151ddd10617f79daf89384c1956c3d082b01f534cf6",
-    "gd-chain-armijo-forward": "1dce928a4b4e22bcb368b61fe825ab34127f4b1f1b98becd90a4e8871d8a9170",
+    "bfgs-chain-centered": "d0f24444c0b961bd06de40af2ac1a40bb772b986f8d0583f98812b2f326688e3",
+    "bfgs-chain-exact": "bc986b144f420a4d0fc1cb190fcf667684be9625908eefefb49ae26c663f5304",
+    "bfgs-chain-forward": "571b022f3bf88e49d8c0bb543e4418748177f8639ed03f7aa0cbc598dd5b2b26",
+    "bfgs-lstsq-centered": "239168d961dae731c38f82727533f8c9ed72685cfac4ff86d0dcfacd773eefbb",
+    "bfgs-lstsq-exact": "abcd4cee528f1291e6d6dcd5d81d16d26ca0fe6b958a47294402483bc3a8a295",
+    "bfgs-lstsq-forward": "02f390bfc76a78aeced6fee985de1c51fd42cbb8f21a7b49e126249fc9dcdd7d",
+    "gd-chain-armijo-centered": "38c8e3871dee1f911458b3a97f0885f70e873e5c12dea2c3a5455364f544c816",
+    "gd-chain-armijo-exact": "81274f24bd013f572c959ff90cf34166597ea5836f1c26f2b33638bf7159d997",
+    "gd-chain-armijo-forward": "5c91550b8aacafa027d1089cf10b0c25e8b13cc351277a13d9c92b39fdccd713",
     "gd-chain-fixed-centered": "71f215ddff22bf7c651dc0d0e4d5411b663e23415203c0f48459b1e28a787916",
     "gd-chain-fixed-exact": "5cde6fba24c7b3839a34daad680933243322a63350a3cd75cdab2a43baeb304a",
     "gd-chain-fixed-forward": "497822ea5100dff10f8d6cff40307af50be5b61f3a31033e969478c1a5849e3f",
     "gd-chain-theory-centered": "25bda911d025c3f4d2317198c096594e5981aa6d8c0b207251f282643dfbdc34",
     "gd-chain-theory-exact": "e7c1b397fd05595a78cd375b68062158f4d1ad7aede75bce2ffeb547ecd8b669",
     "gd-chain-theory-forward": "6408958495c779bdc979a47018b6a1ea1f7480a2e4d3c047a597d9cbe23643cd",
-    "gd-lstsq-armijo-centered": "bbc99c97e886c63d2d515dd7530040b842b4c3271b970d6217d3d933491ae202",
-    "gd-lstsq-armijo-exact": "135b4cac5b955a6fddd5cbe6fda535c6de940caccaae2eb7bb6b82633b9b1e55",
-    "gd-lstsq-armijo-forward": "4bf71b4133cd1382b1514fc868588edb2fc4812a2d698016a2b31ef017c9335a",
+    "gd-lstsq-armijo-centered": "da4b05c372e3899ed388dfb940bd2bcaf43263d33d81680b315d4c3275d48dd7",
+    "gd-lstsq-armijo-exact": "69937387c9691b59050e241fdc5629178fcd4848f7a7fa1365667c6e9b0e8df2",
+    "gd-lstsq-armijo-forward": "77e9eda00139459e071e3b5a21d6385478399985b14b8297c7a0c77310dbe36c",
     "gd-lstsq-fixed-centered": "c2c408ca539ace10913955a674d00bf0e10e628379f75ad0abffc7b5be08c259",
     "gd-lstsq-fixed-exact": "c9058d0fc05129d3c14e4873ce7556f95be8d97db89021df3145563eca0ac5c0",
     "gd-lstsq-fixed-forward": "aaa8b7404fc03a8bc46dfe3906a999620619cbc3b59b303beb41fb11a9f5371a",
     "gd-lstsq-theory-centered": "61dbcfa67891065da298b192c3ebf54659ec0c1077f1404333a9c3a1abb039ef",
     "gd-lstsq-theory-exact": "d537d4acb618eab1d51f7d633912dcfd3127723c68b691baed6088cba67dde72",
     "gd-lstsq-theory-forward": "c841fecface02658fec339dbf0d57fb372ae2728d0b69decc70f5077610bea81",
-    "ssd-chain-armijo-centered": "7af3281ac530b4dab6bb44872d34e674991024e8c8de7e2e976e61685bbf3a18",
-    "ssd-chain-armijo-exact": "bc707c4f331a1a44ab29b5206ff117a3503f07dcf86cdf4b46e59ef469cae04d",
-    "ssd-chain-armijo-forward": "22aa9dfb18cd1b9c8dd46a93300c8c064b4a07167511281582ceee01314d1102",
+    "ssd-chain-armijo-centered": "e017f37d250b409156a3cba6f151cb84d9f86cbd2208713567597cdf0e347761",
+    "ssd-chain-armijo-exact": "923d9813d334c6d8816cca8d23450e70fe9fe6816d2dc40bf0811c8ab503f3d8",
+    "ssd-chain-armijo-forward": "b700d4ee801ffda34328a78ae45a05461427be96c5c3c518ae83c48e3ece57aa",
     "ssd-chain-fixed-centered": "898cc03471c5aaa7555cbcaf78ba61d9ae908759fe4ebb03fc905cd8cb8918da",
     "ssd-chain-fixed-exact": "b23efe5700bc107d4a41fe000f20f1e10a57f8563ce6a518a60e8f7aa9277839",
     "ssd-chain-fixed-forward": "4d6229c90fffd9e23a2678cc4c500431c919044f4d18470f2abdff1c063416c6",
     "ssd-chain-theory-centered": "07a62b87e15c9a5089a266dddb6dc4389337c35c73f875992f136a3251a3913b",
     "ssd-chain-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
     "ssd-chain-theory-forward": "ee22c8ba4e4dabb48265ffab7b826471d838274411bd7021a1844ab49dd66416",
-    "ssd-lstsq-armijo-centered": "29733c87d2eb52c8044a81a5a39d462fe69a92b1028d9a8738611f83001979be",
-    "ssd-lstsq-armijo-exact": "247834e982744809a0a64564154456c405ef9aba7b76fe385e70b862d3b62bd6",
-    "ssd-lstsq-armijo-forward": "32adedf5a1309c30adc8c0e3830bb409fffc8f8f5dc76d198201b38fe03013cb",
+    "ssd-lstsq-armijo-centered": "cc630504ddc519cafc49807e65c7ecf049db3168692a58e54f314f088a8e7f19",
+    "ssd-lstsq-armijo-exact": "bf7d625b989a1b07a4b0bef47972d88c148db6311d4490ff0890b21a453bca9c",
+    "ssd-lstsq-armijo-forward": "df096174622d23856c6389a69f71843a2e67bd49acf14c69ffbeead0ffa2e1b9",
     "ssd-lstsq-fixed-centered": "b9992c571b5e5f6f5f80691e4feff8a3c474594c2c82b97b97458eb16f2c35f2",
     "ssd-lstsq-fixed-exact": "b681057f1c4698ab9584d48981c6d87687b8354e7c79b9a43fb884257af4eeae",
     "ssd-lstsq-fixed-forward": "cbb6b15df2251724dc02ffa4be6fe3639170f343cbb7e471066edb6e1440e412",
     "ssd-lstsq-theory-centered": "1c5efad8703154cefdb306b02cdef0cc9834552bd213e1b6259caa7c2a04bf77",
     "ssd-lstsq-theory-exact": "18802aff64896205de1aa4273109c1aa5584402cdf75fa84898de131789a6403",
     "ssd-lstsq-theory-forward": "35641bb98aeb7144488e6ef72e2f4e362d6d65904b7922a0538b1960fcc6928f",
-    "step-ssd-armijo-centered": "0257432a4bb17df7a69a07f6cb6eb12fc302c1e47894ee3e60db4b6a3f31de7e",
-    "step-ssd-armijo-exact": "4afef325334fcb9623af2a7e70803e377b26fdf6c7cb48391cde0c3a71fa75e8",
-    "step-ssd-armijo-forward": "98dcc561bb3e59fa0320602e9fc1693f519b5616fafeffc711c00b27405074d2",
+    "step-ssd-armijo-centered": "a301fedb80a67cb0204143b94e5813fd226d73cca301d6fce24e134d4d3b0aeb",
+    "step-ssd-armijo-exact": "e06bd1cc3c0754097d29353ec3a971dfa0d1136c1336e4ea3e812ad552bda5d4",
+    "step-ssd-armijo-forward": "852103f58c2bab3878e70b207bb06c9b7fe264699d6dfb683fc952f003c01c19",
     "step-ssd-fixed-centered": "b8c500cb41edea0b89670cd05cdb8650460f197329d31394beaa3bc37182bdd1",
     "step-ssd-fixed-exact": "a9f67d31737aa185ec9ea36e5dcc8ce5c8119461265585052303746c059b822d",
     "step-ssd-fixed-forward": "6c9e5747e67eec4ad6adbba64fa325dad9dd9acd97d758f0b0cd18bc9dc58322",
@@ -244,15 +212,15 @@ DIGESTS = {
     "step-vrssd-armijo-centered-approx": "f81f17efdf77481397bb664c5a5d55c6f88bb21e625be4a37ce350fdab446209",
     "step-vrssd-armijo-centered-exact": "91020a56ad337f493bfd623463307013a9bec0ed01f92b47c7e16f4b6768cb0c",
     "step-vrssd-armijo-centered-one": "b0dd181b75db877d00d79a8e62e26ee52e90904875ec87d3c9f2298014867335",
-    "step-vrssd-armijo-centered-zero": "5279b4deb5b175f1694732902c3eff8751884a90384bb25597853349ea485f3c",
+    "step-vrssd-armijo-centered-zero": "6770680a8864ddf8a201e10f94fabac07f809feafb81f8af72074b318fadc4bd",
     "step-vrssd-armijo-exact-approx": "aabb23729f03b379327fd1c5872f7bb089799cee06ce63fdc36f094a34bc388d",
     "step-vrssd-armijo-exact-exact": "6750d9666ee0191cc717186a44e5ba60b0ff19a7592ff694bb10923551d08029",
     "step-vrssd-armijo-exact-one": "affb75e17c12770aeea5bc9761a0d592438bd1a33054671dafc3558a2d0190be",
-    "step-vrssd-armijo-exact-zero": "24047931bcdea6dfe247b70bac85e5d08745cd1e1b2b944fd81b9fd1654710ad",
+    "step-vrssd-armijo-exact-zero": "1b4844eb4457bfa1cb00a7cafd409d3e5692ffd6504dccbd623c7d63492f00d8",
     "step-vrssd-armijo-forward-approx": "9ebca96091e2cb4cdc9c4fd4305b3c65745a2191f2da2083089cc951c28ed46b",
     "step-vrssd-armijo-forward-exact": "0f0899299b1ff215a510fb426c1acb059f1942f0ccef146d3abd227e6e644d5f",
     "step-vrssd-armijo-forward-one": "2e295ec3c4b60217fade5b124e7b5eb3379e2c426691365127245c4ae68a2a7f",
-    "step-vrssd-armijo-forward-zero": "e45891be9ad64acd5e75fc2aa1fad1fdb84e737896150fd0e364224ed6179b4a",
+    "step-vrssd-armijo-forward-zero": "d0187b722c1e56fab8a3a2957f13147ae9a313abd909b9bd058ab6bc4d6230f9",
     "step-vrssd-fixed-centered-approx": "71cc32a50003c220ec334d7123a4528561e87a8c67e8d80bca6bafe73eac7137",
     "step-vrssd-fixed-centered-exact": "7dcae381bf5be22e9df8391237d8759a57ae798c4fc9f927686e93e97cae59c6",
     "step-vrssd-fixed-centered-one": "09c8e7f33163a532df7a6cdd1d35dcb2574bd5f6bd3679780dd389480d72d345",
@@ -278,90 +246,90 @@ DIGESTS = {
     "step-vrssd-theory-forward-one": "3ad786606f1e581ad1f7149cb4e3075f6f89f30d0469889d927e1ebe859648fc",
     "step-vrssd-theory-forward-zero": "59506d8106d274a63ce68d88da89cf655c75a081d39ba84f37e1f80f6f190051",
     "stop-bfgs-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-bfgs-budget-mid-step-armijo": "9ccf6e0cd9466e770cebcb94d0fba2477a3a40b05555f2eeb061de7f3638da7b",
+    "stop-bfgs-budget-mid-step-armijo": "3d585cbfafb336bdd7c5f565e45996c5fdb7d9f5be31f9a9d953d614898da85f",
     "stop-bfgs-line-search-failed-armijo": "54f4b01b523e91672a19703db7b0e5ac0c9e1c45e61c8790dd367f0b7b64522b",
-    "stop-bfgs-max-iters-armijo": "5085b27cf55d05cc87263b5c3395671cb566ef525f10e19db959d39e864852a6",
+    "stop-bfgs-max-iters-armijo": "c0f90d8dba9972beacf94b4ab5bd7a571b842ca1e92f24c4e29536f0dbb67c29",
     "stop-bfgs-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-bfgs-target-mid-run-armijo": "f41c4112120ad9761347a991d7bcbe48a8997f2bd9684a800d3aa5b07844b803",
+    "stop-bfgs-target-mid-run-armijo": "3db10db2291b5fadc79a558d961db64990892e7d2e7ee64ddb7882b154230daf",
     "stop-gd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-gd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-gd-budget-mid-step-armijo": "9ccf6e0cd9466e770cebcb94d0fba2477a3a40b05555f2eeb061de7f3638da7b",
+    "stop-gd-budget-mid-step-armijo": "5a12f540018ec15ddc42f6b0539ebbdd4f61a7c39d36af645f92b3bfb9437c0e",
     "stop-gd-budget-mid-step-fixed": "277a61192d14d38f45dbc0ee3b1b0ccf7243ce2bbfdc6ff0088e75d3ee10c06f",
     "stop-gd-line-search-failed-armijo": "54f4b01b523e91672a19703db7b0e5ac0c9e1c45e61c8790dd367f0b7b64522b",
-    "stop-gd-max-iters-armijo": "1e1976ad7b3ac99287ffe01f97cf65e18719c25cfa0ba7cca4d8d999fc19cbc3",
+    "stop-gd-max-iters-armijo": "ed0138817dca5d176654283f47589e19671916b94a9ab81b40928dff46f649d9",
     "stop-gd-max-iters-fixed": "0731ca3a7dcb38468e8aee60f116fd1d888816c7034a37a9434b7f546f1944f1",
     "stop-gd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-gd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-gd-target-mid-run-armijo": "99fe00efd5ce854bb9783563a9c35a213cc3b74c9a0e7243881276f51ea3f807",
+    "stop-gd-target-mid-run-armijo": "4da968795c629a215d80ea7a1eb6445703149fe35dbf3f3753ac4a57aaad2f21",
     "stop-gd-target-mid-run-fixed": "1eb41024e67d029a494f45e5a24140fd505854c66e0e895297efe91374896e4a",
     "stop-ssd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-ssd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-ssd-budget-mid-step-armijo": "ca77060955fec69dbe6d6b8b5444d4d2e78e8a7df6f2f040ae981699e4df57ad",
+    "stop-ssd-budget-mid-step-armijo": "f0c3a5859cb5f56cb0b3e33224e2e07bae95a3390377de17382509f73452ca62",
     "stop-ssd-budget-mid-step-fixed": "d91da4129f8c97e0265562539c58173d44590508bdcfe5d821e45410909e062e",
     "stop-ssd-line-search-failed-armijo": "2744a26cb6a62fc3d693b21b2d685b7b5396aca77e2193447fce0eb0f79863a7",
-    "stop-ssd-max-iters-armijo": "894d624320e84dd18c7c15f09c128dac9c219cb28c0dd3ea852d0a8fe2d59793",
+    "stop-ssd-max-iters-armijo": "ceed15d8f4551dfb016dd871791da3e4555f11a0630f3f389edc771931e43ec3",
     "stop-ssd-max-iters-fixed": "fe3e9b0c6c2cef5a4a773cb3027fa00eb288d7c14b7375526ad32ff9e77c94f8",
     "stop-ssd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-ssd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-ssd-target-mid-run-armijo": "43f3138bd018b133e81eab020cea7d33ec4b87f11feb515727680e952d0632b7",
+    "stop-ssd-target-mid-run-armijo": "b33a3474d6db22b514cf617bce6db37d4ae77d37b3ff25c5c23c28277ac35ffc",
     "stop-ssd-target-mid-run-fixed": "67c5fd9762a4084393d41f7c69853c71ceafd39e7cd8cff56982c8a7c663570f",
     "stop-vrssd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-vrssd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-vrssd-budget-mid-step-armijo": "c06ebec4d718c60e6b8d42e61e25da111f2374d4e25f25b3f52dc55b3eecf93c",
+    "stop-vrssd-budget-mid-step-armijo": "3fecec86204bd92b5cd7eeeb9f607d0b2cff31639d8ecc9cca8002e040689157",
     "stop-vrssd-budget-mid-step-fixed": "85d33342415eda6d423231def7dedcae0fd65cbcfb55c6e80017add7699a035d",
     "stop-vrssd-line-search-failed-armijo": "2744a26cb6a62fc3d693b21b2d685b7b5396aca77e2193447fce0eb0f79863a7",
-    "stop-vrssd-max-iters-armijo": "74cb3b334740a35cef2a167f6d7745c6016f596784cebf35ee0bcb34794f8da3",
+    "stop-vrssd-max-iters-armijo": "41652542fdbcdae99917b86b4fc29debae834179cda06b2e20df60001bfcfda4",
     "stop-vrssd-max-iters-fixed": "755e2474ff51b02ad67e3017843d141252124e34cc1a44e1052ddf991c04c7dc",
     "stop-vrssd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-vrssd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-vrssd-target-mid-run-armijo": "049b2531bdcf6521616060537f7f14ac342cfda715897998a0f669f83014a8e8",
+    "stop-vrssd-target-mid-run-armijo": "f6347c0a52aa17be36876a7330ff977888da39b66f79b06f0164496228058522",
     "stop-vrssd-target-mid-run-fixed": "3242fe7276d02355f22c817d575eaa391498de334234b61cec4ae22451f94147",
     "vrssd-one-approx-w0-armijo-centered": "b6c1e5433560fe3c4c0b303d4f7b70e38d98bf6fee36d697f6f1cc3b9de2c90d",
     "vrssd-one-approx-w0-fixed-forward": "4fff567da1aa726ea523fe7f77d97b146fa7b28223955eab26d95c790a96ed4f",
     "vrssd-one-approx-w0-theory-exact": "1c6be2f4a869130808b05f8385c909f8d046913c983e48c0278018ae19f56aa4",
-    "vrssd-one-approx-w3-armijo-centered": "2c59797f9d63c9a7e15b21c3f951aa00b2050ffccc288f843cf09fda3adc91bf",
+    "vrssd-one-approx-w3-armijo-centered": "55ae629cb3066485666559b705dec10d4b8d21731cbed7b78d0e6812c16c2046",
     "vrssd-one-approx-w3-fixed-forward": "779e75748556e9e2eed99f5e0b1e4ecdf4f57bd1b6132e7eab74fe14bfd1a441",
     "vrssd-one-approx-w3-theory-exact": "542b6a71d7ae3916d631b657b910da8247f510b823fc760da6982b2ab811d756",
     "vrssd-one-exact-w0-armijo-centered": "a91729c6623c3e7a286f2037493548e7883316d50bc5d05fb1e7fa53725fca62",
     "vrssd-one-exact-w0-fixed-forward": "d401edcfa3efa23f9fe5a803f88929ecc73a2d0eb1194415411827763391251c",
     "vrssd-one-exact-w0-theory-exact": "4d94aa8f7c178714365b938adf6c44b9fd6c0116c7a6a9a170368845312368d4",
-    "vrssd-one-exact-w3-armijo-centered": "3d734debe5d4c9d274736619812a6d4c5032d9b6e88d1fd4400e27526039f5f7",
+    "vrssd-one-exact-w3-armijo-centered": "0cc6aedc23407589ae3f954531245706f28b966291a0d25213304ebdfcfe9e36",
     "vrssd-one-exact-w3-fixed-forward": "b9dd55341433a2b01dfa41c5a23519b7ccede8c0ad638752c1c4373af1ed3c44",
     "vrssd-one-exact-w3-theory-exact": "e987bc55fbb7d1fdbab94134a45976c46074d200cba7fe8603b05e4ada0e2544",
     "vrssd-one-one-w0-armijo-centered": "e78931b78177a6add63041a61f33b91d44dc6b6092baad65cf541f177e4782b3",
     "vrssd-one-one-w0-fixed-forward": "2fc76b76b93159afab6eebbf9a98c87d5e81257ee39cb4d2b4229cf41862490a",
     "vrssd-one-one-w0-theory-exact": "289cd5591aa259592c58ef13c38d66d9074a100887c8a432da6892e5e41fd597",
-    "vrssd-one-one-w3-armijo-centered": "8c270436c3c610d31b85062ecb4bd0dbf035d59efc205d27065ea8b4351465b7",
+    "vrssd-one-one-w3-armijo-centered": "f73451f2584dbbed29c38df94cbb33cb64b60f99dbaeb629334994668e301f84",
     "vrssd-one-one-w3-fixed-forward": "4141074fd106e8712e2c7912ef7ec42b2a18cf214e0d9f26d8d9ac049ba377bc",
     "vrssd-one-one-w3-theory-exact": "5b9ac2a616932ac9c4b594fd89f47b8e49fae452ded80459d6e82df20fe60fd3",
-    "vrssd-one-zero-w0-armijo-centered": "06dfe931408815073002ea0be5a36c7938ed7fabcf9844d9aed50f50b1334640",
+    "vrssd-one-zero-w0-armijo-centered": "6f82fbc2c0c2d0c0526d560ea4813e6b7b98e8861f4f3542a5a1b885d43941d1",
     "vrssd-one-zero-w0-fixed-forward": "fc511ed9fb34366536392cd324eb586bda40126e961a788ba31d9c480b2788b9",
     "vrssd-one-zero-w0-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
-    "vrssd-one-zero-w3-armijo-centered": "aabbcac4774a1f5e201cce54f4cfb56120d7f7e148f535164a2fab4be904e78f",
+    "vrssd-one-zero-w3-armijo-centered": "93e98c4398bb05d501c3f1ccbcc05aebd1515ed88fa33d90aef250981de4b649",
     "vrssd-one-zero-w3-fixed-forward": "cafa2e7ee86ac9498142f83c09f4cf6d8b21aeacb7895eef722b7f1b30e16085",
     "vrssd-one-zero-w3-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
     "vrssd-two-approx-w0-armijo-centered": "b6c1e5433560fe3c4c0b303d4f7b70e38d98bf6fee36d697f6f1cc3b9de2c90d",
     "vrssd-two-approx-w0-fixed-forward": "bf2b71c28b4cfeb06118e9662a328063dc4c4680fb3643876969efc80e459185",
     "vrssd-two-approx-w0-theory-exact": "c43663a46cb238204fd10fa3703c4092a81bd60558b60ea6fdb7b5a92475214a",
-    "vrssd-two-approx-w3-armijo-centered": "75d36afe996bf6be57cedc6f5a2995c74c4112a887bd42b3b45140b51953b375",
+    "vrssd-two-approx-w3-armijo-centered": "6058e246de2b03468f9d7a21bba4abc378086cf5bb061a97be2ec52c3fb62d30",
     "vrssd-two-approx-w3-fixed-forward": "0bb0f8add3128a4a0bdff55b8d06794cd85e6c6a6cf4e49b33f57b95b92bd43d",
     "vrssd-two-approx-w3-theory-exact": "573de8d83af2912e0157db96f124604f98fd77b969a3fe282b1236679b9c5217",
-    "vrssd-two-exact-w0-armijo-centered": "aae14f505d0f2ce2d1cc205d3316ac8d1b6f3f7adc3718110aa2225249ad710a",
-    "vrssd-two-exact-w0-fixed-forward": "da93c19462d1e85f55cb0681ff144d200254cb6e0f031780ea90b85046f38ec6",
+    "vrssd-two-exact-w0-armijo-centered": "e2b1b0c08ee04a0929c02a90f399c5a96adccf0b093d4443ae9772006853576d",
+    "vrssd-two-exact-w0-fixed-forward": "4f12fa95318bd95b31620c91582b9103b7d939ac91a1470e66d65a1dad869b07",
     "vrssd-two-exact-w0-theory-exact": "ea551cfa84d41f5685918cf7b7648c8a218a3a198d371fb0d56b1d2583371628",
-    "vrssd-two-exact-w3-armijo-centered": "ce25e13262258b15c8cae8bb471a706ea6906c382a10d59cc9005ae8e868ffa3",
-    "vrssd-two-exact-w3-fixed-forward": "eedadaab9249b5259423a6b19d2a1cc9cb56d756692707adefe95d9ec96bc245",
+    "vrssd-two-exact-w3-armijo-centered": "be21fd53d82e75ef9291a91d9b3613fc79b6406daf36401318911bd025232017",
+    "vrssd-two-exact-w3-fixed-forward": "7072e17ae0b3267dcbcc384b2e90668dc404df8d7601b9af7ecc299d0a8f1835",
     "vrssd-two-exact-w3-theory-exact": "f5c3827feb81d04a9f125bb7d09a9f9ed92178d6bf44fbee24d8c1b219736c5a",
     "vrssd-two-one-w0-armijo-centered": "3ba13bda8002313ab1a8ae5a8bcfb7580ec0b27a3194eb3ed399d0542a0fd3be",
     "vrssd-two-one-w0-fixed-forward": "e14945f3d240c67efd383efea84f73dde674e705f18ba7047ab68eb751ae78d1",
     "vrssd-two-one-w0-theory-exact": "2b208cb59e6757ea7ee6033180a05b8257bace9488620538b7b971831e25e77a",
-    "vrssd-two-one-w3-armijo-centered": "8c270436c3c610d31b85062ecb4bd0dbf035d59efc205d27065ea8b4351465b7",
+    "vrssd-two-one-w3-armijo-centered": "f73451f2584dbbed29c38df94cbb33cb64b60f99dbaeb629334994668e301f84",
     "vrssd-two-one-w3-fixed-forward": "87c1308eedb11a2647349acb68b124349fb521ae1d143321fc52b09fa69b546a",
     "vrssd-two-one-w3-theory-exact": "8e3adc72fe8f1bae5edda2a2b316ef59ef6ccc77b71c4565e14cd2bc4c9d664d",
-    "vrssd-two-zero-w0-armijo-centered": "9a702b22529f3ffd58525fcbc97351d099247f086167ffb84c13acfec47ff593",
+    "vrssd-two-zero-w0-armijo-centered": "c372b4b11f5cb0b535013f1931030b92632563d39fc8f5026b65227bd7d1367a",
     "vrssd-two-zero-w0-fixed-forward": "c1e6449fb154b5d2d041bd7abd6ed47a844278371a71867b6e435ef7b60ed706",
     "vrssd-two-zero-w0-theory-exact": "c2d805269f895a2ff31b937e0a7342bc8a6fe98fabfa5a525a490ac6a0f697cc",
-    "vrssd-two-zero-w3-armijo-centered": "b8018c9955dab69bd761887d6cdac693b5378a941fe54590dc73f4df4248fcf3",
+    "vrssd-two-zero-w3-armijo-centered": "4d686d860ffae9387153060028d504b0c2f5cea3a260aeafed638debe5fdc939",
     "vrssd-two-zero-w3-fixed-forward": "bb90c99cf60b8f13df656237356789c9385b10019e79e68a9676143b2dd60dd7",
     "vrssd-two-zero-w3-theory-exact": "3c6c3572d5d21fa71c2c18b4f9e5d327f6fd2dee8a9075356fea2cad0a249ae8",
 }

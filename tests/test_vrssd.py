@@ -431,6 +431,22 @@ class TestOptionTwo:
         for epochs in (2, 3):
             assert total("two", epochs) == total("one", epochs)
 
+    def test_exact_eta_anchor_takes_the_gradient_of_the_step_at_its_restart_point(self):
+        # Seed 3 restarts epoch 0 from inner iterate 1, whose exact-eta step
+        # took the full gradient there from the same base value: the next
+        # anchor reuses it, charges nothing and is admitted at no cost, so
+        # the budget fits the start, the anchor, two steps and one more step
+        # on the new anchor, with nothing to spare.
+        cfg = VrssdConfig(ell=2, step_rule=FixedStep(0.01), m=2, seed=3, option="two",
+                          eta_mode="exact", max_iters=3)
+        free = run_vrssd(isotropic_quadratic(8), np.full(8, 1.5), cfg)
+        obj = isotropic_quadratic(8)
+        budget = 1 + 8 + (2 + 1) + (2 + 8 + 1) + (2 + 1)
+        trace = run_vrssd(obj, np.full(8, 1.5), replace(cfg, eval_budget=budget))
+        assert trace.terminal_status == "max_iters"
+        assert trace.entries == free.entries
+        assert obj.eval_count == free.charged == budget
+
     @pytest.mark.parametrize(
         "grad, evals",
         [({"fd": FdScheme("exact")}, 41), ({"fd": FdScheme("centered")}, 321)],
