@@ -185,24 +185,42 @@ class TraceRecord:
     trace: RunTrace
 
 
+# The numbers each x0 sampler and threshold rule takes after its name.
+_X0_FORMS = {"zeros": (), "uniform": ("lo", "hi"), "gaussian": ("sigma",)}
+_THRESHOLD_FORMS = {"absolute": ("value",), "fraction": ("p",)}
+
+
+def _rule_numbers(rule: Tuple, what: str, forms: dict) -> Tuple[str, Tuple[float, ...]]:
+    """``rule``, the tuple ``(name, *numbers)``, as its name and its numbers
+    in floats, refused unless ``forms`` gives the name that many numbers."""
+    name = rule[0] if len(rule) else None
+    if name not in forms:
+        raise ConfigurationError(f"unknown {what} {name!r}; expected one of {sorted(forms)}")
+    usage = f"{what} {name!r} takes the numbers {forms[name]!r}, got {tuple(rule)!r}"
+    if len(rule) != 1 + len(forms[name]):
+        raise ConfigurationError(usage)
+    try:
+        return name, tuple(float(value) for value in rule[1:])
+    except (TypeError, ValueError):
+        raise ConfigurationError(usage) from None
+
+
 def _sample_x0(rule: Tuple, d: int, stream: RngStream) -> np.ndarray:
-    kind = rule[0]
+    kind, args = _rule_numbers(rule, "x0 sampler", _X0_FORMS)
     if kind == "zeros":
         return np.zeros(d)
     gen = stream.generator()
     if kind == "uniform":
-        lo, hi = float(rule[1]), float(rule[2])
+        lo, hi = args
         if not (lo < hi and math.isfinite(hi - lo)):
             raise ConfigurationError(
                 f"need lo < hi with a finite width for uniform x0, got [{lo}, {hi}]"
             )
         return gen.uniform(lo, hi, size=d)
-    if kind == "gaussian":
-        sigma = float(rule[1])
-        if not 0 < sigma < math.inf:
-            raise ConfigurationError(f"gaussian x0 needs a finite sigma > 0, got {sigma}")
-        return sigma * gen.standard_normal(d)
-    raise ConfigurationError(f"unknown x0 sampler {kind!r}")
+    sigma, = args
+    if not 0 < sigma < math.inf:
+        raise ConfigurationError(f"gaussian x0 needs a finite sigma > 0, got {sigma}")
+    return sigma * gen.standard_normal(d)
 
 
 def _threshold_level(rule: Tuple, fmin: Optional[float], start) -> float:
@@ -212,18 +230,15 @@ def _threshold_level(rule: Tuple, fmin: Optional[float], start) -> float:
     is called only after p and the known minimum have been checked; None (no
     starting value) or a non-finite f0 gives a level no run can reach.
     """
-    kind = rule[0]
+    kind, (value,) = _rule_numbers(rule, "threshold rule", _THRESHOLD_FORMS)
     if kind == "absolute":
-        return float(rule[1])
-    if kind == "fraction":
-        p = float(rule[1])
-        if not 0 < p <= 1:
-            raise ConfigurationError(f"fraction threshold needs p in (0, 1], got {p}")
-        if fmin is None:
-            raise ConfigurationError("fraction threshold needs a known minimum value")
-        f0 = start()
-        return -math.inf if f0 is None or not math.isfinite(f0) else f0 - p * (f0 - fmin)
-    raise ConfigurationError(f"unknown threshold rule {kind!r}")
+        return value
+    if not 0 < value <= 1:
+        raise ConfigurationError(f"fraction threshold needs p in (0, 1], got {value}")
+    if fmin is None:
+        raise ConfigurationError("fraction threshold needs a known minimum value")
+    f0 = start()
+    return -math.inf if f0 is None or not math.isfinite(f0) else f0 - value * (f0 - fmin)
 
 
 def _resolve_threshold(rule: Optional[Tuple], obj: Objective, x0) -> Optional[float]:
@@ -483,16 +498,31 @@ def _read_csv_traces(fh, path: Path) -> List[TraceRecord]:
             for (solver, trial), entries in grouped.items()]
 
 
+def _json_count(value) -> int:
+    """A count as JSON writes an int; 1.5, 1.0 and true are refused, as CSV refuses 1.5."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"count {value!r} is not an integer")
+    return value
+
+
+def _json_entry(e) -> TraceEntry:
+    if len(e) != 5:
+        raise ValueError(f"entry {e!r} does not have the 5 fields iter, evals, f, step, dirnorm")
+    return TraceEntry(_json_count(e[0]), _json_count(e[1]), float(e[2]), float(e[3]), float(e[4]))
+
+
 def _read_json_traces(fh, path: Path) -> List[TraceRecord]:
     try:
         records = []
         for item in json.load(fh)["traces"]:
             if not isinstance(item["solver"], str):
                 raise TypeError(f"solver name {item['solver']!r} is not a string")
-            entries = [TraceEntry(int(e[0]), int(e[1]), float(e[2]), float(e[3]), float(e[4]))
-                       for e in item["entries"]]
-            records.append(TraceRecord(item["solver"], int(item["trial"]),
-                                       RunTrace(entries, item["terminal_status"])))
+            status = item["terminal_status"]
+            if status is not None and not isinstance(status, str):
+                raise TypeError(f"terminal status {status!r} is not a string or null")
+            entries = [_json_entry(e) for e in item["entries"]]
+            records.append(TraceRecord(item["solver"], _json_count(item["trial"]),
+                                       RunTrace(entries, status)))
         return records
     except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
         raise ConfigurationError(

@@ -38,6 +38,8 @@ from typing import Callable, Optional
 from . import __version__
 from .bench import (
     _PROBLEM_BUILDERS,
+    _THRESHOLD_FORMS,
+    _X0_FORMS,
     ExperimentSpec,
     ProblemSpec,
     RUNNERS,
@@ -77,13 +79,12 @@ def _float(text, what: str) -> float:
 # spec strings
 
 # The arguments each spec name takes: a tuple names its positional numbers,
-# a set lists the keys it takes as k=v.
+# a set lists the keys it takes as k=v.  The x0 and threshold forms are
+# bench's, which checks a rule tuple against them too.
 _PROBLEM_FORMS = {name: required | optional
                   for name, (_, required, optional) in _PROBLEM_BUILDERS.items()}
 _STEP_FORMS = {"theory": (), "fixed": ("alpha",),
                "armijo": {f.name for f in fields(ArmijoStep)}}
-_X0_FORMS = {"zeros": (), "uniform": ("lo", "hi"), "gaussian": ("sigma",)}
-_THRESHOLD_FORMS = {"absolute": ("value",), "fraction": ("p",)}
 
 
 def _parse_spec(text: str, what: str, forms: dict):

@@ -13,10 +13,10 @@ through the first rejected trial: the search tries that fit's step next,
 and the skipped step above it only when a second fit, through the
 accepted trial, allows it.
 
-Every solver in the package runs on one driver, ``_drive``.  The state of a
-run (step plan, budget, trace entries and current iterate) is one ``_Run``
-object.  ``_Run.evaluate`` admits and charges every single evaluation a run
-makes outside the oracle, and ``_Run.record`` is the one place where a
+Every solver in the package runs on one driver, ``_drive``.  A run's fixed
+plan and budget and its changing iterate and trace are one ``_Run``.
+``_Run.admit`` admits every step, ``_Run.evaluate`` admits and charges each
+single evaluation made outside the oracle, and ``_Run.record`` is where a
 value at a new iterate is checked to be finite, enters the trace, becomes
 current and is tested against the target.  The driver checks the config
 with ``SsdConfig.check`` (no runner checks its own; ``_single_step`` checks
@@ -31,7 +31,7 @@ forward differences evaluate each iterate once, as the base of the next
 probe set.  ``run_ssd`` proposes sketched directions, the baselines
 propose full-gradient and quasi-Newton ones, and the variance-reduced
 solver runs its anchored epochs inside the same driver, one ``_loop`` call
-per stretch of steps.
+per epoch.
 """
 
 from __future__ import annotations
@@ -239,13 +239,13 @@ class _TargetReached(Exception):
 
 
 class _Run:
-    """The state of one run: its step plan, budget, entries and iterate.
+    """One run: a plan fixed when it is made (step rule, ``step_cost``,
+    target, budget) and an iterate that changes, ``x`` after ``k`` steps.
 
-    ``x`` is the current iterate after ``k`` steps and ``f`` its value,
-    known from the start evaluation on: every step that moves ``x`` records
-    the new value with it.  A known ``f`` is the base value of the next
-    forward probe set, so that set evaluates only its shifted points;
-    ``step_cost`` counts those.
+    Its value ``f`` is known from the start evaluation on: every step that
+    moves ``x`` records the new value with it in ``entries``.  A known ``f``
+    is the base value of the next forward probe set, so that set evaluates
+    only its shifted points; ``step_cost`` counts those.
     """
 
     def __init__(self, obj: Objective, cfg: SsdConfig, n_dirs: int, x: np.ndarray):
@@ -253,8 +253,6 @@ class _Run:
         self.rule = cfg.step_rule
         self.alpha_fixed = _fixed_alpha(cfg.step_rule, obj, n_dirs)
         self.step_cost = _step_cost(cfg, n_dirs)
-        # The proposer's decrease is the slope of f along -g, so Armijo may fit it.
-        self.fit = True
         self.target = cfg.target_value
         self.start = obj.eval_count
         self.limit = cfg.eval_budget
@@ -270,6 +268,10 @@ class _Run:
         """Raise :class:`BudgetError` unless ``n`` more evaluations fit."""
         if self.used() + n > self.limit:
             raise BudgetError(f"needs {n} more evaluations, {self.limit - self.used()} left")
+
+    def admit(self, extra: int = 0) -> None:
+        """Admit a step of ``step_cost + extra``, plus a fixed rule's new value."""
+        self.ensure(self.step_cost + extra + (self.alpha_fixed is not None))
 
     def evaluate(self, x: np.ndarray) -> float:
         """Admit and charge one evaluation of f at ``x``; its value is not checked."""
@@ -373,24 +375,26 @@ def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease,
 Propose = Callable[[np.ndarray, int, float], Tuple[np.ndarray, float, Optional[float]]]
 
 
-def _loop(run: _Run, stop_k: int, propose: Propose) -> None:
+def _loop(run: _Run, stop_k: int, propose: Propose, fit: bool = True) -> None:
     """Step ``run`` with ``propose`` until ``stop_k`` steps.
 
-    ``propose`` gets f(x), which the run knows at every iterate; each entry
-    records the direction's norm.  A fixed-rule step evaluates f at its new
-    iterate at once, admitted with the probes, and its entry counts the
-    evaluations charged before that value.  An Armijo entry counts up to
-    its accepted trial; a rejected look-ahead after it is left to the next
-    entry.  Every stop (the target, the budget, a failed line search or
-    evaluation) is raised to :func:`_drive`, which turns it into a status.
+    Each step is admitted by :meth:`_Run.admit` (a proposer whose step
+    costs more admits its extra cost) before ``propose`` gets f(x), which
+    the run knows at every iterate; each entry records the direction's
+    norm.  ``fit`` says the decrease is the slope of f along -g, so Armijo
+    may fit it.  A fixed-rule step evaluates f at its new iterate at once,
+    admitted with the probes, and its entry counts the evaluations charged
+    before that value.  An Armijo entry counts up to its accepted trial; a
+    rejected look-ahead after it is left to the next entry.  Every stop
+    (the target, the budget, a failed line search or evaluation) is raised
+    to :func:`_drive`, which turns it into a status.
     """
-    armijo = isinstance(run.rule, ArmijoStep)
     while run.k < stop_k:
-        run.ensure(run.step_cost + (not armijo))
+        run.admit()
         g, decrease, _ = propose(run.x, run.k, run.f)
-        if armijo:
+        if run.alpha_fixed is None:
             alpha, run.x, f_new, late = _armijo(run.evaluate, run.x, g, run.f, decrease,
-                                                run.rule, run.fit, run.may_look)
+                                                run.rule, fit, run.may_look)
             evals = run.used() - late
         else:
             alpha, evals = run.alpha_fixed, run.used()

@@ -25,7 +25,8 @@ at zero extra cost).
 The run shares the config check, start, budget, stepping and statuses of
 :func:`ssdopt.ssd.run_ssd` through its driver; ``VrssdConfig.check`` adds
 the epoch rules to the SSD ones, and only the epoch loop here knows about
-warmup, anchors and the option-two restart.
+warmup, anchors and the option-two restart, and steps the warmup and each
+epoch with one ``_loop`` call apiece on a step plan that never changes.
 """
 
 from __future__ import annotations
@@ -230,14 +231,15 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
     run with ``eta_mode="zero"`` and option "one" revisits exactly the
     sketches of :func:`ssdopt.ssd.run_ssd` under the same seed.
 
-    With option "two", each epoch's restart index j is drawn from the epoch
-    channel before the epoch starts, as it does not depend on the
-    trajectory.  Once the epoch is complete, the run restarts at inner
-    iterate j with the value its trace entry holds, at no evaluation.  An
-    anchor's forward differences take the value the run knows at its point
-    as their base.  With ``eta_mode="exact"`` the step at inner iterate j
-    < m already took the full gradient there, from that same base value,
-    so the next anchor reuses it and is admitted at no cost.
+    An exact-eta step off the anchor admits its full gradient's cost before
+    it draws.  With option "two", each epoch's restart index j is drawn
+    from the epoch channel before the epoch starts, as it does not depend
+    on the trajectory.  The step from inner iterate j < m keeps that point
+    and its value; once the epoch is complete, the run restarts there, at
+    no evaluation.  An anchor's forward differences take the value the run
+    knows at its point as their base.  With ``eta_mode="exact"`` the kept
+    step also took the full gradient there, from that same base value, so
+    the next anchor reuses it and is admitted at no cost.
     """
     _check_vrssd_config(cfg, "run_vrssd")
 
@@ -246,48 +248,39 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
         stream = SketchStream(cfg.seed)
         _loop(run, min(cfg.warmup_iters, cfg.max_iters),
               lambda x, k, fx: _sketched_direction(obj, x, cfg, stream.at(k), fx))
-        # With eta != 0, s^T s is not the slope of f along v: plain backtracking.
-        run.fit = cfg.eta_mode == "zero"
-        if cfg.eta_mode == "exact":
-            run.step_cost += anchor_cost
-        epoch, restart_gradient = 0, None
+        epoch, g_anchor = 0, None
         while run.k < cfg.max_iters:
-            if restart_gradient is None:
+            if g_anchor is None:
                 run.ensure(anchor_cost)
                 g_anchor = full_gradient_fd(obj, run.x, cfg.fd, fx=run.f)
-            else:
-                g_anchor, restart_gradient = restart_gradient, None
             anchor = AnchorState(run.x.copy(), g_anchor, epoch)
-
-            start, end = run.k, run.k + cfg.m
+            start, end, restart_k, restart = run.k, run.k + cfg.m, None, None
             if cfg.option == "two":
                 # The next epoch restarts from a uniformly chosen inner iterate.
                 rng = RngStream(cfg.seed, EPOCH_CHANNEL, epoch).generator()
-                j = int(rng.integers(1, cfg.m + 1))
+                restart_k = start + int(rng.integers(1, cfg.m + 1))
 
             def propose(x, k, fx):
-                nonlocal restart_gradient
+                nonlocal restart
                 # The first inner step sits on the anchor: its full gradient
                 # would repeat the anchor's probes at the same base value.
                 g_full = anchor.gradient if k == start else None
-                v, decrease, fx, g_full = _vr_direction(obj, x, anchor, cfg, stream.at(k), fx,
-                                                        g_full)
-                if cfg.option == "two" and k == start + j:
-                    # The next anchor sits here, with the same base value.
-                    restart_gradient = g_full
+                if k > start and cfg.eta_mode == "exact":
+                    # Any other step takes its own, so it costs an anchor more.
+                    run.admit(anchor_cost)
+                v, decrease, _, g_full = _vr_direction(obj, x, anchor, cfg, stream.at(k), fx,
+                                                       g_full)
+                if k == restart_k:
+                    # The restart point, with its value and (exact eta) its
+                    # full gradient; inner iterate m is where the epoch ends.
+                    restart = x, fx, g_full
                 return v, decrease, fx
 
-            if cfg.eta_mode == "exact":
-                # So that first step is admitted at its own, smaller cost.
-                run.step_cost -= anchor_cost
-                _loop(run, min(start + 1, cfg.max_iters), propose)
-                run.step_cost += anchor_cost
-            if cfg.option == "two":
-                _loop(run, min(start + j, cfg.max_iters), propose)
-                restart = run.x
-            _loop(run, min(end, cfg.max_iters), propose)
-            if cfg.option == "two" and run.k == end:
-                run.x, run.f = restart, run.entries[start + j].f
+            # With eta != 0, s^T s is not the slope of f along v: plain backtracking.
+            _loop(run, min(end, cfg.max_iters), propose, fit=cfg.eta_mode == "zero")
+            g_anchor = None
+            if restart is not None and run.k == end:
+                run.x, run.f, g_anchor = restart
             epoch += 1
 
     return _drive(obj, x0, cfg, cfg.ell, epochs=epochs)

@@ -223,7 +223,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "case",
         ["trials-0", "trials-2.5", "no-solvers", "duplicate-labels", "bad-later-solver",
-         "plain-vrssd", "base-seed-1.5", "base-seed-1.5-uniform"],
+         "plain-vrssd", "base-seed-1.5", "base-seed-1.5-uniform", "x0-uniform-one-number",
+         "x0-empty", "x0-gaussian-text", "threshold-fraction-bare", "threshold-absolute-bare"],
     )
     def test_spec_refuses_bad_input_when_made(self, monkeypatch, case):
         spec = small_experiment()
@@ -243,11 +244,18 @@ class TestRunExperiment:
             "plain-vrssd": dict(solvers=(first, SolverSetup("v", "vrssd", SsdConfig(ell=2)))),
             "base-seed-1.5": dict(x0=("zeros",), base_seed=1.5),
             "base-seed-1.5-uniform": dict(x0=("uniform", -1.0, 1.0), base_seed=1.5),
+            "x0-uniform-one-number": dict(x0=("uniform", 0.0)),
+            "x0-empty": dict(x0=()),
+            "x0-gaussian-text": dict(x0=("gaussian", "a")),
+            "threshold-fraction-bare": dict(threshold=("fraction",)),
+            "threshold-absolute-bare": dict(threshold=("absolute",)),
         }[case]
         fields = dict(problem=spec.problem, solvers=spec.solvers, trials=2, x0=spec.x0,
                       base_seed=spec.base_seed)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as refused:
             ExperimentSpec(**{**fields, **kw})
+        # The problem builds; the message names what is wrong instead.
+        assert "cannot set up problem" not in str(refused.value)
         assert evals == []
         assert len(builds) <= 1
 
@@ -453,6 +461,11 @@ class TestLinearRateFit:
             estimate_linear_rate(trace_of(fs), 0.0)
 
 
+# One JSON trace with its trial, its single entry and its status filled in.
+JSON_TRACE = ('{"traces": [{"solver": "a", "trial": %s, "entries": [%s], '
+              '"terminal_status": %s}]}')
+
+
 class TestTraceFiles:
     def records(self):
         awkward = [1.0, 1.0 / 3.0, 1e-17, 0.1 + 0.2]
@@ -532,8 +545,15 @@ class TestTraceFiles:
             ("bad.json", '[{"solver": "a", "tr'),
             ("bad.json", '[{"solver": "a", "trial": 0}]'),
             ("bad.json", '{"traces": [{"solver": "a", "trial": 0}]}'),
+            ("bad.json", JSON_TRACE % ("1.5", "[0, 1, 0.5, 0.0, 0.0]", '"max_iters"')),
+            ("bad.json", JSON_TRACE % ("1", "[0.5, 1, 0.5, 0.0, 0.0]", '"max_iters"')),
+            ("bad.json", JSON_TRACE % ("1", "[0, 1.5, 0.5, 0.0, 0.0]", '"max_iters"')),
+            ("bad.json", JSON_TRACE % ("1", "[0, 1, 0.5, 0.0, 0.0, 7]", '"max_iters"')),
+            ("bad.json", JSON_TRACE % ("1", "[0, 1, 0.5, 0.0, 0.0]", "5")),
         ],
-        ids=["short", "non-numeric", "json-truncated", "json-no-traces-key", "json-no-entries"],
+        ids=["short", "non-numeric", "json-truncated", "json-no-traces-key", "json-no-entries",
+             "json-fractional-trial", "json-fractional-iteration", "json-fractional-evals",
+             "json-six-fields", "json-numeric-status"],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, name, text):
         # A CSV row is appended to a good export and named by its line; a

@@ -15,6 +15,7 @@ from ssdopt import (
     Objective,
     RngStream,
     SsdConfig,
+    TheoreticalStep,
     VrssdConfig,
     cmse,
     directional_derivatives,
@@ -501,6 +502,28 @@ class TestTermination:
                               step_rule=FixedStep(0.05), eval_budget=budget, max_iters=50)
             run_vrssd(obj, np.ones(4), cfg)
             assert obj.eval_count <= budget, f"budget {budget}"
+
+    @pytest.mark.parametrize("rule", [FixedStep(0.05), TheoreticalStep()], ids=["fixed", "theory"])
+    @pytest.mark.parametrize("fd,anchor_cost", [("forward", 16), ("centered", 32)])
+    @pytest.mark.parametrize("option", ["one", "two"])
+    def test_exact_eta_step_off_the_anchor_is_admitted_with_its_full_gradient(
+            self, option, fd, anchor_cost, rule):
+        # Such a step also takes a full gradient, so it is admitted at that
+        # larger cost before its sketch is drawn.  A budget stop then leaves
+        # charged after the last entry's value nothing, or one anchor that
+        # no step could follow.
+        for budget in range(1, 260):
+            obj = nesterov_worst(8, 6, 16)
+            cfg = VrssdConfig(ell=2, m=3, option=option, eta_mode="exact", fd=FdScheme(fd),
+                              step_rule=rule, warmup_iters=1, eval_budget=budget,
+                              max_iters=1000)
+            trace = run_vrssd(obj, np.zeros(16), cfg)
+            assert trace.charged <= budget, f"budget {budget}"
+            if trace.terminal_status == "budget_exhausted":
+                # A fixed-rule entry's value is the evaluation after its
+                # count; entry 0's is the last one its count includes.
+                last_value = trace.final.evals + (len(trace.entries) > 1)
+                assert trace.charged - last_value in (0, anchor_cost), f"budget {budget}"
 
     def test_target_reached(self):
         obj = isotropic_quadratic(4)
