@@ -205,10 +205,12 @@ class _Option:
 
 
 _VRSSD = frozenset({"vrssd"})
+_SKETCHED = frozenset({"ssd", "vrssd"})
 _OPTIONS = {o.key: o for o in (
-    _Option("ell", "ell", "1", _int, "sketch size (ssd/vrssd)"),
+    _Option("ell", "ell", "1", _int, "sketch size (ssd/vrssd)", kinds=_SKETCHED),
     _Option("sketch", "distribution", "haar", _choice(*DISTRIBUTIONS),
-            "sketch distribution: " + " | ".join(DISTRIBUTIONS)),
+            "sketch distribution: " + " | ".join(DISTRIBUTIONS) + " (ssd/vrssd)",
+            kinds=_SKETCHED),
     _Option("step", "step_rule", "armijo", _parse_step,
             "fixed:<alpha> | theory | armijo[:k=v,..]", show=lambda c: _format_step(c.step_rule)),
     _Option("fd", "fd", "forward", _choice(*_FD_KINDS),
@@ -240,8 +242,9 @@ def _config_from_options(kind: str, texts: dict, label: Callable[[str], str]) ->
             raise ConfigurationError(f"unknown solver {label(key)}")
         if kind not in _OPTIONS[key].kinds:
             raise ConfigurationError(f"solver {label(key)} does not apply to kind {kind!r}")
-    values = {o.field: o.parse(texts.get(key, o.default), key)
-              for key, o in _OPTIONS.items() if kind in o.kinds}
+    # gd and bfgs difference all d coordinates and take no ell.
+    values = {"ell": 1, **{o.field: o.parse(texts.get(key, o.default), key)
+                           for key, o in _OPTIONS.items() if kind in o.kinds}}
     values["fd"] = FdScheme(values["fd"], values.pop("fd_step"))
     return (VrssdConfig if kind == "vrssd" else SsdConfig)(**values)
 

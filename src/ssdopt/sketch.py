@@ -22,9 +22,10 @@ Philox and one Generator.  At step k it sets the Philox key to the key
 ``SeedSequence(entropy=seed, spawn_key=(0, k))`` would give it, with the
 counter zeroed and the buffer empty, which is exactly the state
 ``Philox(SeedSequence(...))`` starts in, so every sketch is the byte-for-byte
-sketch of ``RngStream(seed, 0, k)``.  The keys come from
-:func:`philox_keys`, a port of SeedSequence's hashing that derives them for
-:data:`KEY_BLOCK` consecutive steps in one vectorized pass.
+sketch of ``RngStream(seed, 0, k)``.  The keys come from a port of
+SeedSequence's hashing (:func:`philox_keys`) that hashes the stream's seed
+and outer words once and derives the keys of :data:`KEY_BLOCK` consecutive
+steps in one vectorized pass.
 
 A step's sketch depends only on the seed and the step index, so the stream
 draws Haar frames for several steps at once.  It fills one ``(n, d, ell)``
@@ -116,56 +117,97 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
+def _constants(c: int, mult: int) -> np.ndarray:
+    """The hash constants ``(c, c * mult)`` that pool words 0, 1, 2, 3 meet
+    in turn from constant ``c``, as columns."""
+    rows = []
+    for _ in range(_POOL):
+        rows.append((c, c * mult & _MASK32))
+        c = rows[-1][1]
+    return np.array(rows, dtype=np.uint64)[:, :, None]
+
+
+# generate_state's constants, the same for every seed.
+_OUTPUT_C = _constants(_INIT_B, _MULT_B)
+
+
+def _hashmix(v, c):
+    """SeedSequence's hashmix of word ``v`` under hash constant ``c``: the
+    mixed value and the next constant."""
+    c_next = c * _MULT_A & _MASK32
+    v = (v ^ c) * c_next & _MASK32
+    return v ^ (v >> 16), c_next
+
+
+class _AddressHash:
+    """SeedSequence's hashing of the addresses ``(seed, outer, inner)`` for
+    one seed and outer index.
+
+    The entropy SeedSequence hashes is the seed's words (zero-padded to the
+    pool size), the outer words, then one word for the inner index.  Only
+    that last word varies over a block, so the seed and outer words are
+    hashed once, when the hash is made, and :meth:`keys` hashes the inner
+    words of a block as a uint64 array held to 32 bits.
+    """
+
+    def __init__(self, seed: int, outer: int):
+        self.seed, self.outer = operator.index(seed), operator.index(outer)
+        self._pool = None
+        if min(self.seed, self.outer) < 0:
+            return  # SeedSequence raises for these, in keys()
+        run = _words(self.seed)
+        entropy = run + [0] * (_POOL - len(run)) + _words(self.outer)
+        c, pool = _INIT_A, []
+        for w in entropy[:_POOL]:
+            w, c = _hashmix(w, c)
+            pool.append(w)
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    w, c = _hashmix(pool[src], c)
+                    pool[dst] = _mix(pool[dst], w)
+        for w in entropy[_POOL:]:
+            for dst in range(_POOL):
+                v, c = _hashmix(w, c)
+                pool[dst] = _mix(pool[dst], v)
+        self._pool = np.array(pool, dtype=np.uint64)[:, None]
+        # The inner word is hashed into each pool word in turn.
+        self._inner_c = _constants(c, _MULT_A)
+
+    def keys(self, start: int, count: int) -> np.ndarray:
+        """Philox keys of the streams ``(seed, outer, start + i)``, i < count.
+
+        A block that reaches ``inner >= 2**32``, where the inner index
+        takes two words, is derived by SeedSequence itself.
+        """
+        if self._pool is None or start < 0 or start + count > 2**32:
+            # SeedSequence also raises for a negative seed or address.
+            return np.array([
+                np.random.SeedSequence(entropy=self.seed, spawn_key=(self.outer, i))
+                .generate_state(2, np.uint64)
+                for i in range(start, start + count)
+            ], dtype=np.uint64).reshape(count, 2)
+        inner = np.arange(start, start + count, dtype=np.uint64)
+        v = (inner ^ self._inner_c[:, 0]) * self._inner_c[:, 1] & _MASK32
+        words = _mix(self._pool, v ^ (v >> 16))
+        # generate_state(2, np.uint64): four output words, one per pool word.
+        v = (words ^ _OUTPUT_C[:, 0]) * _OUTPUT_C[:, 1] & _MASK32
+        words = v ^ (v >> 16)
+        keys = np.empty((count, 2), dtype=np.uint64)
+        keys[:, 0] = words[0] | (words[1] << 32)
+        keys[:, 1] = words[2] | (words[3] << 32)
+        return keys
+
+
 def philox_keys(seed: int, outer: int, start: int, count: int) -> np.ndarray:
     """Philox keys of the streams ``(seed, outer, start + i)``, i < count.
 
     Row i equals ``SeedSequence(entropy=seed, spawn_key=(outer, start + i))
-    .generate_state(2, np.uint64)``.  The entropy SeedSequence hashes is the
-    seed's words (zero-padded to the pool size), the outer words, then one
-    word for the inner index; only that last word varies over the block, so
-    the seed and outer words are hashed once as Python ints and the last
-    word as a uint64 array held to 32 bits.  A block that reaches
-    ``inner >= 2**32``, where the inner index takes two words, is derived by
-    SeedSequence itself.
+    .generate_state(2, np.uint64)``; see :class:`_AddressHash`, which a
+    :class:`SketchStream` keeps so that it hashes its seed and outer words
+    once.
     """
-    seed, outer = operator.index(seed), operator.index(outer)
-    if min(seed, outer, start) < 0 or start + count > 2**32:
-        # SeedSequence also raises for a negative seed or address.
-        return np.array([
-            np.random.SeedSequence(entropy=seed, spawn_key=(outer, i)).generate_state(2, np.uint64)
-            for i in range(start, start + count)
-        ], dtype=np.uint64).reshape(count, 2)
-    run = _words(seed)
-    entropy = run + [0] * (_POOL - len(run)) + _words(outer)
-    h = [_INIT_A]
-
-    def hashmix(v):
-        c = h[0]
-        h[0] = c * _MULT_A & _MASK32
-        v = (v ^ c) * h[0] & _MASK32
-        return v ^ (v >> 16)
-
-    pool = [hashmix(w) for w in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    inner = np.arange(start, start + count, dtype=np.uint64)
-    words = [_mix(pool[dst], hashmix(inner)) for dst in range(_POOL)]
-    # generate_state(2, np.uint64): four output words, one per pool word.
-    c = _INIT_B
-    for i in range(_POOL):
-        c_next = c * _MULT_B & _MASK32
-        v = (words[i] ^ c) * c_next & _MASK32
-        words[i] = v ^ (v >> 16)
-        c = c_next
-    keys = np.empty((count, 2), dtype=np.uint64)
-    keys[:, 0] = words[0] | (words[1] << 32)
-    keys[:, 1] = words[2] | (words[3] << 32)
-    return keys
+    return _AddressHash(seed, outer).keys(start, count)
 
 
 class SketchStream:
@@ -194,6 +236,7 @@ class SketchStream:
 
     def __init__(self, seed: int, outer: int = SKETCH_CHANNEL):
         self.seed, self.outer, self.inner = seed, outer, 0
+        self._hash = None  # made with the first key block
         self._bitgen = np.random.Philox(0)
         self._gen = np.random.Generator(self._bitgen)
         self._start, self._keys = 0, []
@@ -212,7 +255,9 @@ class SketchStream:
         j = self.inner - self._start
         if not 0 <= j < len(self._keys):
             self._start = self.inner - self.inner % KEY_BLOCK
-            self._keys = philox_keys(self.seed, self.outer, self._start, KEY_BLOCK).tolist()
+            if self._hash is None:
+                self._hash = _AddressHash(self.seed, self.outer)
+            self._keys = self._hash.keys(self._start, KEY_BLOCK).tolist()
             j = self.inner - self._start
         self._key_state["key"] = self._keys[j]
         self._bitgen.state = self._state

@@ -8,10 +8,12 @@ surrogate for gradient descent at a fraction of the evaluation cost.
 Three step rules are supported: a fixed alpha, the theoretical
 ell / (d lambda), and Armijo backtracking whose sufficient-decrease test
 uses s^T s (already available from the sketch) so it needs no extra
-derivative information.  The same s^T s is the slope of a quadratic fit
-through the first rejected trial: the search tries that fit's step next,
-and the skipped step above it only when a second fit, through the
-accepted trial, allows it.
+derivative information.  Each search of a run starts at the grid step the
+one before it accepted, and the same s^T s is the slope of a quadratic fit
+through that first trial: a rejected trial is followed by the fit's step
+(and by the skipped step above it only when a second fit, through the
+accepted trial, allows it), and a passing one by the largest step the fit
+allows, unless the fit rules out the step above.
 
 Every solver in the package runs on one driver, ``_drive``.  A run's fixed
 plan and budget and its changing iterate and trace are one ``_Run``.
@@ -69,12 +71,15 @@ class TheoreticalStep:
 class ArmijoStep:
     """Backtracking on the grid alpha_init shrink^n, n < max_backtracks.
 
-    ``max_backtracks`` counts grid steps, evaluated or skipped: after a
-    rejected first trial a quadratic fit skips the steps it rules out, and
-    the step just above the fit's is tried only when a second fit allows it
-    (see ``_armijo``).  Along a quadratic, with an accurate slope, the
-    accepted step is plain backtracking's; otherwise a fit off by more than
-    a factor 1/shrink can give a smaller step, which still passes the
+    ``max_backtracks`` counts grid steps, evaluated or skipped.  A run's
+    searches after its first start at the grid step the one before accepted,
+    and a quadratic fit through the first trial decides where to go from
+    there: after a rejected trial it skips the steps it rules out, and the
+    step just above the fit's is tried only when a second fit allows it;
+    after a passing one it tries the largest step it allows, if that is
+    larger (see ``_armijo``).  Along a quadratic, with an accurate slope,
+    the accepted step is plain backtracking's; otherwise a fit off by more
+    than a factor 1/shrink can give a smaller step, which still passes the
     decrease test.
     """
 
@@ -173,8 +178,8 @@ class RunTrace:
     that produced it.  Entry 0 is the starting point; its single evaluation
     is part of the run's cost.  A fixed-rule entry's count stops just before
     the evaluation of its own value, while entry 0 and Armijo entries end at
-    the evaluation that produced theirs; a rejected Armijo look-ahead after
-    it is counted by the next entry.  ``charged`` counts every evaluation of
+    the evaluation that produced theirs; Armijo trials evaluated after it
+    are counted by the next entry.  ``charged`` counts every evaluation of
     the run, including that last value and any trials or probes after the
     last entry; a trace read back from a file has None.
     """
@@ -245,7 +250,9 @@ class _Run:
     Its value ``f`` is known from the start evaluation on: every step that
     moves ``x`` records the new value with it in ``entries``.  A known ``f``
     is the base value of the next forward probe set, so that set evaluates
-    only its shifted points; ``step_cost`` counts those.
+    only its shifted points; ``step_cost`` counts those.  ``n`` is the grid
+    step the last Armijo search accepted (0 before the first), where the
+    next fitted search starts.
     """
 
     def __init__(self, obj: Objective, cfg: SsdConfig, n_dirs: int, x: np.ndarray):
@@ -260,6 +267,7 @@ class _Run:
         self.x = x
         self.f: Optional[float] = None
         self.k = 0
+        self.n = 0
 
     def used(self) -> int:
         return self.obj.eval_count - self.start
@@ -310,64 +318,136 @@ def _fit_limit(f0, decrease, alpha, trial, c1) -> Optional[float]:
     return (1.0 - c1) * decrease / curvature
 
 
+# The share of |f| (4096 units in its last place) under which the rise of a
+# search's first trial is taken for rounding: a fit through it would rest on
+# a few noisy bits.  A trial deep on the grid can even leave x unchanged,
+# where its rise is alpha decrease alone.
+_RESOLUTION = 2.0 ** -40
+
+
+class _Accepted(tuple):
+    """What :func:`_armijo` accepted, ``(alpha, point, value, late)``, with
+    the accepted step's grid index n as ``index``."""
+
+    def __new__(cls, alpha, point, value, late, index):
+        accepted = super().__new__(cls, (alpha, point, value, late))
+        accepted.index = index
+        return accepted
+
+
 def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease,
             rule: ArmijoStep, fit: bool = True,
-            may_look: Callable[[float], bool] = lambda value: True):
+            may_look: Callable[[float], bool] = lambda value: True, start: int = 0):
     """Largest alpha in {alpha_init shrink^n, n < max_backtracks} with
     f(x - alpha g) <= f0 - c1 alpha decrease; ``evaluate`` values each trial.
 
-    When the first trial is rejected and ``fit`` holds (``decrease`` is the
-    slope of f along -g), the next trial is the largest grid step that the
-    quadratic fit of :func:`_fit_limit` accepts.  If that trial passes and
-    ``may_look(value)`` holds, a second fit through it decides on the
-    skipped step just above: that step is evaluated unless the second fit
-    rules it out, and taken if it passes.  When the fit's step lies just
-    past the grid the search tries the last grid step; it halves plainly
-    when the fit is not finite and convex or rules out the whole grid, so
-    the smallest step is always tried before the search fails.
-    ``max_backtracks`` counts grid steps, evaluated or skipped.  Along a
-    quadratic, with an accurate slope, the accepted step is plain
-    backtracking's; otherwise a fit off by more than a factor 1/shrink can
-    give a smaller step, which still passes the same test.
+    The search from grid step 0: when the first trial is rejected and
+    ``fit`` holds (``decrease`` is the slope of f along -g), the next trial
+    is the largest grid step that the quadratic fit of :func:`_fit_limit`
+    accepts.  If that trial passes and ``may_look(value)`` holds, a second
+    fit through it decides on the skipped step just above: that step is
+    evaluated unless the second fit rules it out, and taken if it passes.
+    When the fit's step lies just past the grid the search tries the last
+    grid step; it halves plainly when the fit is not finite and convex or
+    rules out the whole grid, so the smallest step is always tried before
+    the search fails.  ``max_backtracks`` counts grid steps, evaluated or
+    skipped.
 
-    Returns ``(alpha, point, value, late)`` with the accepted trial point
-    itself, so its value belongs to exactly that array; ``late`` is 1 when a
-    rejected look-ahead was evaluated after the accepted trial, else 0.
+    A search whose first trial is grid step ``start`` > 0 (a run passes the
+    step its previous search accepted) takes that trial if it passes and
+    ``may_look`` refuses a further one.  Otherwise the fit through it
+    decides: a rejected trial continues as the search from step 0 does after
+    its first, and a passing one is taken if the fit rules out the grid
+    step above, else the largest grid step the fit allows is evaluated once
+    and taken if it passes, and the first trial if not.  A fit that is not
+    finite and convex, or whose rise is rounding (under
+    :data:`_RESOLUTION` of |f|), or ``fit`` false, hands over to the search
+    from step 0, as does a search that fails from ``start`` down, so the
+    search fails only where the one from step 0 fails.  No grid step is
+    evaluated twice.  Along a quadratic, with an accurate slope, the
+    accepted step is plain backtracking's whatever the start; otherwise a
+    fit off by more than a factor 1/shrink can give a smaller step, which
+    still passes the same test.
+
+    Returns an :class:`_Accepted` ``(alpha, point, value, late)`` with the
+    accepted trial point itself, so its value belongs to exactly that
+    array; ``late`` counts the trials evaluated after it, and ``index`` is
+    its grid step n.
     """
-    def passes(step, value):
-        return value <= f0 - rule.c1 * step * decrease
+    c1, shrink, last = rule.c1, rule.shrink, rule.max_backtracks
+    tried = {}  # grid step n -> (alpha, point, value, order of evaluation)
 
-    alpha, n, above = rule.alpha_init, 0, None
-    while n < rule.max_backtracks:
-        point = x - alpha * direction
-        trial = evaluate(point)
-        if passes(alpha, trial):
-            if above is not None and may_look(trial):
-                limit = _fit_limit(f0, decrease, alpha, trial, rule.c1)
-                if limit is None or limit >= above:
-                    point_above = x - above * direction
-                    trial_above = evaluate(point_above)
-                    if passes(above, trial_above):
-                        return above, point_above, trial_above, 0
-                    return alpha, point, trial, 1
-            return alpha, point, trial, 0
-        limit = _fit_limit(f0, decrease, alpha, trial, rule.c1) if fit and n == 0 else None
-        alpha *= rule.shrink
-        n += 1
-        above = None
+    def passes(n, alpha):
+        """Whether grid step n, of size alpha, passes; evaluated once."""
+        if n not in tried:
+            point = x - alpha * direction
+            tried[n] = alpha, point, evaluate(point), len(tried)
+        return tried[n][2] <= f0 - c1 * alpha * decrease
+
+    def accept(n):
+        alpha, point, value, order = tried[n]
+        return _Accepted(alpha, point, value, len(tried) - 1 - order, n)
+
+    def descend(n, alpha, limit):
+        """The grid step accepted after step n, of size alpha, was rejected
+        and the fit through it gave ``limit``; None when none passes."""
+        n, alpha, above = n + 1, alpha * shrink, None
         if limit is not None:
             # Walk down the grid to the fit's largest acceptable step.
             fit_n, fit_alpha, up = n, alpha, None
-            while fit_n < rule.max_backtracks and fit_alpha > limit:
-                up, fit_alpha, fit_n = fit_alpha, fit_alpha * rule.shrink, fit_n + 1
-            if fit_n < rule.max_backtracks:
-                n, alpha, above = fit_n, fit_alpha, up
+            while fit_n < last and fit_alpha > limit:
+                up, fit_alpha, fit_n = fit_alpha, fit_alpha * shrink, fit_n + 1
+            if fit_n < last:
+                n, alpha = fit_n, fit_alpha
+                above = None if up is None else (fit_n - 1, up)
             elif fit_alpha <= limit and up is not None:
                 # That step lies just past the grid: try the last grid step.
                 n, alpha = fit_n - 1, up
-    raise LineSearchError(
-        f"no sufficient decrease within {rule.max_backtracks} backtracks"
-    )
+        while n < last:
+            if passes(n, alpha):
+                value = tried[n][2]
+                if above is not None and may_look(value):
+                    limit = _fit_limit(f0, decrease, alpha, value, c1)
+                    if (limit is None or limit >= above[1]) and passes(*above):
+                        return above[0]
+                return n
+            n, alpha, above = n + 1, alpha * shrink, None
+        return None
+
+    if start:
+        up, alpha = None, rule.alpha_init
+        for _ in range(start):
+            up, alpha = alpha, alpha * shrink
+        passed = passes(start, alpha)
+        value = tried[start][2]
+        if passed and not may_look(value):
+            return accept(start)
+        limit = _fit_limit(f0, decrease, alpha, value, c1) if fit else None
+        # A fit whose rise over the line is rounding is not read.
+        rise = value - f0 + alpha * decrease
+        if limit is not None and rise > _RESOLUTION * max(abs(f0), abs(value)):
+            if not passed:
+                n = descend(start, alpha, limit)
+                if n is not None:
+                    return accept(n)
+            elif limit < up:
+                return accept(start)
+            else:
+                # The largest grid step the fit allows, above start.
+                n, alpha = 0, rule.alpha_init
+                while alpha > limit:
+                    n, alpha = n + 1, alpha * shrink
+                return accept(n if passes(n, alpha) else start)
+    alpha = rule.alpha_init
+    if passes(0, alpha):
+        n = 0
+    else:
+        n = descend(0, alpha, _fit_limit(f0, decrease, alpha, tried[0][2], c1) if fit else None)
+    if n is None:
+        raise LineSearchError(
+            f"no sufficient decrease within {last} backtracks"
+        )
+    return accept(n)
 
 
 # propose(x, k, f(x)) -> (direction g, decrease for the Armijo test, f(x) or None);
@@ -382,10 +462,12 @@ def _loop(run: _Run, stop_k: int, propose: Propose, fit: bool = True) -> None:
     costs more admits its extra cost) before ``propose`` gets f(x), which
     the run knows at every iterate; each entry records the direction's
     norm.  ``fit`` says the decrease is the slope of f along -g, so Armijo
-    may fit it.  A fixed-rule step evaluates f at its new iterate at once,
-    admitted with the probes, and its entry counts the evaluations charged
-    before that value.  An Armijo entry counts up to its accepted trial; a
-    rejected look-ahead after it is left to the next entry.  Every stop
+    may fit it and starts at the grid step ``run.n`` the last search
+    accepted; without it every search starts at ``alpha_init``.  A
+    fixed-rule step evaluates f at its new iterate at once, admitted with
+    the probes, and its entry counts the evaluations charged before that
+    value.  An Armijo entry counts up to its accepted trial; trials
+    evaluated after it are left to the next entry.  Every stop
     (the target, the budget, a failed line search or evaluation) is raised
     to :func:`_drive`, which turns it into a status.
     """
@@ -393,9 +475,10 @@ def _loop(run: _Run, stop_k: int, propose: Propose, fit: bool = True) -> None:
         run.admit()
         g, decrease, _ = propose(run.x, run.k, run.f)
         if run.alpha_fixed is None:
-            alpha, run.x, f_new, late = _armijo(run.evaluate, run.x, g, run.f, decrease,
-                                                run.rule, fit, run.may_look)
-            evals = run.used() - late
+            accepted = _armijo(run.evaluate, run.x, g, run.f, decrease, run.rule, fit,
+                               run.may_look, run.n if fit else 0)
+            alpha, run.x, f_new, late = accepted
+            run.n, evals = accepted.index, run.used() - late
         else:
             alpha, evals = run.alpha_fixed, run.used()
             run.x = run.x - alpha * g
@@ -434,7 +517,8 @@ def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction,
 
     ``direction(x)`` returns a proposal as :data:`Propose` does; the step
     rule then moves along it without a budget, with the quadratic fit of
-    :func:`_armijo` when ``fit`` holds.  Returns ``(x_next, entry)``
+    :func:`_armijo` when ``fit`` holds; an Armijo search starts at
+    ``alpha_init``, as it has no previous step.  Returns ``(x_next, entry)``
     with the evaluations charged by this call.
     """
     cfg.check(obj)

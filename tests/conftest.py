@@ -2,6 +2,8 @@
 
 The hypothesis profile removes per-example deadlines (several properties
 exercise whole solver runs) and derandomizes so CI failures replay exactly.
+``HYPOTHESIS_PROFILE=deep`` runs the same profile with 2000 examples per
+property instead of 100.
 
 ``child_env`` builds the environment of every ``python -m ssdopt`` child the
 CLI tests start in a fresh working directory.
@@ -12,7 +14,8 @@ import os
 from hypothesis import settings
 
 settings.register_profile("suite", deadline=None, derandomize=True)
-settings.load_profile("suite")
+settings.register_profile("deep", settings.get_profile("suite"), max_examples=2000)
+settings.load_profile("deep" if os.environ.get("HYPOTHESIS_PROFILE") == "deep" else "suite")
 
 
 def child_env(env_extra=None):

@@ -34,6 +34,9 @@ REJECTED_RUNS = [
     ["run", "--problem", "quadratic:d=4", "--solver", "ssd", "--m", "5", "--eta", "7",
      "--option", "9"],
     ["run", "--problem", "quadratic:d=4", "--solver", "gd", "--warmup", "1"],
+    ["run", "--problem", "quadratic:d=4", "--solver", "gd", "--sketch", "gaussian",
+     "--iters", "3"],
+    ["run", "--problem", "quadratic:d=4", "--solver", "gd", "--ell", "9"],
     ["run", "--problem", "quadratic:d=4", "--out", os.path.join("no-such-dir", "x.csv")],
     ["run", "--problem", "quadratic:d=4", "--x0", "uniform:-inf,inf"],
     ["run", "--problem", "quadratic:d=4", "--x0", "uniform:-1e308,1e308"],
@@ -355,6 +358,10 @@ class TestSweep:
                 "key 'warmup' in [solver s] (line 7) does not apply to kind 'gd'",
             ),
             (
+                "[experiment]\nproblem = quadratic:d=4\ntrials = 2\n\n[solver s]\nkind = gd\nell = 3\n",
+                "key 'ell' in [solver s] (line 7) does not apply to kind 'gd'",
+            ),
+            (
                 "[experiment]\nproblem = quadratic:d=4\ntrials = 2\n\n[solver s]\nkind = bfgs\neta = 1\n",
                 "key 'eta' in [solver s] (line 7) does not apply to kind 'bfgs'",
             ),
@@ -674,6 +681,7 @@ REFUSED_UP_FRONT = {
     "sweep-ell-above-d": ("sweep", SWEEP_FIRST + "[solver b]\nell = 9\n"),
     "sweep-vrssd-m-0": ("sweep", SWEEP_FIRST + "[solver b]\nkind = vrssd\nm = 0\n"),
     "sweep-gd-iters-0": ("sweep", SWEEP_FIRST + "[solver b]\nkind = gd\niters = 0\n"),
+    "sweep-bfgs-sketch": ("sweep", SWEEP_FIRST + "[solver b]\nkind = bfgs\nsketch = gaussian\n"),
     "sweep-trials-0": ("sweep", SWEEP_FIRST.replace("trials = 2", "trials = 0")),
     "sweep-x0-empty-range": (
         "sweep", SWEEP_FIRST.replace("trials = 2", "trials = 2\nx0 = uniform:2,1")),

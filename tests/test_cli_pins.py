@@ -100,12 +100,12 @@ x0 = zeros
 
 status = line_search_failed
 f = -0.909090909090908
-evals = 4816
+evals = 4765
 trace written to trace.csv
 """,
         {
             "trace.csv":
-                "0d03bd461fa38bc50fcae5ece1a236cf2288b3915985852ba94f659588329ae0",
+                "c5151efc3f4b5c8c974d95905e0a4932bc0d42bbfe619e8f787fece4ec2e0870",
         },
     ),
     "vrssd-aliases": (
@@ -196,12 +196,12 @@ x0 = zeros
 
 status = max_iters
 f = 0.7173342167847353
-evals = 321
+evals = 306
 trace written to trace.csv
 """,
         {
             "trace.csv":
-                "a94e5ea3a033127eb5bedf551ba2eb86e863cc1f4a01341aaf815fdadcd9caba",
+                "b84bcb6ee7d80445b5c2c83716b923887472d7cd4a8c6d065d27543a0cace0e2",
         },
     ),
     "sweep-fraction": (
@@ -229,12 +229,10 @@ target = none
 
 [solver gd]
 budget = 100000
-ell = 1
 fd = forward
 fd-step = auto
 iters = 30
 kind = gd
-sketch = haar
 step = fixed:0.25
 target = none
 
@@ -255,7 +253,7 @@ warmup = 1
 
 [summary]
 solver trials success median_evals
-sk 3 1.000 36.0
+sk 3 1.000 33.0
 gd 3 1.000 26.0
 vr 3 1.000 48.0
 
@@ -263,7 +261,7 @@ traces written to frac/traces.csv
 """,
         {
             os.path.join("frac", "traces.csv"):
-                "1c9d4eb5a4fd1cf325f0e4acc88f2023b656c646715c408119a55e90ec283049",
+                "528ca276e28f22d05410f9e9136dd2a930e2971c6f342488aa0689b58c3da5c4",
         },
     ),
     "sweep-own": (
@@ -291,29 +289,25 @@ target = 0.001
 
 [solver bfgs]
 budget = 100000
-ell = 1
 fd = forward
 fd-step = auto
 iters = 1000
 kind = bfgs
-sketch = haar
 step = armijo:c1=0.0001,shrink=0.5,alpha_init=1.0,max_backtracks=30
 target = 0.001
 
 [solver none]
 budget = 100000
-ell = 1
 fd = forward
 fd-step = auto
 iters = 20
 kind = gd
-sketch = haar
 step = armijo:c1=0.0001,shrink=0.5,alpha_init=1.0,max_backtracks=30
 target = none
 
 [summary]
 solver trials success median_evals
-hit 3 1.000 89.0
+hit 3 1.000 68.0
 bfgs 3 1.000 8.0
 none 3 0.000 -
 
@@ -321,7 +315,7 @@ traces written to own/traces.csv
 """,
         {
             os.path.join("own", "traces.csv"):
-                "0b6b866058d54707925d020745e1b592382adce9a16ce6d142896d39d2d2960a",
+                "185dbbdf08bfd2a889c3687d297fe13393c92e176e70d14e02edf1beb0149170",
         },
     ),
     "profile-target": (
@@ -336,19 +330,19 @@ traces = frac/traces.csv
 
 solver,tau,rho
 gd,1.0,0.3333333333333333
-gd,1.3846153846153846,0.3333333333333333
+gd,1.2692307692307692,0.3333333333333333
 gd,1.8461538461538463,0.3333333333333333
 sk,1.0,0.0
-sk,1.3846153846153846,0.3333333333333333
+sk,1.2692307692307692,0.3333333333333333
 sk,1.8461538461538463,0.3333333333333333
 vr,1.0,0.0
-vr,1.3846153846153846,0.0
+vr,1.2692307692307692,0.0
 vr,1.8461538461538463,0.3333333333333333
 profile written to pt.csv
 """,
         {
             "pt.csv":
-                "eb59a6d753e3d433e6bb4c59f0904efde84a2d5f13ce9520e0fa3ccc186b2d1e",
+                "0cc11765b80fcca96cee6f98d154c9a3542898d28abd617a94cf6be0c09a2101",
         },
     ),
     "profile-fraction": (
@@ -363,31 +357,31 @@ traces = frac/traces.csv
 
 solver,tau,rho
 gd,1.0,0.6666666666666666
-gd,1.3,1.0
-gd,1.3846153846153846,1.0
-gd,1.65,1.0
+gd,1.2692307692307692,0.6666666666666666
+gd,1.368421052631579,1.0
+gd,1.736842105263158,1.0
 gd,1.8461538461538463,1.0
-gd,2.1153846153846154,1.0
+gd,2.076923076923077,1.0
 gd,5.423076923076923,1.0
 sk,1.0,0.3333333333333333
-sk,1.3,0.3333333333333333
-sk,1.3846153846153846,0.6666666666666666
-sk,1.65,0.6666666666666666
+sk,1.2692307692307692,0.6666666666666666
+sk,1.368421052631579,0.6666666666666666
+sk,1.736842105263158,0.6666666666666666
 sk,1.8461538461538463,0.6666666666666666
-sk,2.1153846153846154,1.0
+sk,2.076923076923077,1.0
 sk,5.423076923076923,1.0
 vr,1.0,0.0
-vr,1.3,0.0
-vr,1.3846153846153846,0.0
-vr,1.65,0.3333333333333333
+vr,1.2692307692307692,0.0
+vr,1.368421052631579,0.0
+vr,1.736842105263158,0.3333333333333333
 vr,1.8461538461538463,0.6666666666666666
-vr,2.1153846153846154,0.6666666666666666
+vr,2.076923076923077,0.6666666666666666
 vr,5.423076923076923,1.0
 profile written to pf.csv
 """,
         {
             "pf.csv":
-                "04b3699b1d8e2fd8981a72de1e868e0c85b09f0910cb759c63e3afc48816b268",
+                "8f56a51d6ca459e3a1e453c86d32e2f98420ebae51c977857620db9209c98fbe",
         },
     ),
 }

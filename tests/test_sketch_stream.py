@@ -46,6 +46,21 @@ def test_negative_address_raises_as_seed_sequence_does():
             philox_keys(*args, 4)
 
 
+@pytest.mark.parametrize("outer", [0, 1, 2, 3, 2**33 + 1])
+@pytest.mark.parametrize("seed", [2**32, 2**32 + 7, 2**64 + 3, 2**160 - 1])
+def test_stream_keys_equal_seed_sequence_and_hash_the_seed_once(monkeypatch, seed, outer):
+    # Steps in three key blocks and back: every block reuses the pool the
+    # stream hashed from its seed and outer words when it was made.
+    split = []
+    words = sketch_module._words
+    monkeypatch.setattr(sketch_module, "_words", lambda n: split.append(n) or words(n))
+    stream = SketchStream(seed, outer)
+    for k in [0, 1, 63, 64, 200, 5]:
+        key = stream.at(k).generator().bit_generator.state["state"]["key"]
+        assert key.tolist() == seed_sequence_key(seed, outer, k).tolist()
+    assert split == [seed, outer]
+
+
 def both_generators(seed, outer, k):
     """The stream's generator at step k and a fresh RngStream generator."""
     return SketchStream(seed, outer).at(k).generator(), RngStream(seed, outer, k).generator()

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import ssdopt.ssd as ssd_module
 from ssdopt import (
+    AnchorState,
     ArmijoStep,
     ConfigurationError,
     FdScheme,
@@ -32,6 +33,7 @@ from ssdopt import (
     ssd_step,
     estimate_linear_rate,
     theoretical_step,
+    vrssd_inner_step,
 )
 from ssdopt.errors import LineSearchError
 from ssdopt.ssd import TraceEntry, _armijo
@@ -376,7 +378,7 @@ CHARGED_CASES = {
     "gd-armijo-max-iters": (run_fd_gd, partial(nesterov_worst, 8.0, 5, 12),
                             SsdConfig(ell=1, max_iters=3), "max_iters", 0),
     "bfgs-armijo-budget": (run_fd_bfgs, partial(nesterov_worst, 8.0, 5, 12),
-                           SsdConfig(ell=1, eval_budget=42), "budget_exhausted", 13),
+                           SsdConfig(ell=1, eval_budget=42), "budget_exhausted", 0),
     "vrssd-fixed-max-iters": (run_vrssd, partial(nesterov_worst, 8.0, 5, 12),
                               VrssdConfig(ell=2, step_rule=FixedStep(0.1), m=3, max_iters=7),
                               "max_iters", 1),
@@ -584,13 +586,13 @@ def test_rosenbrock_searches_take_and_reject_look_aheads(monkeypatch, runner):
             points.append(point)
             return evaluate(point)
 
-        alpha, point, value, late = _armijo(traced, x, direction, *args)
-        if late:
+        accepted = _armijo(traced, x, direction, *args)
+        if accepted[3]:
             kinds.append("rejected")
         elif len(points) > 2 and (np.linalg.norm(points[-1] - x)
                                   > np.linalg.norm(points[-2] - x)):
             kinds.append("accepted")
-        return alpha, point, value, late
+        return accepted
 
     monkeypatch.setattr(ssd_module, "_armijo", recording)
     logged_armijo_run(runner, "rosenbrock")
@@ -601,24 +603,26 @@ def test_rosenbrock_searches_take_and_reject_look_aheads(monkeypatch, runner):
 def test_armijo_forward_step_costs_its_directions_and_trials(runner):
     # Each accepted step after the start pays its n directions, not f(x)
     # again, plus its trials.  With alpha_init 1 and shrink 1/2 a step of
-    # 2^-b is grid step b, the (b + 1)-th trial of plain backtracking.  The
-    # chain is quadratic along every line, so the fit through a rejected
-    # first trial lands on 2^-b, and the second fit through that accepted
-    # trial rules out the step above it: the search tries at most two, 1
-    # and 2^-b.  Within 1e-12 of f* the trial values differ from f0 by
-    # rounding alone, the fit sees noise, and the search may try more.
+    # 2^-b is grid step b.  Each search starts at the grid step the one
+    # before it accepted (the first at 0).  The chain is quadratic along
+    # every line, so one trial settles the search when it accepts that
+    # step again; otherwise the fit through the first trial lands on 2^-b
+    # and one more trial takes it.  Within 1e-12 of f* the trial values
+    # differ from f0 by rounding alone, the fit sees noise, and the search
+    # may try more, though no grid step twice.
     run = {"ssd": run_ssd, "gd": run_fd_gd, "bfgs": run_fd_bfgs}[runner]
     obj = nesterov_worst(8.0, 6, 16)
     trace = run(obj, np.linspace(-1.0, 1.0, 16), SsdConfig(ell=3, max_iters=30, seed=5))
     n = 3 if runner == "ssd" else 16
-    fitted = 0
+    fitted, start = 0, 0
     for before, after in zip(trace.entries, trace.entries[1:]):
         b = -int(math.log2(after.step))
         assert after.step == 2.0 ** -b
-        assert n + 1 <= after.evals - before.evals <= n + b + 1
+        assert n + 1 <= after.evals - before.evals <= n + max(b, start) + 2
         if before.f - obj.minimum_value > 1e-12:
-            assert after.evals - before.evals == n + min(b + 1, 2)
+            assert after.evals - before.evals == n + (1 if b == start else 2)
             fitted += 1
+        start = b
     assert fitted > 3
 
 
@@ -807,6 +811,148 @@ def test_second_fit_that_rules_out_the_step_above_skips_it():
     # step above the fit's fails it.
     tried, alpha = scripted_search(lambda a, n: 1e6 * a * a - a, ArmijoStep())
     assert (tried, alpha) == ([1.0, FIT_STEP], FIT_STEP)
+
+
+@given(data=st.data(), **QUADRATIC_SEARCHES)
+def test_search_from_any_start_accepts_plain_backtracking_step_on_convex_quadratics(
+        data, d, seed, alpha_init, shrink, c1, max_backtracks):
+    # A run starts each search at the grid step the one before it accepted.
+    # On a convex quadratic with the exact slope the fit through the first
+    # trial, passed or rejected, finds the step plain backtracking takes, at
+    # the cost of at most one trial more than the search from step 0.
+    start = data.draw(st.integers(min_value=0, max_value=max_backtracks - 1), label="start")
+    f, x, g = convex_quadratic_line(d, seed)
+    rule = ArmijoStep(c1=c1, shrink=shrink, alpha_init=alpha_init,
+                      max_backtracks=max_backtracks)
+    expected = plain_backtracking(f, x, g, f(x), float(g @ g), rule)
+    zero_eval, zero_calls = counted(f)
+    try:
+        _armijo(zero_eval, x, g, f(x), float(g @ g), rule)
+    except LineSearchError:
+        pass
+    start_eval, start_calls = counted(f)
+    try:
+        alpha, point, value, _ = _armijo(start_eval, x, g, f(x), float(g @ g), rule,
+                                         start=start)
+    except LineSearchError:
+        assert expected is None
+    else:
+        assert (alpha, point.tobytes(), value) == (expected[0], expected[1].tobytes(),
+                                                   expected[2])
+    assert len(start_calls) <= len(zero_calls) + 1
+    assert len({p.tobytes() for p in start_calls}) == len(start_calls)
+
+
+def scripted_start(values, start, look=True):
+    """``scripted_search`` from grid step ``start``, where ``look`` is what
+    ``may_look`` answers: the steps tried, and the accepted (alpha, late,
+    index) or None."""
+    tried = []
+
+    def evaluate(point):
+        tried.append(-float(point[0]))
+        return values(tried[-1])
+    try:
+        accepted = _armijo(evaluate, np.zeros(1), np.ones(1), 0.0, 1.0, ArmijoStep(),
+                           may_look=lambda value: look, start=start)
+    except LineSearchError:
+        return tried, None
+    return tried, (accepted[0], accepted[3], accepted.index)
+
+
+def line(curvature):
+    """f(a) = -a + curvature a^2: with slope -1 and c1 = 1e-4 every step up
+    to 0.9999 / curvature passes."""
+    return lambda a: -a + curvature * a * a
+
+
+@pytest.mark.parametrize("values, start, look, tried, accepted", [
+    # It passes, and the fit rules out 2^-2: one trial.
+    (line(6.0), 3, True, [2.0 ** -3], (2.0 ** -3, 0, 3)),
+    # It passes, and the fit allows steps up to 0.67: one more trial, at 2^-1.
+    (line(1.5), 5, True, [2.0 ** -5, 0.5], (0.5, 0, 1)),
+    # The same, but the caller refuses a further trial: no fit.
+    (line(1.5), 5, False, [2.0 ** -5], (2.0 ** -5, 0, 5)),
+    # The fit allows 2^-1, which fails: the first trial is kept, and the
+    # trial after it is late.
+    (lambda a: 1.0 if a == 0.5 else line(1.5)(a), 5, True, [2.0 ** -5, 0.5], (2.0 ** -5, 1, 5)),
+    # It is rejected: the fit's step, 2^-5, is taken, and the second fit
+    # rules out 2^-4, as in the search from step 0.
+    (line(20.0), 2, True, [0.25, 2.0 ** -5], (2.0 ** -5, 0, 5)),
+    # It passes, but f is linear up to 2^-3, so the fit is not convex: the
+    # search from step 0 halves through the NaNs above and takes 2^-3 again
+    # without evaluating it; the three trials after it are late.
+    (lambda a: -a if a <= 0.125 else math.nan, 3, True, [0.125, 1.0, 0.5, 0.25],
+     (0.125, 3, 3)),
+    # Every step from 2^-25 down fails: the fit through the first trial
+    # rules out the grid, which is halved to its end.  The search from step
+    # 0 then fits 2^-2 after 1, takes it, and rejects the look-ahead at
+    # 2^-1, rather than failing.
+    (lambda a: -a if a == 0.25 else 1.0, 25, True,
+     [2.0 ** -n for n in [25, 26, 27, 28, 29, 0, 2, 1]], (0.25, 1, 2)),
+    # No step passes: the search from step 0 skips 2^-1 on its fit and
+    # halves from 2^-2 down to the steps already tried, then fails.
+    (lambda a: 1.0, 25, True, [2.0 ** -n for n in [25, 26, 27, 28, 29, 0, *range(2, 25)]],
+     None),
+    # A NaN first trial cannot be fitted: the search from step 0 runs.
+    (lambda a: -a if a == 0.5 else math.nan, 25, True, [2.0 ** -25, 1.0, 0.5], (0.5, 0, 1)),
+])
+def test_search_from_a_start(values, start, look, tried, accepted):
+    assert scripted_start(values, start, look) == (tried, accepted)
+
+
+START_RUNS = {
+    "ssd": (run_ssd, SsdConfig(ell=3, max_iters=10, seed=5)),
+    "gd": (run_fd_gd, SsdConfig(ell=1, max_iters=10)),
+    "bfgs": (run_fd_bfgs, SsdConfig(ell=1, max_iters=10)),
+    "vrssd-zero": (run_vrssd, VrssdConfig(ell=3, m=4, eta_mode="zero", option="two",
+                                          warmup_iters=2, max_iters=10, seed=5)),
+    "vrssd-approx": (run_vrssd, VrssdConfig(ell=3, m=4, option="two", warmup_iters=2,
+                                            max_iters=10, seed=5)),
+    "vrssd-one": (run_vrssd, VrssdConfig(ell=3, m=4, eta_mode="one", warmup_iters=2,
+                                         max_iters=10, seed=5)),
+}
+
+
+def spied_starts(monkeypatch, call):
+    """The start of every Armijo search ``call()`` makes, with the value it returns."""
+    starts, armijo = [], ssd_module._armijo
+
+    def spy(evaluate, x, direction, f0, decrease, rule, fit=True,
+            may_look=lambda value: True, start=0):
+        starts.append(start)
+        return armijo(evaluate, x, direction, f0, decrease, rule, fit, may_look, start)
+
+    monkeypatch.setattr(ssd_module, "_armijo", spy)
+    return starts, call()
+
+
+@pytest.mark.parametrize("runner", sorted(START_RUNS))
+def test_each_search_starts_at_the_step_the_last_one_accepted(monkeypatch, runner):
+    # Where the fit can check a passing first trial; vrssd with a weight
+    # (eta != 0) cannot, so its epoch searches start at step 0, and only
+    # its warmup steps start where the last search stopped.
+    # A search that fails (vrssd with a weight may) follows its last entry.
+    run, cfg = START_RUNS[runner]
+    starts, trace = spied_starts(
+        monkeypatch, lambda: run(nesterov_worst(8.0, 6, 16), np.linspace(-1.0, 1.0, 16), cfg))
+    accepted = [-int(math.log2(e.step)) for e in trace.entries[1:]]
+    warm = runner in ("ssd", "gd", "bfgs", "vrssd-zero")
+    expected = [0] + [b if warm or k < 2 else 0 for k, b in enumerate(accepted, 1)]
+    assert len(starts) == len(accepted) + (trace.terminal_status == "line_search_failed")
+    assert starts == expected[:len(starts)]
+    assert any(starts[2:]) == warm
+
+
+def test_one_step_hooks_start_at_step_zero(monkeypatch):
+    obj = nesterov_worst(8.0, 6, 16)
+    x = np.linspace(-1.0, 1.0, 16)
+    anchor = AnchorState(x.copy(), obj.reference_gradient(x), 0)
+    starts, _ = spied_starts(monkeypatch, lambda: [
+        ssd_step(obj, x, SsdConfig(ell=3), RngStream(5)),
+        vrssd_inner_step(obj, x, anchor, VrssdConfig(ell=3, eta_mode="zero"), RngStream(5)),
+    ])
+    assert starts == [0, 0]
 
 
 def scripted_line(above_passes):

@@ -73,23 +73,23 @@ def digest(name):
 
 
 DIGESTS = {
-    "ssd-coordinate-s2p130-armijo-forward": "724e1737990f167389bd8001ee0331588681d7688678f96d5baf6b46fc222841",
+    "ssd-coordinate-s2p130-armijo-forward": "ef654c914390e2c0d7fb3d4352cbd10d90a28585c3b7b24764e8c08f40a3cb89",
     "ssd-coordinate-s2p130-fixed-centered": "fc77dfd0e966e16f1ede79223c687a8a67bb9f35a1b7857343fb607c82f64d3a",
-    "ssd-coordinate-s2p32-armijo-forward": "14289e1bbaef189eeee8310706b4b7a1b5f6d177adff4824c34471b971227f58",
+    "ssd-coordinate-s2p32-armijo-forward": "b834d8634e7a3f179f512cde13ff19250df8e76311d4ab03abf71b90c6ff7230",
     "ssd-coordinate-s2p32-fixed-centered": "78f1dc9bbe9b89b8c5f93a1e9e4ec673134aedac2c8b5eddc48b3ce0a985547f",
-    "ssd-coordinate-s5-armijo-forward": "5d2f6763fd74edf05b285744576d2d8a6657dc92d88c95e48c8d48b08f3346d4",
+    "ssd-coordinate-s5-armijo-forward": "181a51523703266547b59546e6e83eb0c1854d3e35f54ee2bf6cdb1d81e17499",
     "ssd-coordinate-s5-fixed-centered": "3a379cb143ee07a025d1682479bde8863d0fdef5de4a88dd95a969821d01b9ca",
-    "ssd-gaussian-s2p130-armijo-forward": "f27eb5c4a0016810403248013876748d999daf00d1ba6a2bfb480aff46d32082",
+    "ssd-gaussian-s2p130-armijo-forward": "3d6cadc0611207a8cdbc6b673e3f7ed416496d37b43fac1c4ab69a5d8884c55b",
     "ssd-gaussian-s2p130-fixed-centered": "ffb4927eb392fe1fbefc3377aeee0f4dfa6d7b4214ba0f68bcc89ad4fe308b10",
-    "ssd-gaussian-s2p32-armijo-forward": "6357b674b82985566ef98fe4bf2129c2e5e085accd27a87da048c58c9e15fe48",
+    "ssd-gaussian-s2p32-armijo-forward": "f4b33dda125414786a60121dadf0520dac618e2c170ec3ef9bc9f50f9b7d09df",
     "ssd-gaussian-s2p32-fixed-centered": "999c2822b6472f16f303c35da7ca964d74f7e2d953159f307e1a8a38efbf5c3d",
-    "ssd-gaussian-s5-armijo-forward": "3a4f3558787a67a4c65a0e0d6936433b99823f31a1639853b8ffcb476ad70c86",
+    "ssd-gaussian-s5-armijo-forward": "60b24832648fedcafc4f9b5d863d94d3a17716093d7dfea2d6dded100dd91c32",
     "ssd-gaussian-s5-fixed-centered": "7adc2d7ac4e6b9ebf3dbf62b50f8e5404c6f7167c20141a46311e4168e17878a",
-    "ssd-haar-s2p130-armijo-forward": "7710495ce09028b15fd0dba5e370132f548f9dcffb70fc94625cda5812cefe96",
+    "ssd-haar-s2p130-armijo-forward": "042ea52663956b2db1b968df9d6668a57f06711ecc6c231122fa093c05c61770",
     "ssd-haar-s2p130-fixed-centered": "694cf63ca11229fb3c9ba05f7601c9c07cbbab3963aaefc69dd732096a694ec5",
-    "ssd-haar-s2p32-armijo-forward": "953d52fe6eb16b392fa1e71f64a3122db1087d9bf7352b4f3b5f43671ef112b4",
+    "ssd-haar-s2p32-armijo-forward": "9b7ffc394330b28b73c2bcd2753c281deef37d8db5ca7f068e68f3024a65aaff",
     "ssd-haar-s2p32-fixed-centered": "a929c4875db3e6cdc3d71e31af39fe1ff7385910120fa5b3932f4f71975a8773",
-    "ssd-haar-s5-armijo-forward": "993135d84956bc7b689bb2e72697f74cd9412da6b8e226bd607140d02ce74e7e",
+    "ssd-haar-s5-armijo-forward": "f1f4d0fc4e719e4a598bafa6ffa3970bfec6977bce21deeaa0400eaddbb75a79",
     "ssd-haar-s5-fixed-centered": "7494b59e92aaec4faabdeb17e113f8211ed962d0b34cb76f169dd97e3d34d6f0",
     "vrssd-coordinate-s2p130-w3-fixed-forward": "9f531abdfa2503792d44c85824d32e28f413851bf6bbfbaac543dde792004664",
     "vrssd-coordinate-s2p130-w70-theory-exact": "b9b39440329b3da11b1ebe7c8929c825cf5f166865d97c5a09cc651a30b4d708",

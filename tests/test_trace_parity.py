@@ -158,42 +158,42 @@ def digest(name):
 
 
 DIGESTS = {
-    "bfgs-chain-centered": "d0f24444c0b961bd06de40af2ac1a40bb772b986f8d0583f98812b2f326688e3",
-    "bfgs-chain-exact": "bc986b144f420a4d0fc1cb190fcf667684be9625908eefefb49ae26c663f5304",
-    "bfgs-chain-forward": "571b022f3bf88e49d8c0bb543e4418748177f8639ed03f7aa0cbc598dd5b2b26",
-    "bfgs-lstsq-centered": "239168d961dae731c38f82727533f8c9ed72685cfac4ff86d0dcfacd773eefbb",
-    "bfgs-lstsq-exact": "abcd4cee528f1291e6d6dcd5d81d16d26ca0fe6b958a47294402483bc3a8a295",
-    "bfgs-lstsq-forward": "02f390bfc76a78aeced6fee985de1c51fd42cbb8f21a7b49e126249fc9dcdd7d",
-    "gd-chain-armijo-centered": "38c8e3871dee1f911458b3a97f0885f70e873e5c12dea2c3a5455364f544c816",
-    "gd-chain-armijo-exact": "81274f24bd013f572c959ff90cf34166597ea5836f1c26f2b33638bf7159d997",
-    "gd-chain-armijo-forward": "5c91550b8aacafa027d1089cf10b0c25e8b13cc351277a13d9c92b39fdccd713",
+    "bfgs-chain-centered": "61049ca118eb24434ee515ad8f47c85301e87d3073c4ee2daf35db1f97993292",
+    "bfgs-chain-exact": "5905f83ed669631b7e8b6057431df37858a7af9e0bfb7469b2dff3ee27eb9543",
+    "bfgs-chain-forward": "6f45e031144700cb97e8acb25d797af5c28ef638be0eefdd52f335cc72d4eb66",
+    "bfgs-lstsq-centered": "0c1d27575cfc6c07da600ea2dd81f28b9a6ccc52bddf777f8a60f31687f9af4e",
+    "bfgs-lstsq-exact": "404c1ea6972009859dd1e556031ef92abb51d6ab3df1b32844fbadd200d893f6",
+    "bfgs-lstsq-forward": "806f17575c8f2c36f0fce965d06ba3692f284f4ef6d75ca658dcae31f9dc4365",
+    "gd-chain-armijo-centered": "ba373d2d6f16dbe12fac0dee258558310b730b655f443e202ef0fdf199d98f63",
+    "gd-chain-armijo-exact": "0e765c943457094644c4312a17842c869aa44a5642c02660d799a7a81091df4f",
+    "gd-chain-armijo-forward": "84f9bb596a2d5f7b963864723667f09cc495cf6832437e90c3495c4f3a8b031b",
     "gd-chain-fixed-centered": "71f215ddff22bf7c651dc0d0e4d5411b663e23415203c0f48459b1e28a787916",
     "gd-chain-fixed-exact": "5cde6fba24c7b3839a34daad680933243322a63350a3cd75cdab2a43baeb304a",
     "gd-chain-fixed-forward": "497822ea5100dff10f8d6cff40307af50be5b61f3a31033e969478c1a5849e3f",
     "gd-chain-theory-centered": "25bda911d025c3f4d2317198c096594e5981aa6d8c0b207251f282643dfbdc34",
     "gd-chain-theory-exact": "e7c1b397fd05595a78cd375b68062158f4d1ad7aede75bce2ffeb547ecd8b669",
     "gd-chain-theory-forward": "6408958495c779bdc979a47018b6a1ea1f7480a2e4d3c047a597d9cbe23643cd",
-    "gd-lstsq-armijo-centered": "da4b05c372e3899ed388dfb940bd2bcaf43263d33d81680b315d4c3275d48dd7",
-    "gd-lstsq-armijo-exact": "69937387c9691b59050e241fdc5629178fcd4848f7a7fa1365667c6e9b0e8df2",
-    "gd-lstsq-armijo-forward": "77e9eda00139459e071e3b5a21d6385478399985b14b8297c7a0c77310dbe36c",
+    "gd-lstsq-armijo-centered": "e2d405a9d1feb4474ce2a62d528c1ea4c3c75e7cfe43ccda7f1036ed7299b533",
+    "gd-lstsq-armijo-exact": "50c926636bfc105bea915b2e96cff0472d7893e8d9434550e2e1744cadb02be6",
+    "gd-lstsq-armijo-forward": "6442e73d76a8458983027262ba255665cb3f07c0a640a762fb29eadef6ac4157",
     "gd-lstsq-fixed-centered": "c2c408ca539ace10913955a674d00bf0e10e628379f75ad0abffc7b5be08c259",
     "gd-lstsq-fixed-exact": "c9058d0fc05129d3c14e4873ce7556f95be8d97db89021df3145563eca0ac5c0",
     "gd-lstsq-fixed-forward": "aaa8b7404fc03a8bc46dfe3906a999620619cbc3b59b303beb41fb11a9f5371a",
     "gd-lstsq-theory-centered": "61dbcfa67891065da298b192c3ebf54659ec0c1077f1404333a9c3a1abb039ef",
     "gd-lstsq-theory-exact": "d537d4acb618eab1d51f7d633912dcfd3127723c68b691baed6088cba67dde72",
     "gd-lstsq-theory-forward": "c841fecface02658fec339dbf0d57fb372ae2728d0b69decc70f5077610bea81",
-    "ssd-chain-armijo-centered": "e017f37d250b409156a3cba6f151cb84d9f86cbd2208713567597cdf0e347761",
-    "ssd-chain-armijo-exact": "923d9813d334c6d8816cca8d23450e70fe9fe6816d2dc40bf0811c8ab503f3d8",
-    "ssd-chain-armijo-forward": "b700d4ee801ffda34328a78ae45a05461427be96c5c3c518ae83c48e3ece57aa",
+    "ssd-chain-armijo-centered": "af05ff5cf343bf11b6f6fbd854abca5090158a9333b74502f97bbe938304f270",
+    "ssd-chain-armijo-exact": "eb9f1467d60506fec71b650e312e94c48485757955cee1e04407ba880bfa7875",
+    "ssd-chain-armijo-forward": "197ed94f6049435f4fb138a5c989e1fbde87158592934b893c962546644ed203",
     "ssd-chain-fixed-centered": "898cc03471c5aaa7555cbcaf78ba61d9ae908759fe4ebb03fc905cd8cb8918da",
     "ssd-chain-fixed-exact": "b23efe5700bc107d4a41fe000f20f1e10a57f8563ce6a518a60e8f7aa9277839",
     "ssd-chain-fixed-forward": "4d6229c90fffd9e23a2678cc4c500431c919044f4d18470f2abdff1c063416c6",
     "ssd-chain-theory-centered": "07a62b87e15c9a5089a266dddb6dc4389337c35c73f875992f136a3251a3913b",
     "ssd-chain-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
     "ssd-chain-theory-forward": "ee22c8ba4e4dabb48265ffab7b826471d838274411bd7021a1844ab49dd66416",
-    "ssd-lstsq-armijo-centered": "cc630504ddc519cafc49807e65c7ecf049db3168692a58e54f314f088a8e7f19",
-    "ssd-lstsq-armijo-exact": "bf7d625b989a1b07a4b0bef47972d88c148db6311d4490ff0890b21a453bca9c",
-    "ssd-lstsq-armijo-forward": "df096174622d23856c6389a69f71843a2e67bd49acf14c69ffbeead0ffa2e1b9",
+    "ssd-lstsq-armijo-centered": "4008b9f277f031a638c401b5b20b21f409be86f1d9d585fc400eee39906d8875",
+    "ssd-lstsq-armijo-exact": "c8a086086fe7c653f56654d5fa57e85b43a8f835e2dbfb37df3b495109ccd1aa",
+    "ssd-lstsq-armijo-forward": "774b5801bdaba49eba4fbab2259f6a6cafabc7920bf59386e3ce6f402cba3e41",
     "ssd-lstsq-fixed-centered": "b9992c571b5e5f6f5f80691e4feff8a3c474594c2c82b97b97458eb16f2c35f2",
     "ssd-lstsq-fixed-exact": "b681057f1c4698ab9584d48981c6d87687b8354e7c79b9a43fb884257af4eeae",
     "ssd-lstsq-fixed-forward": "cbb6b15df2251724dc02ffa4be6fe3639170f343cbb7e471066edb6e1440e412",
@@ -248,41 +248,41 @@ DIGESTS = {
     "stop-bfgs-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-bfgs-budget-mid-step-armijo": "3d585cbfafb336bdd7c5f565e45996c5fdb7d9f5be31f9a9d953d614898da85f",
     "stop-bfgs-line-search-failed-armijo": "54f4b01b523e91672a19703db7b0e5ac0c9e1c45e61c8790dd367f0b7b64522b",
-    "stop-bfgs-max-iters-armijo": "c0f90d8dba9972beacf94b4ab5bd7a571b842ca1e92f24c4e29536f0dbb67c29",
+    "stop-bfgs-max-iters-armijo": "00ab00ba285eeffe301d6cfd3ea4313c08a27f0f779bb81333e3f40704b3b116",
     "stop-bfgs-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-bfgs-target-mid-run-armijo": "3db10db2291b5fadc79a558d961db64990892e7d2e7ee64ddb7882b154230daf",
+    "stop-bfgs-target-mid-run-armijo": "523b40b6e01ac06b13b7d5beccd9a533675f9a54c1e9270b145d65d3696ebe92",
     "stop-gd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-gd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-gd-budget-mid-step-armijo": "5a12f540018ec15ddc42f6b0539ebbdd4f61a7c39d36af645f92b3bfb9437c0e",
+    "stop-gd-budget-mid-step-armijo": "d31d515e5a70b27135fd4430945af3fe0942d0eb51d204188292b7d32f0aae20",
     "stop-gd-budget-mid-step-fixed": "277a61192d14d38f45dbc0ee3b1b0ccf7243ce2bbfdc6ff0088e75d3ee10c06f",
     "stop-gd-line-search-failed-armijo": "54f4b01b523e91672a19703db7b0e5ac0c9e1c45e61c8790dd367f0b7b64522b",
-    "stop-gd-max-iters-armijo": "ed0138817dca5d176654283f47589e19671916b94a9ab81b40928dff46f649d9",
+    "stop-gd-max-iters-armijo": "0a4091d881e10581581a718338b28b4cf5e6b62dfc5490b96dd3981cdbdb2d53",
     "stop-gd-max-iters-fixed": "0731ca3a7dcb38468e8aee60f116fd1d888816c7034a37a9434b7f546f1944f1",
     "stop-gd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-gd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-gd-target-mid-run-armijo": "4da968795c629a215d80ea7a1eb6445703149fe35dbf3f3753ac4a57aaad2f21",
+    "stop-gd-target-mid-run-armijo": "5ac094b428dbf8e9585a098e91f5a77e41011885b5fa42d6c29957d842386a51",
     "stop-gd-target-mid-run-fixed": "1eb41024e67d029a494f45e5a24140fd505854c66e0e895297efe91374896e4a",
     "stop-ssd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-ssd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-ssd-budget-mid-step-armijo": "f0c3a5859cb5f56cb0b3e33224e2e07bae95a3390377de17382509f73452ca62",
+    "stop-ssd-budget-mid-step-armijo": "caecd6674edc82cf111f4ecd09f0d19da2ea88724930174d0af4b572ef52b686",
     "stop-ssd-budget-mid-step-fixed": "d91da4129f8c97e0265562539c58173d44590508bdcfe5d821e45410909e062e",
     "stop-ssd-line-search-failed-armijo": "2744a26cb6a62fc3d693b21b2d685b7b5396aca77e2193447fce0eb0f79863a7",
-    "stop-ssd-max-iters-armijo": "ceed15d8f4551dfb016dd871791da3e4555f11a0630f3f389edc771931e43ec3",
+    "stop-ssd-max-iters-armijo": "eadb836999494a64f0d9e6d833fef617722318517664ccc180a57fb6a2a511a0",
     "stop-ssd-max-iters-fixed": "fe3e9b0c6c2cef5a4a773cb3027fa00eb288d7c14b7375526ad32ff9e77c94f8",
     "stop-ssd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-ssd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-ssd-target-mid-run-armijo": "b33a3474d6db22b514cf617bce6db37d4ae77d37b3ff25c5c23c28277ac35ffc",
+    "stop-ssd-target-mid-run-armijo": "06b6bed0496eb2d1cf4c205124ff39c54363fe6e6acef7496bcd253167bcb777",
     "stop-ssd-target-mid-run-fixed": "67c5fd9762a4084393d41f7c69853c71ceafd39e7cd8cff56982c8a7c663570f",
     "stop-vrssd-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-vrssd-budget-below-one-step-fixed": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
-    "stop-vrssd-budget-mid-step-armijo": "3fecec86204bd92b5cd7eeeb9f607d0b2cff31639d8ecc9cca8002e040689157",
+    "stop-vrssd-budget-mid-step-armijo": "7761400441204fd767864154db4cb0bd0a370195889af9f72ebfdf318e0e60ef",
     "stop-vrssd-budget-mid-step-fixed": "85d33342415eda6d423231def7dedcae0fd65cbcfb55c6e80017add7699a035d",
     "stop-vrssd-line-search-failed-armijo": "2744a26cb6a62fc3d693b21b2d685b7b5396aca77e2193447fce0eb0f79863a7",
-    "stop-vrssd-max-iters-armijo": "41652542fdbcdae99917b86b4fc29debae834179cda06b2e20df60001bfcfda4",
+    "stop-vrssd-max-iters-armijo": "ca629ed0f0768e129433f65bc96dc4c0d71490ba6440c12a19eaab3831bbafb2",
     "stop-vrssd-max-iters-fixed": "755e2474ff51b02ad67e3017843d141252124e34cc1a44e1052ddf991c04c7dc",
     "stop-vrssd-target-at-start-armijo": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
     "stop-vrssd-target-at-start-fixed": "96d78f1968bc7f78252550042efef25d6d4e7b984bfc906d766e360976554b4c",
-    "stop-vrssd-target-mid-run-armijo": "f6347c0a52aa17be36876a7330ff977888da39b66f79b06f0164496228058522",
+    "stop-vrssd-target-mid-run-armijo": "7d52301848592aa96ef740f336390255ce7e04dc80f1f7d75e16e0a17464911a",
     "stop-vrssd-target-mid-run-fixed": "3242fe7276d02355f22c817d575eaa391498de334234b61cec4ae22451f94147",
     "vrssd-one-approx-w0-armijo-centered": "b6c1e5433560fe3c4c0b303d4f7b70e38d98bf6fee36d697f6f1cc3b9de2c90d",
     "vrssd-one-approx-w0-fixed-forward": "4fff567da1aa726ea523fe7f77d97b146fa7b28223955eab26d95c790a96ed4f",
@@ -302,10 +302,10 @@ DIGESTS = {
     "vrssd-one-one-w3-armijo-centered": "f73451f2584dbbed29c38df94cbb33cb64b60f99dbaeb629334994668e301f84",
     "vrssd-one-one-w3-fixed-forward": "4141074fd106e8712e2c7912ef7ec42b2a18cf214e0d9f26d8d9ac049ba377bc",
     "vrssd-one-one-w3-theory-exact": "5b9ac2a616932ac9c4b594fd89f47b8e49fae452ded80459d6e82df20fe60fd3",
-    "vrssd-one-zero-w0-armijo-centered": "6f82fbc2c0c2d0c0526d560ea4813e6b7b98e8861f4f3542a5a1b885d43941d1",
+    "vrssd-one-zero-w0-armijo-centered": "60173d56c3b8e56883122d653effdd6e5fd49ceb397dc40bc8139546645d8b85",
     "vrssd-one-zero-w0-fixed-forward": "fc511ed9fb34366536392cd324eb586bda40126e961a788ba31d9c480b2788b9",
     "vrssd-one-zero-w0-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
-    "vrssd-one-zero-w3-armijo-centered": "93e98c4398bb05d501c3f1ccbcc05aebd1515ed88fa33d90aef250981de4b649",
+    "vrssd-one-zero-w3-armijo-centered": "a9ab2b780aa57d4fb4df621e8959600aa3677ac173e6522602278a1b5cdf5679",
     "vrssd-one-zero-w3-fixed-forward": "cafa2e7ee86ac9498142f83c09f4cf6d8b21aeacb7895eef722b7f1b30e16085",
     "vrssd-one-zero-w3-theory-exact": "ccab57584eda951e8bef9424efecc1004d0f71da7d403151032e62c66259c61a",
     "vrssd-two-approx-w0-armijo-centered": "b6c1e5433560fe3c4c0b303d4f7b70e38d98bf6fee36d697f6f1cc3b9de2c90d",
@@ -326,10 +326,10 @@ DIGESTS = {
     "vrssd-two-one-w3-armijo-centered": "f73451f2584dbbed29c38df94cbb33cb64b60f99dbaeb629334994668e301f84",
     "vrssd-two-one-w3-fixed-forward": "87c1308eedb11a2647349acb68b124349fb521ae1d143321fc52b09fa69b546a",
     "vrssd-two-one-w3-theory-exact": "8e3adc72fe8f1bae5edda2a2b316ef59ef6ccc77b71c4565e14cd2bc4c9d664d",
-    "vrssd-two-zero-w0-armijo-centered": "c372b4b11f5cb0b535013f1931030b92632563d39fc8f5026b65227bd7d1367a",
+    "vrssd-two-zero-w0-armijo-centered": "86b83c771dfeb8721c0194401a2c1137eb47dba6ba22fe8e3559e800171089b3",
     "vrssd-two-zero-w0-fixed-forward": "c1e6449fb154b5d2d041bd7abd6ed47a844278371a71867b6e435ef7b60ed706",
     "vrssd-two-zero-w0-theory-exact": "c2d805269f895a2ff31b937e0a7342bc8a6fe98fabfa5a525a490ac6a0f697cc",
-    "vrssd-two-zero-w3-armijo-centered": "4d686d860ffae9387153060028d504b0c2f5cea3a260aeafed638debe5fdc939",
+    "vrssd-two-zero-w3-armijo-centered": "e26e6c70bca625531edbbf2811f07a82b9131743d5b54d532d3e7ecfc1ca32ec",
     "vrssd-two-zero-w3-fixed-forward": "bb90c99cf60b8f13df656237356789c9385b10019e79e68a9676143b2dd60dd7",
     "vrssd-two-zero-w3-theory-exact": "3c6c3572d5d21fa71c2c18b4f9e5d327f6fd2dee8a9075356fea2cad0a249ae8",
 }
