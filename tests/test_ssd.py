@@ -600,7 +600,7 @@ def test_rosenbrock_searches_take_and_reject_look_aheads(monkeypatch, runner):
 
 
 @pytest.mark.parametrize("runner", ["ssd", "gd", "bfgs"])
-def test_armijo_forward_step_costs_its_directions_and_trials(runner):
+def test_armijo_forward_step_costs_its_directions_and_trials(monkeypatch, runner):
     # Each accepted step after the start pays its n directions, not f(x)
     # again, plus its trials.  With alpha_init 1 and shrink 1/2 a step of
     # 2^-b is grid step b.  Each search starts at the grid step the one
@@ -609,20 +609,37 @@ def test_armijo_forward_step_costs_its_directions_and_trials(runner):
     # step again; otherwise the fit through the first trial lands on 2^-b
     # and one more trial takes it.  Within 1e-12 of f* the trial values
     # differ from f0 by rounding alone, the fit sees noise, and the search
-    # may try more, though no grid step twice.
+    # may try more, though no grid step twice.  Trials a search evaluates
+    # after the step it accepts are charged to the next entry.
     run = {"ssd": run_ssd, "gd": run_fd_gd, "bfgs": run_fd_bfgs}[runner]
     obj = nesterov_worst(8.0, 6, 16)
+    searches, armijo = [], ssd_module._armijo
+
+    def spy(evaluate, x, direction, f0, decrease, rule, fit=True,
+            may_look=lambda value: True, start=0):
+        tried = []
+
+        def counted(point):
+            tried.append(point)
+            return evaluate(point)
+
+        accepted = armijo(counted, x, direction, f0, decrease, rule, fit, may_look, start)
+        searches.append((start, len(tried), accepted[3]))
+        return accepted
+
+    monkeypatch.setattr(ssd_module, "_armijo", spy)
     trace = run(obj, np.linspace(-1.0, 1.0, 16), SsdConfig(ell=3, max_iters=30, seed=5))
     n = 3 if runner == "ssd" else 16
-    fitted, start = 0, 0
-    for before, after in zip(trace.entries, trace.entries[1:]):
+    fitted, late_before = 0, 0
+    for before, after, (start, trials, late) in zip(trace.entries, trace.entries[1:], searches):
         b = -int(math.log2(after.step))
         assert after.step == 2.0 ** -b
-        assert n + 1 <= after.evals - before.evals <= n + max(b, start) + 2
+        assert 1 <= trials <= max(b, start) + 2
+        assert after.evals - before.evals == n + trials - late + late_before
         if before.f - obj.minimum_value > 1e-12:
             assert after.evals - before.evals == n + (1 if b == start else 2)
             fitted += 1
-        start = b
+        late_before = late
     assert fitted > 3
 
 
@@ -899,6 +916,103 @@ def line(curvature):
 ])
 def test_search_from_a_start(values, start, look, tried, accepted):
     assert scripted_start(values, start, look) == (tried, accepted)
+
+
+@pytest.mark.parametrize("shrink", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("c1", [1e-4, 0.1, 0.4999])
+@pytest.mark.parametrize("alpha_init", [1.0, 1e-3, 1e3])
+def test_start_trial_on_the_decrease_bound_is_taken(shrink, c1, alpha_init):
+    # Along f(a) = -c1 a from f0 = 0 with slope -1 every trial lies exactly
+    # on the decrease bound.  The fit through the start trial then allows
+    # about that trial's own step, and rounding can put its limit just
+    # under it: the search still takes the start trial, and tries no step
+    # below it.
+    rule = ArmijoStep(c1=c1, shrink=shrink, alpha_init=alpha_init, max_backtracks=60)
+    for start in range(1, 60):
+        tried = []
+
+        def evaluate(point):
+            tried.append(-float(point[0]))
+            return -(c1 * tried[-1] * 1.0)
+
+        accepted = _armijo(evaluate, np.zeros(1), np.ones(1), 0.0, 1.0, rule, start=start)
+        assert (len(tried), accepted[0], accepted[3], accepted.index) == (
+            1, tried[0], 0, start), start
+
+
+def arbitrary_line(data, f0, decrease, c1):
+    """A value for each grid step n of size alpha, ``value(n, alpha)``:
+    a table with NaNs and infinities, a cubic, a line whose rise over
+    f0 - alpha decrease is at rounding level, or the decrease bound itself."""
+    kind = data.draw(st.sampled_from(["table", "cubic", "rounding", "bound"]), label="kind")
+    if kind == "table":
+        offsets = data.draw(st.lists(st.one_of(st.floats(), st.just(math.nan)),
+                                     min_size=60, max_size=60), label="offsets")
+        return lambda n, alpha: f0 + offsets[n]
+    if kind == "cubic":
+        a, b = data.draw(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), label="a, b")
+        return lambda n, alpha: f0 - alpha * decrease + a * alpha ** 2 + b * alpha ** 3
+    if kind == "rounding":
+        ulps = data.draw(st.integers(-2 ** 14, 2 ** 14), label="ulps")
+        return lambda n, alpha: f0 - alpha * decrease + ulps * math.ulp(f0)
+    return lambda n, alpha: f0 - c1 * alpha * decrease
+
+
+@given(data=st.data(),
+       alpha_init=st.floats(min_value=1e-3, max_value=1e3),
+       shrink=st.floats(min_value=0.1, max_value=0.9),
+       c1=st.floats(min_value=1e-4, max_value=0.9999),
+       max_backtracks=st.integers(min_value=1, max_value=60),
+       f0=st.one_of(st.floats(-1e6, 1e6), st.just(0.0)),
+       decrease=st.one_of(st.floats(0.0, 1e6), st.just(0.0)),
+       fit=st.booleans())
+def test_search_invariants_on_arbitrary_lines(data, alpha_init, shrink, c1, max_backtracks,
+                                              f0, decrease, fit):
+    # Whatever the line, the start and the caller's answers: the accepted
+    # trial passes the decrease test, every trial is a grid step evaluated
+    # once, ``late`` counts the trials after the accepted one, the returned
+    # index is the accepted step's, and a search from a start fails only
+    # where the search from step 0 fails.
+    rule = ArmijoStep(c1=c1, shrink=shrink, alpha_init=alpha_init,
+                      max_backtracks=max_backtracks)
+    grid, alpha = {}, alpha_init
+    for n in range(max_backtracks):
+        grid[alpha], alpha = n, alpha * shrink
+    value = arbitrary_line(data, f0, decrease, c1)
+    start = data.draw(st.integers(min_value=0, max_value=max_backtracks - 1), label="start")
+
+    def search(first):
+        tried = []
+
+        def evaluate(point):
+            alpha = -float(point[0])
+            assert alpha in grid
+            tried.append(grid[alpha])
+            return value(grid[alpha], alpha)
+
+        def may_look(found):
+            return data.draw(st.booleans(), label="may_look")
+
+        try:
+            accepted = _armijo(evaluate, np.zeros(1), np.ones(1), f0, decrease, rule, fit,
+                               may_look, first)
+        except LineSearchError:
+            return tried, None
+        return tried, accepted
+
+    for first in {start, 0}:
+        tried, accepted = search(first)
+        assert len(set(tried)) == len(tried)
+        if accepted is None:
+            assert search(0)[1] is None
+            continue
+        alpha, point, found, late = accepted[:4]
+        index = accepted.index
+        assert index == grid[alpha] and index in tried
+        assert late == len(tried) - 1 - tried.index(index)
+        assert point.tobytes() == (np.zeros(1) - alpha * np.ones(1)).tobytes()
+        assert found == value(index, alpha)
+        assert found <= f0 - c1 * alpha * decrease
 
 
 START_RUNS = {
