@@ -9,11 +9,8 @@ Three step rules are supported: a fixed alpha, the theoretical
 ell / (d lambda), and Armijo backtracking whose sufficient-decrease test
 uses s^T s (already available from the sketch) so it needs no extra
 derivative information.  Each search of a run starts at the grid step the
-one before it accepted, and the same s^T s is the slope of a quadratic fit
-through that first trial: a rejected trial is followed by the fit's step
-(and by the skipped step above it only when a second fit, through the
-accepted trial, allows it), and a passing one by the largest step the fit
-allows, unless the fit rules out the step above.
+one before it accepted, and a quadratic fit with the same s^T s as its
+slope picks the grid steps it tries (see ``_armijo``).
 
 Every solver in the package runs on one driver, ``_drive``.  A run's fixed
 plan and budget and its changing iterate and trace are one ``_Run``.
@@ -71,16 +68,10 @@ class TheoreticalStep:
 class ArmijoStep:
     """Backtracking on the grid alpha_init shrink^n, n < max_backtracks.
 
-    ``max_backtracks`` counts grid steps, evaluated or skipped.  A run's
-    searches after its first start at the grid step the one before accepted,
-    and a quadratic fit through the first trial decides where to go from
-    there: after a rejected trial it skips the steps it rules out, and the
-    step just above the fit's is tried only when a second fit allows it;
-    after a passing one it tries the largest step it allows, if that is
-    larger (see ``_armijo``).  Along a quadratic, with an accurate slope,
-    the accepted step is plain backtracking's; otherwise a fit off by more
-    than a factor 1/shrink can give a smaller step, which still passes the
-    decrease test.
+    A run's searches start at the grid step the one before accepted, and a
+    quadratic fit through their trials skips the grid steps it rules out,
+    so ``max_backtracks`` counts grid steps, evaluated or skipped; the
+    rules are stated once, in ``_armijo``.
     """
 
     c1: float = 1e-4
@@ -251,8 +242,8 @@ class _Run:
     moves ``x`` records the new value with it in ``entries``.  A known ``f``
     is the base value of the next forward probe set, so that set evaluates
     only its shifted points; ``step_cost`` counts those.  ``n`` is the grid
-    step the last Armijo search accepted (0 before the first), where the
-    next fitted search starts.
+    index the last Armijo search returned with its accepted step (0 before
+    the first), where the next fitted search starts.
     """
 
     def __init__(self, obj: Objective, cfg: SsdConfig, n_dirs: int, x: np.ndarray):
@@ -325,14 +316,15 @@ def _fit_limit(f0, decrease, alpha, trial, c1) -> Optional[float]:
 _RESOLUTION = 2.0 ** -40
 
 
-class _Accepted(tuple):
-    """What :func:`_armijo` accepted, ``(alpha, point, value, late)``, with
-    the accepted step's grid index n as ``index``."""
-
-    def __new__(cls, alpha, point, value, late, index):
-        accepted = super().__new__(cls, (alpha, point, value, late))
-        accepted.index = index
-        return accepted
+def _grid_step(n, alpha, limit, stop, shrink):
+    """Walk the grid down from step n, of size alpha, to the first step whose
+    size is at or under ``limit``, or to step ``stop`` if none before it is:
+    ``(index, size, size of the step above it)``, the last None when no step
+    was walked."""
+    up = None
+    while n < stop and alpha > limit:
+        n, alpha, up = n + 1, alpha * shrink, alpha
+    return n, alpha, up
 
 
 def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease,
@@ -341,38 +333,40 @@ def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease,
     """Largest alpha in {alpha_init shrink^n, n < max_backtracks} with
     f(x - alpha g) <= f0 - c1 alpha decrease; ``evaluate`` values each trial.
 
-    The search from grid step 0: when the first trial is rejected and
-    ``fit`` holds (``decrease`` is the slope of f along -g), the next trial
-    is the largest grid step that the quadratic fit of :func:`_fit_limit`
-    accepts.  If that trial passes and ``may_look(value)`` holds, a second
-    fit through it decides on the skipped step just above: that step is
-    evaluated unless the second fit rules it out, and taken if it passes.
-    When the fit's step lies just past the grid the search tries the last
-    grid step; it halves plainly when the fit is not finite and convex or
-    rules out the whole grid, so the smallest step is always tried before
-    the search fails.  ``max_backtracks`` counts grid steps, evaluated or
-    skipped.
+    The first trial is grid step ``start`` (a run passes the step its last
+    search accepted).  When ``fit`` holds, ``decrease`` is the slope of f
+    along -g, and the quadratic fit of :func:`_fit_limit` through a trial
+    gives the largest step it accepts.  The rules for a first trial:
 
-    A search whose first trial is grid step ``start`` > 0 (a run passes the
-    step its previous search accepted) takes that trial if it passes and
-    ``may_look`` refuses a further one.  Otherwise the fit through it
-    decides: a rejected trial continues as the search from step 0 does after
-    its first, and a passing one is taken if the fit rules out the grid
-    step above, else the largest grid step the fit allows is evaluated once
-    and taken if it passes, and the first trial if not.  A fit that is not
-    finite and convex, or whose rise is rounding (under
-    :data:`_RESOLUTION` of |f|), or ``fit`` false, hands over to the search
-    from step 0, as does a search that fails from ``start`` down, so the
-    search fails only where the one from step 0 fails.  No grid step is
-    evaluated twice.  Along a quadratic, with an accurate slope, the
-    accepted step is plain backtracking's whatever the start; otherwise a
-    fit off by more than a factor 1/shrink can give a smaller step, which
-    still passes the same test.
+    - it is taken if it passes at step 0, or passes where
+      ``may_look(value)`` refuses a further trial;
+    - from a start > 0, a fit that cannot be read hands over to the search
+      from step 0: ``fit`` is false, the fit is not finite and convex, or
+      its rise over the line is rounding (under :data:`_RESOLUTION` of |f|);
+    - above a passing trial, the largest grid step the fit allows is
+      evaluated once and taken if it passes, else the first trial is kept,
+      as it is when the fit rules out every step above it;
+    - after a rejected trial, the next is the largest grid step the fit
+      allows.  If it passes and ``may_look`` holds, a second fit through it
+      decides on the skipped step just above: that step is evaluated unless
+      the second fit rules it out, and taken if it passes.  A fit step just
+      past the grid is replaced by the last grid step; without a fit, or
+      when it rules out the grid, the search halves plainly, so the smallest
+      step is tried before the search fails.  Then the search halves to the
+      end of the grid.  When nothing passes, a search from a start > 0 hands
+      over to the one from step 0, and that one raises
+      :class:`LineSearchError`.
 
-    Returns an :class:`_Accepted` ``(alpha, point, value, late)`` with the
-    accepted trial point itself, so its value belongs to exactly that
-    array; ``late`` counts the trials evaluated after it, and ``index`` is
-    its grid step n.
+    The search from step 0 reuses the trials already made: no grid step is
+    evaluated twice, and a search fails only where the one from step 0
+    fails.  ``max_backtracks`` counts grid steps, evaluated or skipped.
+    Along a quadratic, with an accurate slope, the accepted step is plain
+    backtracking's whatever the start; otherwise a fit off by more than a
+    factor 1/shrink can give a smaller step, which still passes the test.
+
+    Returns ``(alpha, point, value, late, index)``: the accepted trial point
+    itself, so its value belongs to exactly that array, the number of trials
+    evaluated after it, and its grid step n.
     """
     c1, shrink, last = rule.c1, rule.shrink, rule.max_backtracks
     tried = {}  # grid step n -> (alpha, point, value, order of evaluation)
@@ -386,68 +380,41 @@ def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease,
 
     def accept(n):
         alpha, point, value, order = tried[n]
-        return _Accepted(alpha, point, value, len(tried) - 1 - order, n)
+        return alpha, point, value, len(tried) - 1 - order, n
 
-    def descend(n, alpha, limit):
-        """The grid step accepted after step n, of size alpha, was rejected
-        and the fit through it gave ``limit``; None when none passes."""
-        n, alpha, above = n + 1, alpha * shrink, None
-        if limit is not None:
-            # Walk down the grid to the fit's largest acceptable step.
-            fit_n, fit_alpha, up = n, alpha, None
-            while fit_n < last and fit_alpha > limit:
-                up, fit_alpha, fit_n = fit_alpha, fit_alpha * shrink, fit_n + 1
-            if fit_n < last:
-                n, alpha = fit_n, fit_alpha
-                above = None if up is None else (fit_n - 1, up)
-            elif fit_alpha <= limit and up is not None:
-                # That step lies just past the grid: try the last grid step.
-                n, alpha = fit_n - 1, up
-        while n < last:
-            if passes(n, alpha):
-                value = tried[n][2]
-                if above is not None and may_look(value):
-                    limit = _fit_limit(f0, decrease, alpha, value, c1)
-                    if (limit is None or limit >= above[1]) and passes(*above):
-                        return above[0]
-                return n
-            n, alpha, above = n + 1, alpha * shrink, None
-        return None
-
-    if start:
-        up, alpha = None, rule.alpha_init
-        for _ in range(start):
-            up, alpha = alpha, alpha * shrink
-        passed = passes(start, alpha)
-        value = tried[start][2]
-        if passed and not may_look(value):
-            return accept(start)
+    for first in ((start, 0) if start else (0,)):
+        # Sizes are walked, not powered, so every walk meets the same floats.
+        alpha = _grid_step(0, rule.alpha_init, -math.inf, first, shrink)[1]
+        passed = passes(first, alpha)
+        value = tried[first][2]
+        if passed and not (first and may_look(value)):
+            return accept(first)
         limit = _fit_limit(f0, decrease, alpha, value, c1) if fit else None
         # A fit whose rise over the line is rounding is not read.
-        rise = value - f0 + alpha * decrease
-        if limit is not None and rise > _RESOLUTION * max(abs(f0), abs(value)):
-            if not passed:
-                n = descend(start, alpha, limit)
-                if n is not None:
-                    return accept(n)
-            elif limit < up:
-                return accept(start)
-            else:
-                # The largest grid step the fit allows, above start.
-                n, alpha = 0, rule.alpha_init
-                while alpha > limit:
-                    n, alpha = n + 1, alpha * shrink
-                return accept(n if passes(n, alpha) else start)
-    alpha = rule.alpha_init
-    if passes(0, alpha):
-        n = 0
-    else:
-        n = descend(0, alpha, _fit_limit(f0, decrease, alpha, tried[0][2], c1) if fit else None)
-    if n is None:
-        raise LineSearchError(
-            f"no sufficient decrease within {last} backtracks"
-        )
-    return accept(n)
+        if first and (limit is None or value - f0 + alpha * decrease
+                      <= _RESOLUTION * max(abs(f0), abs(value))):
+            continue
+        if passed:
+            n, above, _ = _grid_step(0, rule.alpha_init, limit, first, shrink)
+            return accept(n if n < first and passes(n, above) else first)
+        limit = math.inf if limit is None else limit
+        n, step, up = _grid_step(first + 1, alpha * shrink, limit, last, shrink)
+        if step > limit:
+            # The fit rules out the whole grid: halve plainly.
+            n, step, up = first + 1, alpha * shrink, None
+        elif n == last and up is not None:
+            # The fit's step lies just past the grid: try the last grid step.
+            n, step, up = n - 1, up, None
+        while n < last:
+            if passes(n, step):
+                value = tried[n][2]
+                if up is not None and may_look(value):
+                    second = _fit_limit(f0, decrease, step, value, c1)
+                    if (second is None or second >= up) and passes(n - 1, up):
+                        n -= 1
+                return accept(n)
+            n, step, up = n + 1, step * shrink, None
+    raise LineSearchError(f"no sufficient decrease within {last} backtracks")
 
 
 # propose(x, k, f(x)) -> (direction g, decrease for the Armijo test, f(x) or None);
@@ -462,8 +429,8 @@ def _loop(run: _Run, stop_k: int, propose: Propose, fit: bool = True) -> None:
     costs more admits its extra cost) before ``propose`` gets f(x), which
     the run knows at every iterate; each entry records the direction's
     norm.  ``fit`` says the decrease is the slope of f along -g, so Armijo
-    may fit it and starts at the grid step ``run.n`` the last search
-    accepted; without it every search starts at ``alpha_init``.  A
+    may fit it and starts at ``run.n``, the grid index the last search
+    returned; without it every search starts at ``alpha_init``.  A
     fixed-rule step evaluates f at its new iterate at once, admitted with
     the probes, and its entry counts the evaluations charged before that
     value.  An Armijo entry counts up to its accepted trial; trials
@@ -475,10 +442,10 @@ def _loop(run: _Run, stop_k: int, propose: Propose, fit: bool = True) -> None:
         run.admit()
         g, decrease, _ = propose(run.x, run.k, run.f)
         if run.alpha_fixed is None:
-            accepted = _armijo(run.evaluate, run.x, g, run.f, decrease, run.rule, fit,
-                               run.may_look, run.n if fit else 0)
-            alpha, run.x, f_new, late = accepted
-            run.n, evals = accepted.index, run.used() - late
+            alpha, run.x, f_new, late, run.n = _armijo(
+                run.evaluate, run.x, g, run.f, decrease, run.rule, fit, run.may_look,
+                run.n if fit else 0)
+            evals = run.used() - late
         else:
             alpha, evals = run.alpha_fixed, run.used()
             run.x = run.x - alpha * g
@@ -528,8 +495,8 @@ def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction,
     alpha = _fixed_alpha(cfg.step_rule, obj, cfg.ell)
     if alpha is None:
         f0 = fx if fx is not None else obj.evaluate(x)
-        alpha, x_next, f_entry, _ = _armijo(obj.evaluate, x, g, f0, decrease, cfg.step_rule,
-                                            fit)
+        alpha, x_next, f_entry = _armijo(obj.evaluate, x, g, f0, decrease, cfg.step_rule,
+                                         fit)[:3]
     else:
         x_next, f_entry = x - alpha * g, (fx if fx is not None else math.nan)
     entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha,

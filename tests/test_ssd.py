@@ -697,7 +697,7 @@ def test_fit_accepts_plain_backtracking_step_on_convex_quadratics(
     expected = plain_backtracking(plain_eval, x, g, f(x), float(g @ g), rule)
     fit_eval, fit_calls = counted(f)
     try:
-        alpha, point, value, _ = _armijo(fit_eval, x, g, f(x), float(g @ g), rule)
+        alpha, point, value, _, _ = _armijo(fit_eval, x, g, f(x), float(g @ g), rule)
     except LineSearchError:
         assert expected is None
     else:
@@ -743,7 +743,7 @@ def test_fit_step_first_tries_no_more_than_the_step_above_first(
     above_first_backtracking(above_eval, x, g, f(x), float(g @ g), rule)
     fit_eval, fit_calls = counted(f)
     try:
-        alpha, point, value, late = _armijo(fit_eval, x, g, f(x), float(g @ g), rule)
+        alpha, point, value, late, _ = _armijo(fit_eval, x, g, f(x), float(g @ g), rule)
     except LineSearchError:
         assert expected is None
     else:
@@ -817,8 +817,8 @@ def test_look_ahead_after_the_fit_step(above_value, look, tried, accepted, late)
         return {1.0: 1e6, ABOVE: above_value}.get(steps[-1], -steps[-1])
 
     steps = []
-    alpha, point, value, got_late = _armijo(evaluate, np.zeros(1), np.ones(1), 0.0, 1.0,
-                                            ArmijoStep(), may_look=lambda value: look)
+    alpha, point, value, got_late, _ = _armijo(evaluate, np.zeros(1), np.ones(1), 0.0, 1.0,
+                                               ArmijoStep(), may_look=lambda value: look)
     assert steps == tried
     assert (alpha, point[0], value, got_late) == (accepted, -accepted, -accepted, late)
 
@@ -849,8 +849,8 @@ def test_search_from_any_start_accepts_plain_backtracking_step_on_convex_quadrat
         pass
     start_eval, start_calls = counted(f)
     try:
-        alpha, point, value, _ = _armijo(start_eval, x, g, f(x), float(g @ g), rule,
-                                         start=start)
+        alpha, point, value, _, _ = _armijo(start_eval, x, g, f(x), float(g @ g), rule,
+                                            start=start)
     except LineSearchError:
         assert expected is None
     else:
@@ -874,7 +874,7 @@ def scripted_start(values, start, look=True):
                            may_look=lambda value: look, start=start)
     except LineSearchError:
         return tried, None
-    return tried, (accepted[0], accepted[3], accepted.index)
+    return tried, (accepted[0], accepted[3], accepted[4])
 
 
 def line(curvature):
@@ -936,19 +936,35 @@ def test_start_trial_on_the_decrease_bound_is_taken(shrink, c1, alpha_init):
             return -(c1 * tried[-1] * 1.0)
 
         accepted = _armijo(evaluate, np.zeros(1), np.ones(1), 0.0, 1.0, rule, start=start)
-        assert (len(tried), accepted[0], accepted[3], accepted.index) == (
+        assert (len(tried), accepted[0], accepted[3], accepted[4]) == (
             1, tried[0], 0, start), start
 
 
 def arbitrary_line(data, f0, decrease, c1):
     """A value for each grid step n of size alpha, ``value(n, alpha)``:
-    a table with NaNs and infinities, a cubic, a line whose rise over
-    f0 - alpha decrease is at rounding level, or the decrease bound itself."""
-    kind = data.draw(st.sampled_from(["table", "cubic", "rounding", "bound"]), label="kind")
+    a table with NaNs and infinities, a table of margins over the decrease
+    bound, a cubic, a line whose rise over f0 - alpha decrease is at
+    rounding level, or the decrease bound itself."""
+    kind = data.draw(st.sampled_from(["table", "margins", "cubic", "rounding", "bound"]),
+                     label="kind")
     if kind == "table":
         offsets = data.draw(st.lists(st.one_of(st.floats(), st.just(math.nan)),
                                      min_size=60, max_size=60), label="offsets")
         return lambda n, alpha: f0 + offsets[n]
+    if kind == "margins":
+        # Each step passes or fails by a margin, in units of alpha decrease,
+        # drawn when it is first valued: a fit through a failing trial can
+        # send the search down the grid, and a second fit through a passing
+        # one back up a step.
+        margins = {}
+
+        def value(n, alpha):
+            if n not in margins:
+                margins[n] = data.draw(st.sampled_from([-1.0, 1.0, 1e3, math.nan]),
+                                       label=f"margin {n}")
+            return f0 - c1 * alpha * decrease + margins[n] * alpha * decrease
+
+        return value
     if kind == "cubic":
         a, b = data.draw(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), label="a, b")
         return lambda n, alpha: f0 - alpha * decrease + a * alpha ** 2 + b * alpha ** 3
@@ -1006,8 +1022,7 @@ def test_search_invariants_on_arbitrary_lines(data, alpha_init, shrink, c1, max_
         if accepted is None:
             assert search(0)[1] is None
             continue
-        alpha, point, found, late = accepted[:4]
-        index = accepted.index
+        alpha, point, found, late, index = accepted
         assert index == grid[alpha] and index in tried
         assert late == len(tried) - 1 - tried.index(index)
         assert point.tobytes() == (np.zeros(1) - alpha * np.ones(1)).tobytes()
