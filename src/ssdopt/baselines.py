@@ -28,8 +28,8 @@ def run_fd_gd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:
     are ignored.  The theoretical step reduces to 1 / lambda."""
 
     def propose(x, k, fx):
-        g, fx = full_gradient_fd(obj, x, cfg.fd, return_value=True, fx=fx)
-        return g, float(g @ g), fx
+        g = full_gradient_fd(obj, x, cfg.fd, fx=fx)
+        return g, float(g @ g)
 
     return _drive(obj, x0, cfg, obj.d, propose)
 
@@ -61,7 +61,7 @@ def _bfgs_propose(obj: Objective, cfg: SsdConfig) -> Propose:
 
     def propose(x, k, fx):
         nonlocal H, last
-        g, fx = full_gradient_fd(obj, x, cfg.fd, return_value=True, fx=fx)
+        g = full_gradient_fd(obj, x, cfg.fd, fx=fx)
         if last is not None:
             _bfgs_update(H, x - last[0], g - last[1])
         last = (x, g)
@@ -72,7 +72,7 @@ def _bfgs_propose(obj: Objective, cfg: SsdConfig) -> Propose:
             H = np.eye(obj.d)
             direction = g.copy()
             decrease = float(g @ g)
-        return direction, decrease, fx
+        return direction, decrease
 
     return propose
 

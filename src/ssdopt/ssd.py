@@ -17,20 +17,20 @@ plan and budget and its changing iterate and trace are one ``_Run``.
 ``_Run.admit`` admits every step, ``_Run.evaluate`` admits and charges each
 single evaluation made outside the oracle, and ``_Run.record`` is where a
 value at a new iterate is checked to be finite, enters the trace, becomes
-current and is tested against the target.  The driver checks the config
-with ``SsdConfig.check`` (no runner checks its own; ``_single_step`` checks
-for the one-step hooks), charges the first evaluation, steps through
-``_loop`` with the solver's direction proposer, and ends the run with its
-terminal status.  A proposer takes the iterate, the step index and the
-value at the iterate, and returns ``(direction, decrease, f(x) or None)``;
-the loop takes the direction norm itself.  From its start evaluation on, a
-run knows f at its iterate: Armijo's accepted trial is the new iterate as
-evaluated, and a fixed-rule step evaluates its new iterate at once.  So
-forward differences evaluate each iterate once, as the base of the next
-probe set.  ``run_ssd`` proposes sketched directions, the baselines
-propose full-gradient and quasi-Newton ones, and the variance-reduced
-solver runs its anchored epochs inside the same driver, one ``_loop`` call
-per epoch.
+current and is tested against the target.  A ``_Run`` checks the config
+with ``SsdConfig.check`` when it is made (no runner checks its own).  The
+driver charges the first evaluation, steps through ``_loop`` with the
+solver's direction proposer, and ends the run with its terminal status;
+the one-step hooks are runs of at most one step.  A proposer takes the
+iterate, the step index and the value at the iterate, and returns
+``(direction, decrease)``; the loop takes the direction norm itself.  From
+its start evaluation on, a run knows f at its iterate: Armijo's accepted
+trial is the new iterate as evaluated, and a fixed-rule step evaluates its
+new iterate at once.  So forward differences evaluate each iterate once,
+as the base of the next probe set.  ``run_ssd`` proposes sketched
+directions, the baselines propose full-gradient and quasi-Newton ones, and
+the variance-reduced solver runs its anchored epochs inside the same
+driver, one ``_loop`` call per epoch.
 """
 
 from __future__ import annotations
@@ -222,14 +222,6 @@ def convex_bound(ell: int, d: int, lam: float, radius: float, k: int) -> float:
 # run machinery shared with the variance-reduced solver and the baselines
 
 
-def _fixed_alpha(rule: StepRule, obj: Objective, ell: int) -> Optional[float]:
-    if isinstance(rule, FixedStep):
-        return rule.alpha
-    if isinstance(rule, TheoreticalStep):
-        return theoretical_step(ell, obj.d, obj.lipschitz_constant)
-    return None
-
-
 class _TargetReached(Exception):
     """Raised by :meth:`_Run.record` once a recorded value meets the target."""
 
@@ -237,8 +229,9 @@ class _TargetReached(Exception):
 class _Run:
     """One run: a plan fixed when it is made (step rule, ``step_cost``,
     target, budget) and an iterate that changes, ``x`` after ``k`` steps.
+    Making it checks ``cfg`` against ``obj`` and the start point ``x0``.
 
-    Its value ``f`` is known from the start evaluation on: every step that
+    Its value ``f`` is known from :meth:`begin` on: every step that
     moves ``x`` records the new value with it in ``entries``.  A known ``f``
     is the base value of the next forward probe set, so that set evaluates
     only its shifted points; ``step_cost`` counts those.  ``n`` is the grid
@@ -246,16 +239,24 @@ class _Run:
     the first), where the next fitted search starts.
     """
 
-    def __init__(self, obj: Objective, cfg: SsdConfig, n_dirs: int, x: np.ndarray):
+    def __init__(self, obj: Objective, cfg: SsdConfig, n_dirs: int, x0):
+        cfg.check(obj)
         self.obj = obj
         self.rule = cfg.step_rule
-        self.alpha_fixed = _fixed_alpha(cfg.step_rule, obj, n_dirs)
+        self.alpha_fixed: Optional[float] = None
+        if isinstance(self.rule, FixedStep):
+            self.alpha_fixed = self.rule.alpha
+        elif isinstance(self.rule, TheoreticalStep):
+            self.alpha_fixed = theoretical_step(n_dirs, obj.d, obj.lipschitz_constant)
         self.step_cost = _step_cost(cfg, n_dirs)
         self.target = cfg.target_value
         self.start = obj.eval_count
         self.limit = cfg.eval_budget
         self.entries: List[TraceEntry] = []
-        self.x = x
+        self.x = np.array(x0, dtype=float)
+        if self.x.shape != (obj.d,):
+            raise ConfigurationError(
+                f"initial point has shape {self.x.shape}, objective expects ({obj.d},)")
         self.f: Optional[float] = None
         self.k = 0
         self.n = 0
@@ -276,6 +277,10 @@ class _Run:
         """Admit and charge one evaluation of f at ``x``; its value is not checked."""
         self.ensure(1)
         return self.obj.evaluate(x)
+
+    def begin(self) -> None:
+        """Charge and record the value at the start point, with no step."""
+        self.record(self.evaluate(self.x), 0.0, 0.0, self.used())
 
     def record(self, f: float, step: float, dirnorm: float, evals: int) -> None:
         """Enter iterate ``k`` with value ``f`` at ``evals`` charged
@@ -417,9 +422,8 @@ def _armijo(evaluate: Callable[[np.ndarray], float], x, direction, f0, decrease,
     raise LineSearchError(f"no sufficient decrease within {last} backtracks")
 
 
-# propose(x, k, f(x)) -> (direction g, decrease for the Armijo test, f(x) or None);
-# _loop ignores the returned f(x), which only the one-step hooks read.
-Propose = Callable[[np.ndarray, int, float], Tuple[np.ndarray, float, Optional[float]]]
+# propose(x, k, f(x)) -> (direction g, decrease for the Armijo test).
+Propose = Callable[[np.ndarray, int, float], Tuple[np.ndarray, float]]
 
 
 def _loop(run: _Run, stop_k: int, propose: Propose, fit: bool = True) -> None:
@@ -436,11 +440,11 @@ def _loop(run: _Run, stop_k: int, propose: Propose, fit: bool = True) -> None:
     value.  An Armijo entry counts up to its accepted trial; trials
     evaluated after it are left to the next entry.  Every stop
     (the target, the budget, a failed line search or evaluation) is raised
-    to :func:`_drive`, which turns it into a status.
+    to the caller; :func:`_drive` turns it into a status.
     """
     while run.k < stop_k:
         run.admit()
-        g, decrease, _ = propose(run.x, run.k, run.f)
+        g, decrease = propose(run.x, run.k, run.f)
         if run.alpha_fixed is None:
             alpha, run.x, f_new, late, run.n = _armijo(
                 run.evaluate, run.x, g, run.f, decrease, run.rule, fit, run.may_look,
@@ -454,54 +458,44 @@ def _loop(run: _Run, stop_k: int, propose: Propose, fit: bool = True) -> None:
         run.record(f_new, alpha, math.sqrt(g.dot(g)), evals)
 
 
-def _start_point(obj: Objective, x0) -> np.ndarray:
-    x = np.array(x0, dtype=float)
-    if x.shape != (obj.d,):
-        raise ConfigurationError(
-            f"initial point has shape {x.shape}, objective expects ({obj.d},)"
-        )
-    return x
-
-
 def _step_cost(cfg: SsdConfig, n_dirs: int) -> int:
     """Evaluations one oracle call over ``n_dirs`` directions charges when
     f at its point is known."""
     return {"forward": n_dirs, "centered": 2 * n_dirs, "exact": 0}[cfg.fd.kind]
 
 
-def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng, fx=None):
-    """Proposal ``(P s, s^T s, f(x) or None)`` for a sketch drawn from ``rng``
-    (an :class:`RngStream` or a positioned :class:`SketchStream`); ``fx`` is
-    f(x) when known."""
+def _sketched_direction(obj: Objective, x, cfg: SsdConfig, rng, fx):
+    """Proposal ``(P s, s^T s)`` for a sketch drawn from ``rng`` (an
+    :class:`RngStream` or a positioned :class:`SketchStream`); ``fx`` is
+    f(x), the base value of forward probes."""
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
-    s, fx = directional_derivatives(obj, x, P, cfg.fd, return_value=True, fx=fx)
-    return P.matrix @ s, float(s @ s), fx
+    s = directional_derivatives(obj, x, P, cfg.fd, fx=fx)
+    return P.matrix @ s, float(s @ s)
 
 
 def _single_step(obj: Objective, x, cfg: SsdConfig, iteration: int, direction,
-                 fit: bool = True):
-    """One step outside a run, for the diagnostic hooks.
+                 fit: bool = True, extra_dirs: int = 0):
+    """A run of at most one step from ``x``, for the diagnostic hooks.
 
-    ``direction(x)`` returns a proposal as :data:`Propose` does; the step
-    rule then moves along it without a budget, with the quadratic fit of
-    :func:`_armijo` when ``fit`` holds; an Armijo search starts at
-    ``alpha_init``, as it has no previous step.  Returns ``(x_next, entry)``
-    with the evaluations charged by this call.
+    It records f(x) as entry ``iteration - 1`` and takes one :func:`_loop`
+    step along ``direction(x, f(x))``, a ``(direction, decrease)`` pair;
+    ``extra_dirs`` more directions that the proposal differences are
+    admitted before it is made.  Returns ``(x_next, last entry)``; a met
+    target returns normally, the other stops are raised.
     """
-    cfg.check(obj)
-    x = _start_point(obj, x)
-    before = obj.eval_count
-    g, decrease, fx = direction(x)
-    alpha = _fixed_alpha(cfg.step_rule, obj, cfg.ell)
-    if alpha is None:
-        f0 = fx if fx is not None else obj.evaluate(x)
-        alpha, x_next, f_entry = _armijo(obj.evaluate, x, g, f0, decrease, cfg.step_rule,
-                                         fit)[:3]
-    else:
-        x_next, f_entry = x - alpha * g, (fx if fx is not None else math.nan)
-    entry = TraceEntry(iteration, obj.eval_count - before, float(f_entry), alpha,
-                       math.sqrt(g.dot(g)))
-    return x_next, entry
+    run = _Run(obj, cfg, cfg.ell, x)
+    run.k = iteration - 1
+
+    def propose(x, k, fx):
+        run.admit(_step_cost(cfg, extra_dirs))
+        return direction(x, fx)
+
+    try:
+        run.begin()
+        _loop(run, iteration, propose, fit)
+    except _TargetReached:
+        pass
+    return run.x, run.entries[-1]
 
 
 def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
@@ -511,8 +505,8 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
 
     Each step differences ``n_dirs`` directions (``ell`` sketched or ``d``
     coordinate ones), which sets its evaluation cost and the theoretical
-    step.  The driver checks ``cfg`` against ``obj``, builds the
-    :class:`_Run`, charges the first evaluation, then steps through
+    step.  The driver builds the :class:`_Run`, which checks ``cfg``
+    against ``obj``, charges the first evaluation, then steps through
     :func:`_loop` with ``propose``; a solver with its own outer structure
     passes ``epochs`` instead, which continues the started run.  The four
     stops (target, budget, line search, evaluation) are raised anywhere in
@@ -520,11 +514,9 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
     is ``max_iters``.  Every entry's value is known when it is recorded, so
     nothing is evaluated after the stepping ends.
     """
-    cfg.check(obj)
-    run = _Run(obj, cfg, n_dirs, _start_point(obj, x0))
+    run = _Run(obj, cfg, n_dirs, x0)
     try:
-        f0 = run.evaluate(run.x)
-        run.record(f0, 0.0, 0.0, run.used())
+        run.begin()
         if epochs is None:
             _loop(run, cfg.max_iters, propose)
         else:
@@ -544,14 +536,15 @@ def _drive(obj: Objective, x0, cfg: SsdConfig, n_dirs: int,
 def ssd_step(obj: Objective, x, cfg: SsdConfig, rng: RngStream, iteration: int = 0):
     """One sketched descent step with an explicitly supplied stream.
 
-    Diagnostic hook: returns ``(x_next, entry)`` where the entry records the
-    evaluations charged by this call, the step size, and the direction norm.
-    Its f field is the best value available (the accepted point for Armijo,
-    the base point for shared forward differences, NaN otherwise);
-    :func:`run_ssd` builds properly aligned traces.
+    Diagnostic hook: a run of at most one step from ``x``, whose
+    ``(x_next, entry)`` it returns; the entry, labelled ``iteration``, is
+    the one :func:`run_ssd` records, with f the value at ``x_next``.  f(x)
+    and a fixed rule's new value are charged within ``cfg.eval_budget``; a
+    target met at ``x`` returns the start entry, labelled ``iteration - 1``,
+    and the run's other stops are raised.
     """
     return _single_step(obj, x, cfg, iteration,
-                        lambda x: _sketched_direction(obj, x, cfg, rng))
+                        lambda x, fx: _sketched_direction(obj, x, cfg, rng, fx))
 
 
 def run_ssd(obj: Objective, x0, cfg: SsdConfig) -> RunTrace:

@@ -186,9 +186,9 @@ def rate_bound_vrssd(alpha: float, gamma: float, lam: float, m: int, rho: float,
     raise ConfigurationError(f"part must be 'i' or 'ii', got {part!r}")
 
 
-def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng, fx=None, g_full=None):
-    """Proposal ``(v, s^T s, f(x) or None, full gradient or None)`` for a
-    sketch drawn from ``rng``; ``fx`` is f(x) when known.
+def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng, fx, g_full=None):
+    """Proposal ``(v, s^T s, full gradient or None)`` for a sketch drawn
+    from ``rng``; ``fx`` is f(x).
 
     The exact eta mode adds a full gradient from ``cfg.fd`` to the sketched
     derivatives, charged as the run's step cost counts it (nothing when the
@@ -197,7 +197,7 @@ def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng, fx=None, g
     the caller already has it at ``x``; the gradient used is returned last.
     """
     P = draw(cfg.distribution, obj.d, cfg.ell, rng)
-    s_vec, fx = directional_derivatives(obj, x, P, cfg.fd, return_value=True, fx=fx)
+    s_vec = directional_derivatives(obj, x, P, cfg.fd, fx=fx)
     t = P.apply_transpose(anchor.gradient)
     if cfg.eta_mode == "exact":
         if g_full is None:
@@ -206,21 +206,23 @@ def _vr_direction(obj, x, anchor: AnchorState, cfg: VrssdConfig, rng, fx=None, g
     else:
         eta = eta_value(cfg.eta_mode, s_vec, t, anchor.gradient)
     v = P.apply(s_vec - eta * t) + eta * anchor.gradient
-    return v, float(s_vec @ s_vec), fx, g_full
+    return v, float(s_vec @ s_vec), g_full
 
 
 def vrssd_inner_step(obj: Objective, x, anchor: AnchorState, cfg: VrssdConfig,
                      rng: RngStream, iteration: int = 0):
     """One variance-reduced step with an explicitly supplied stream.
 
-    Diagnostic hook mirroring :func:`ssdopt.ssd.ssd_step`; returns
-    ``(x_next, entry)``.  Armijo fits its first rejected trial only with
-    ``eta_mode="zero"``, where s^T s is the slope along v.
+    Diagnostic hook: a one-step run as :func:`ssdopt.ssd.ssd_step` is, whose
+    exact-eta full gradient at ``x`` is admitted before the sketch is drawn.
+    Armijo fits its first rejected trial only with ``eta_mode="zero"``,
+    where s^T s is the slope along v.
     """
     _check_vrssd_config(cfg, "vrssd_inner_step")
     return _single_step(obj, x, cfg, iteration,
-                        lambda x: _vr_direction(obj, x, anchor, cfg, rng)[:3],
-                        fit=cfg.eta_mode == "zero")
+                        lambda x, fx: _vr_direction(obj, x, anchor, cfg, rng, fx)[:2],
+                        fit=cfg.eta_mode == "zero",
+                        extra_dirs=obj.d if cfg.eta_mode == "exact" else 0)
 
 
 def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
@@ -268,13 +270,13 @@ def run_vrssd(obj: Objective, x0, cfg: VrssdConfig) -> RunTrace:
                 if k > start and cfg.eta_mode == "exact":
                     # Any other step takes its own, so it costs an anchor more.
                     run.admit(anchor_cost)
-                v, decrease, _, g_full = _vr_direction(obj, x, anchor, cfg, stream.at(k), fx,
-                                                       g_full)
+                v, decrease, g_full = _vr_direction(obj, x, anchor, cfg, stream.at(k), fx,
+                                                    g_full)
                 if k == restart_k:
                     # The restart point, with its value and (exact eta) its
                     # full gradient; inner iterate m is where the epoch ends.
                     restart = x, fx, g_full
-                return v, decrease, fx
+                return v, decrease
 
             # With eta != 0, s^T s is not the slope of f along v: plain backtracking.
             _loop(run, min(end, cfg.max_iters), propose, fit=cfg.eta_mode == "zero")

@@ -6,7 +6,9 @@ exercise whole solver runs) and derandomizes so CI failures replay exactly.
 property instead of 100.
 
 ``child_env`` builds the environment of every ``python -m ssdopt`` child the
-CLI tests start in a fresh working directory.
+CLI tests start in a fresh working directory.  ``pin_note`` is the failure
+message of every pinned digest: it names the OpenBLAS kernel the process
+loaded, since the pins hold bit for bit only on the kernel they were made on.
 """
 
 import os
@@ -39,3 +41,30 @@ def child_env(env_extra=None):
     if env_extra:
         env.update(env_extra)
     return env
+
+
+def blas_core():
+    """The core of numpy's bundled OpenBLAS that this process loaded, for
+    example ``"SkylakeX"``, read with ``ctypes`` from
+    ``scipy_openblas_get_corename64_``; None when no bundled library has
+    that symbol."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def pin_note():
+    """Failure message for a pinned digest: the pins were made on the
+    SkylakeX kernel, and another kernel can round in the last bit."""
+    return f"OpenBLAS core {blas_core()}; the pins were made on SkylakeX"

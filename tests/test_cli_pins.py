@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env
+from conftest import child_env, pin_note
 
 FRACTION_INI = """\
 [experiment]
@@ -412,8 +412,8 @@ def test_output_is_pinned(results, name):
     res, digests = results[name]
     _, stdout, files = CASES[name]
     assert (res.returncode, res.stderr) == (0, "")
-    assert res.stdout == stdout
-    assert digests == files
+    assert res.stdout == stdout, pin_note()
+    assert digests == files, pin_note()
 
 
 def test_readme_run_example_is_the_pinned_readme_run():

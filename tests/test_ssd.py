@@ -35,7 +35,7 @@ from ssdopt import (
     theoretical_step,
     vrssd_inner_step,
 )
-from ssdopt.errors import LineSearchError
+from ssdopt.errors import BudgetError, LineSearchError
 from ssdopt.ssd import TraceEntry, _armijo
 
 
@@ -183,7 +183,7 @@ class TestSingleStep:
         assert entry.step == 0.1
         assert entry.dirnorm > 0.0
         assert x1.shape == (4,)
-        assert obj.eval_count == 3
+        assert obj.eval_count == 4  # and the new iterate's value
 
     def test_stationary_point_is_fixed(self):
         obj = isotropic_quadratic(4)
@@ -940,38 +940,66 @@ def test_start_trial_on_the_decrease_bound_is_taken(shrink, c1, alpha_init):
             1, tried[0], 0, start), start
 
 
-def arbitrary_line(data, f0, decrease, c1):
+LINE_KINDS = ["table", "margins", "cubic", "rounding", "bound", "look-ahead"]
+
+
+def arbitrary_line(data, kind, f0, decrease, rule):
     """A value for each grid step n of size alpha, ``value(n, alpha)``:
     a table with NaNs and infinities, a table of margins over the decrease
     bound, a cubic, a line whose rise over f0 - alpha decrease is at
-    rounding level, or the decrease bound itself."""
-    kind = data.draw(st.sampled_from(["table", "margins", "cubic", "rounding", "bound"]),
-                     label="kind")
+    rounding level, the decrease bound itself, or a line along which the
+    search from step 0 evaluates a look-ahead."""
+    c1 = rule.c1
     if kind == "table":
         offsets = data.draw(st.lists(st.one_of(st.floats(), st.just(math.nan)),
                                      min_size=60, max_size=60), label="offsets")
         return lambda n, alpha: f0 + offsets[n]
-    if kind == "margins":
+    margins = {}
+
+    def margin_line(n, alpha):
         # Each step passes or fails by a margin, in units of alpha decrease,
         # drawn when it is first valued: a fit through a failing trial can
         # send the search down the grid, and a second fit through a passing
         # one back up a step.
-        margins = {}
+        if n not in margins:
+            margins[n] = data.draw(st.sampled_from([-1.0, 1.0, 1e3, math.nan]),
+                                   label=f"margin {n}")
+        return f0 - c1 * alpha * decrease + margins[n] * alpha * decrease
 
-        def value(n, alpha):
-            if n not in margins:
-                margins[n] = data.draw(st.sampled_from([-1.0, 1.0, 1e3, math.nan]),
-                                       label=f"margin {n}")
-            return f0 - c1 * alpha * decrease + margins[n] * alpha * decrease
-
-        return value
+    if kind == "margins":
+        return margin_line
     if kind == "cubic":
         a, b = data.draw(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), label="a, b")
         return lambda n, alpha: f0 - alpha * decrease + a * alpha ** 2 + b * alpha ** 3
     if kind == "rounding":
         ulps = data.draw(st.integers(-2 ** 14, 2 ** 14), label="ulps")
         return lambda n, alpha: f0 - alpha * decrease + ulps * math.ulp(f0)
-    return lambda n, alpha: f0 - c1 * alpha * decrease
+    if kind == "bound":
+        return lambda n, alpha: f0 - c1 * alpha * decrease
+    # Four things drawn as one unit, which margins alone rarely line up: a
+    # rejected first trial at step 0, whose fit puts its largest acceptable
+    # step between grid steps land > 1 and land - 1, so the search skips to
+    # land; a landing step that passes; and a curvature through it at most
+    # 0.9 of what would rule out step land - 1, so a second fit allows that
+    # step, which passes or fails by a drawn margin.  Other steps take margins.
+    land = data.draw(st.integers(2, max(2, rule.max_backtracks - 1)), label="landing step")
+    up = rule.alpha_init
+    for _ in range(land - 1):
+        up *= rule.shrink
+    limit = math.sqrt(up * (up * rule.shrink))  # between steps land - 1 and land
+    share = data.draw(st.floats(0.0, 0.9), label="landing curvature share")
+    look = data.draw(st.sampled_from([-1.0, 1.0, math.nan]), label="look-ahead margin")
+
+    def value(n, alpha):
+        if n == 0:
+            return f0 - alpha * decrease + (1 - c1) * decrease / limit * alpha ** 2
+        if n == land:
+            return f0 - alpha * decrease + share * (1 - c1) * decrease / up * alpha ** 2
+        if n == land - 1:
+            return f0 - c1 * alpha * decrease + look * alpha * decrease
+        return margin_line(n, alpha)
+
+    return value
 
 
 @given(data=st.data(),
@@ -994,7 +1022,11 @@ def test_search_invariants_on_arbitrary_lines(data, alpha_init, shrink, c1, max_
     grid, alpha = {}, alpha_init
     for n in range(max_backtracks):
         grid[alpha], alpha = n, alpha * shrink
-    value = arbitrary_line(data, f0, decrease, c1)
+    kind = data.draw(st.sampled_from(LINE_KINDS), label="kind")
+    if kind == "look-ahead":
+        # Only a fitted search along a positive slope reads a fit.
+        decrease, fit = data.draw(st.floats(1e-3, 1e6), label="slope"), True
+    value = arbitrary_line(data, kind, f0, decrease, rule)
     start = data.draw(st.integers(min_value=0, max_value=max_backtracks - 1), label="start")
 
     def search(first):
@@ -1082,6 +1114,100 @@ def test_one_step_hooks_start_at_step_zero(monkeypatch):
         vrssd_inner_step(obj, x, anchor, VrssdConfig(ell=3, eta_mode="zero"), RngStream(5)),
     ])
     assert starts == [0, 0]
+
+
+HOOK_PROBLEMS = {
+    "chain": lambda: nesterov_worst(8.0, 6, 16),
+    "lstsq": lambda: ProblemSpec.make("lstsq", {"m": 10, "d": 16, "rank": 5, "seed": 2}).build(),
+}
+HOOK_RULES = {"fixed": FixedStep(0.02), "theory": TheoreticalStep(), "armijo": ArmijoStep()}
+HOOK_GRID = [(problem, rule, fd, distribution)
+             for problem in HOOK_PROBLEMS for rule in HOOK_RULES
+             for fd in ("forward", "centered", "exact")
+             for distribution in ("haar", "gaussian", "coordinate")]
+
+
+def hook_and_run(problem, cfg):
+    """``ssd_step`` from the start point on the stream a run's step 0 draws,
+    labelled 1, and ``run_ssd`` for one step under the same config: the
+    hook's ``(x_next, entry)`` or its exception, its charge, and the trace."""
+    obj = HOOK_PROBLEMS[problem]()
+    x0 = np.linspace(-1.0, 1.0, obj.d)
+    try:
+        stepped = ssd_step(obj, x0, cfg, RngStream(cfg.seed, 0, 0), iteration=1)
+    except (BudgetError, LineSearchError) as error:
+        stepped = error
+    charged = obj.eval_count
+    return stepped, charged, run_ssd(HOOK_PROBLEMS[problem](), x0, replace(cfg, max_iters=1))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("problem, rule, fd, distribution", HOOK_GRID)
+def test_hook_is_a_one_step_run(problem, rule, fd, distribution, seed):
+    cfg = SsdConfig(ell=3, distribution=distribution, step_rule=HOOK_RULES[rule],
+                    fd=FdScheme(fd), seed=seed)
+    (_, entry), charged, trace = hook_and_run(problem, cfg)
+    assert trace.terminal_status == "max_iters"
+    assert (entry, charged) == (trace.entries[-1], trace.charged)
+
+
+@pytest.mark.parametrize("problem, rule, fd, distribution", HOOK_GRID)
+def test_hook_stops_as_a_one_step_run_does(problem, rule, fd, distribution):
+    # A target met at the start returns the start entry; a budget that the
+    # start fits but the step does not, or a search that fails, raises the
+    # run's stop after charging what the run charges.  The chain's gradient
+    # at the start vanishes off its two ends, so a coordinate sketch can
+    # give a zero direction, along which every step passes.
+    cfg = SsdConfig(ell=3, distribution=distribution, step_rule=HOOK_RULES[rule],
+                    fd=FdScheme(fd))
+    x0 = np.linspace(-1.0, 1.0, 16)
+    f0 = HOOK_PROBLEMS[problem]().evaluate(x0)
+    (x_next, entry), charged, trace = hook_and_run(problem, replace(cfg, target_value=f0))
+    assert (trace.terminal_status, trace.final) == ("target_reached", TraceEntry(0, 1, f0, 0, 0))
+    assert (x_next.tolist(), entry, charged) == (x0.tolist(), trace.final, trace.charged)
+    probes = {"forward": 3, "centered": 6, "exact": 0}[fd]
+    for budget in (1, 1 + probes):
+        error, charged, trace = hook_and_run(problem, replace(cfg, eval_budget=budget))
+        assert isinstance(error, BudgetError), budget
+        assert (trace.terminal_status, charged) == ("budget_exhausted", trace.charged)
+    if rule == "armijo":
+        failing = replace(cfg, step_rule=ArmijoStep(alpha_init=50.0, max_backtracks=1))
+        stepped, charged, trace = hook_and_run(problem, failing)
+        if trace.terminal_status == "line_search_failed":
+            assert isinstance(stepped, LineSearchError)
+        else:
+            assert stepped[1] == trace.final and trace.final.dirnorm == 0.0
+        assert charged == trace.charged
+
+
+@pytest.mark.parametrize("fd", ["forward", "centered"])
+@pytest.mark.parametrize("rule", [FixedStep(0.05), TheoreticalStep(), ArmijoStep()],
+                         ids=["fixed", "theory", "armijo"])
+@pytest.mark.parametrize("hook", ["ssd", "zero", "one", "approx", "exact"])
+def test_no_hook_charges_past_the_budget(hook, rule, fd):
+    # An exact-eta step also takes a full gradient at x, so the hook admits
+    # it before the sketch is drawn, as a run's step off the anchor does.
+    x = np.linspace(-1.0, 1.0, 16)
+    anchor = AnchorState(x + 0.25, nesterov_worst(8.0, 6, 16).reference_gradient(x + 0.25), 2)
+
+    def step(budget):
+        obj = nesterov_worst(8.0, 6, 16)
+        try:
+            if hook == "ssd":
+                ssd_step(obj, x, SsdConfig(ell=2, step_rule=rule, fd=FdScheme(fd),
+                                           eval_budget=budget), RngStream(5, 0, 0))
+            else:
+                cfg = VrssdConfig(ell=2, eta_mode=hook, step_rule=rule, fd=FdScheme(fd),
+                                  eval_budget=budget)
+                vrssd_inner_step(obj, x, anchor, cfg, RngStream(5, 0, 0))
+        except BudgetError:
+            pass
+        return obj.eval_count
+
+    cost = step(10**6)
+    for budget in range(1, cost + 3):
+        assert step(budget) <= budget, f"budget {budget}"
+    assert step(cost) == cost
 
 
 def scripted_line(above_passes):

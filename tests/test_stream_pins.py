@@ -16,6 +16,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import pin_note
+
 from ssdopt import (
     ArmijoStep,
     FdScheme,
@@ -114,7 +116,7 @@ DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_is_unchanged(name):
-    assert digest(name) == DIGESTS[name]
+    assert digest(name) == DIGESTS[name], pin_note()
 
 
 def test_every_case_is_pinned():

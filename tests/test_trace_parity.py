@@ -22,6 +22,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import pin_note
+
 from ssdopt import (
     AnchorState,
     ArmijoStep,
@@ -203,12 +205,12 @@ DIGESTS = {
     "step-ssd-armijo-centered": "a301fedb80a67cb0204143b94e5813fd226d73cca301d6fce24e134d4d3b0aeb",
     "step-ssd-armijo-exact": "e06bd1cc3c0754097d29353ec3a971dfa0d1136c1336e4ea3e812ad552bda5d4",
     "step-ssd-armijo-forward": "852103f58c2bab3878e70b207bb06c9b7fe264699d6dfb683fc952f003c01c19",
-    "step-ssd-fixed-centered": "b8c500cb41edea0b89670cd05cdb8650460f197329d31394beaa3bc37182bdd1",
-    "step-ssd-fixed-exact": "a9f67d31737aa185ec9ea36e5dcc8ce5c8119461265585052303746c059b822d",
-    "step-ssd-fixed-forward": "6c9e5747e67eec4ad6adbba64fa325dad9dd9acd97d758f0b0cd18bc9dc58322",
-    "step-ssd-theory-centered": "830e8d12b0970ecd4075d8bb478f9bb94eedc37b284308c5739a8975a1387fc0",
-    "step-ssd-theory-exact": "7e79501c0e97da7f5c83f748a50aa9c0cbb493b6d937edabf35a0edbb4a4c8f2",
-    "step-ssd-theory-forward": "34c4977a58dc7dd2c88e59e5044b220fc8f1be5478c0eac1d366f3576bb2fc4f",
+    "step-ssd-fixed-centered": "385ddee9c563a55deef47d7f66a824a11543376f6cc8326467a67a0d2ee8a843",
+    "step-ssd-fixed-exact": "3c07adf3fb3f10bab52d15574f7f904a185b74d425a45f23057ba52023531470",
+    "step-ssd-fixed-forward": "467ed09552627f50c6f4a8a4ae7759bb6e543007f428d86204f495aff49e3ca3",
+    "step-ssd-theory-centered": "f53a77d5ad6211d5f0fb97691a6cdc9b724494f48ce493a353f5080fde6ef9c7",
+    "step-ssd-theory-exact": "c94db4efb2d92845e0c1700335266adf072ea1e6a8c275ba19654af144667e2d",
+    "step-ssd-theory-forward": "d225445fdcf124699712e2c9fb926ac56d2aa2fead3f41d286caaf75b50e7817",
     "step-vrssd-armijo-centered-approx": "f81f17efdf77481397bb664c5a5d55c6f88bb21e625be4a37ce350fdab446209",
     "step-vrssd-armijo-centered-exact": "91020a56ad337f493bfd623463307013a9bec0ed01f92b47c7e16f4b6768cb0c",
     "step-vrssd-armijo-centered-one": "b0dd181b75db877d00d79a8e62e26ee52e90904875ec87d3c9f2298014867335",
@@ -221,30 +223,30 @@ DIGESTS = {
     "step-vrssd-armijo-forward-exact": "0f0899299b1ff215a510fb426c1acb059f1942f0ccef146d3abd227e6e644d5f",
     "step-vrssd-armijo-forward-one": "2e295ec3c4b60217fade5b124e7b5eb3379e2c426691365127245c4ae68a2a7f",
     "step-vrssd-armijo-forward-zero": "d0187b722c1e56fab8a3a2957f13147ae9a313abd909b9bd058ab6bc4d6230f9",
-    "step-vrssd-fixed-centered-approx": "71cc32a50003c220ec334d7123a4528561e87a8c67e8d80bca6bafe73eac7137",
-    "step-vrssd-fixed-centered-exact": "7dcae381bf5be22e9df8391237d8759a57ae798c4fc9f927686e93e97cae59c6",
-    "step-vrssd-fixed-centered-one": "09c8e7f33163a532df7a6cdd1d35dcb2574bd5f6bd3679780dd389480d72d345",
-    "step-vrssd-fixed-centered-zero": "2df97408ce0faa28516665c6e34cc6ebc5a11a8b9b6379ad2d424fcad5b02717",
-    "step-vrssd-fixed-exact-approx": "55c9279e11166d444c8b4c61c2b2f2824e91d7f3d43dd24c69c42467fe988658",
-    "step-vrssd-fixed-exact-exact": "dd01b60022a5b323bf2fd5fdc3a506e3f7825ad0d11601b3b7a53e000c830f32",
-    "step-vrssd-fixed-exact-one": "cd75ab222f62884054deccbd27e27abc6f54b6dc8f5aa03639a2c93543db76e4",
-    "step-vrssd-fixed-exact-zero": "b847ad34f2aac5459149a8f950fdb1f33e19d0b25a65ec1a6a22613cf6eee6ea",
-    "step-vrssd-fixed-forward-approx": "a433fb1672ba98059d2957e16aa7b51522c70e03a79d9f438c73261d1d17341c",
-    "step-vrssd-fixed-forward-exact": "51524e3a0d5e48dd5252942cbde50ea87a9cfbdd65c9022a5323bb129ae3e649",
-    "step-vrssd-fixed-forward-one": "06af2fadb03210d321c2da930cb5ab9be216cf7c53ac4d854eac8cef9c525094",
-    "step-vrssd-fixed-forward-zero": "478d8d9b996ff7f25fc5b3c15fbcd662dd40ad5d8bdde9070b4580e9f9ce5cfc",
-    "step-vrssd-theory-centered-approx": "c56055e2ba2bcb02067337b0267364ebd496886c3aab40d7565d5d165a2f3a1a",
-    "step-vrssd-theory-centered-exact": "b8e6348de66eff30b9b5264ed446efbd8ffb4ee06d1ed6752c51fc8e5a0aacf1",
-    "step-vrssd-theory-centered-one": "3ab4e24033cdf419c3c68d8854f461f99f6535ff9b34e384c593a7a15ddf2081",
-    "step-vrssd-theory-centered-zero": "b7c7b2851e397b62254aceee89ddfbafbdfb7ee2f367646db789b38d2cd2e663",
-    "step-vrssd-theory-exact-approx": "6c3f9b19c3fc2bf039ad7cbc15d6aa0bc72108cefaec343b4ac22407113107be",
-    "step-vrssd-theory-exact-exact": "d7e8924e64d23557a47bcec1ba9dac25209453f21c6663627bbbc91c32b9f509",
-    "step-vrssd-theory-exact-one": "eeba19aa6a79ffed9e184a8566dc601e5098a342d19989d514871792b5a6d3ed",
-    "step-vrssd-theory-exact-zero": "fab83e8c0912e2b7686a3e36c0e9911f9323aa6719a0a093892ab2d124e6430b",
-    "step-vrssd-theory-forward-approx": "49bb85b9859d6d2cfc18929b950a04574bd0dd5fb6bca3157e948bdd088886fc",
-    "step-vrssd-theory-forward-exact": "21ab9d3d0cfea017a1ca769cf82d315eab920f6249700cc079214da80f90d445",
-    "step-vrssd-theory-forward-one": "3ad786606f1e581ad1f7149cb4e3075f6f89f30d0469889d927e1ebe859648fc",
-    "step-vrssd-theory-forward-zero": "59506d8106d274a63ce68d88da89cf655c75a081d39ba84f37e1f80f6f190051",
+    "step-vrssd-fixed-centered-approx": "0f0fa1d145b4c034dc9b645b128f823808c4ac3c179bacb5023b2a3f15b6bec3",
+    "step-vrssd-fixed-centered-exact": "e7416bf810e5791c089c4c5d44892e9e13675a61e143b0fafff94e9f388cc37a",
+    "step-vrssd-fixed-centered-one": "9a786a37b38d3019773b4b8a9b4f04de6eaeb20fb46edf859901314891fc0913",
+    "step-vrssd-fixed-centered-zero": "8cc766cbafad9ca203babcbaf7a6bf3487ee8f63f888104db848a35fb3d433cf",
+    "step-vrssd-fixed-exact-approx": "5d0bc953e81c32653fc760ff4b160731d51f518bc1c5f4509984a7effd12a18d",
+    "step-vrssd-fixed-exact-exact": "2b7f719994eac57538531f9cc93c3e81825b767a69a9b9596983b5e9d370d867",
+    "step-vrssd-fixed-exact-one": "5368d69864fc77d05b14b3ce1184e8d78baf3779d52de16c195c344006fec819",
+    "step-vrssd-fixed-exact-zero": "953a61106810d32a9e10bc37ee28726537e3a68a0ef4e1df4a590a1a0c7852d7",
+    "step-vrssd-fixed-forward-approx": "e3832d11bd79c5048d51a8ffd0c1317f38e3cea1a79accecc7c50823a3abd25f",
+    "step-vrssd-fixed-forward-exact": "3fa4f48eba52246cad21f9c9c5f628e2908cb98bb6d9c5b86733a27abcb22dbf",
+    "step-vrssd-fixed-forward-one": "a4087e00a53208f7d5b1d96db7938e049c12eac29c95df557d7634fbafc0649a",
+    "step-vrssd-fixed-forward-zero": "0002e6e850256e17bb62d4dff406ed7da71c4b740dd558273ca66875c02c28e5",
+    "step-vrssd-theory-centered-approx": "49cc839640a9a12fef17cac83208f3023b7b70cee6162d3bf65bf4f1f6790111",
+    "step-vrssd-theory-centered-exact": "f4e5a466c38be8601a64584c5f22c4964f343e69fdd2e7ff789c9f4a3bd90529",
+    "step-vrssd-theory-centered-one": "8c3759959a54748bcbd25e8412a387669e89d11ce644898c6e6fc94600b251da",
+    "step-vrssd-theory-centered-zero": "a23fa4f7d858a27828fe04c8965610139f632cb8ee9c3ce2cd2597968125bd57",
+    "step-vrssd-theory-exact-approx": "6587d0bc1677eeeec914adafd8d3184a9e2d225c58d0afda08691522d411f403",
+    "step-vrssd-theory-exact-exact": "44b57e6548dfcbd5beef6f493f1118da9008a9986f8aaa9694117680f87dd46a",
+    "step-vrssd-theory-exact-one": "2dd3adb88bca7c030d8a148df898c60085e52220f57d2f7f8da16c8440425eda",
+    "step-vrssd-theory-exact-zero": "65031099b67f90c06414fe03d551176ea756d8065650b389caaf572d1476ba3e",
+    "step-vrssd-theory-forward-approx": "b1a65415043e51791d7c4ac080fed6f3d62c6fb8ac7e3b61bef83f5ac203880c",
+    "step-vrssd-theory-forward-exact": "59728867d82e9fb1625d9f70b6ed65d98feb48ba3aa347fa73b2f663d268fc4f",
+    "step-vrssd-theory-forward-one": "98a43007568b2398745f5cbd9b521c22b59713eba311dc767bd6b6bf201037eb",
+    "step-vrssd-theory-forward-zero": "682638889e5d217471b4366b03827420bbe0a12f0f424fa610bfb915829468e3",
     "stop-bfgs-budget-below-one-step-armijo": "9ca1b6f9fac575a6a0a5c0087612252aaaf2fa896c08195ab88ab198523d7352",
     "stop-bfgs-budget-mid-step-armijo": "3d585cbfafb336bdd7c5f565e45996c5fdb7d9f5be31f9a9d953d614898da85f",
     "stop-bfgs-line-search-failed-armijo": "54f4b01b523e91672a19703db7b0e5ac0c9e1c45e61c8790dd367f0b7b64522b",
@@ -337,7 +339,7 @@ DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_is_unchanged(name):
-    assert digest(name) == DIGESTS[name]
+    assert digest(name) == DIGESTS[name], pin_note()
 
 
 def test_every_case_is_pinned():
@@ -467,7 +469,7 @@ LAYER_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(LAYER_CASES))
 def test_layer_output_is_unchanged(name):
-    assert layer_digest(name) == LAYER_DIGESTS[name]
+    assert layer_digest(name) == LAYER_DIGESTS[name], pin_note()
 
 
 def test_every_layer_case_is_pinned():

@@ -197,9 +197,10 @@ class TestInnerStep:
         rng = RngStream(4, 0, 9)
         vcfg = VrssdConfig(ell=ell, eta_mode="zero", step_rule=FixedStep(0.1), m=2)
         scfg = SsdConfig(ell=ell, step_rule=FixedStep(0.1))
-        xa, _ = vrssd_inner_step(isotropic_quadratic(d), x, anchor, vcfg, rng)
-        xb, _ = ssd_step(isotropic_quadratic(d), x, scfg, rng)
+        xa, ea = vrssd_inner_step(isotropic_quadratic(d), x, anchor, vcfg, rng)
+        xb, eb = ssd_step(isotropic_quadratic(d), x, scfg, rng)
         assert np.allclose(xa, xb, atol=1e-15)
+        assert ea == eb
 
     def test_full_space_direction_recovers_gradient_all_modes(self):
         d = 6
@@ -251,7 +252,7 @@ class TestInnerStep:
         eta = float(s @ t) / float(g_anchor @ g_anchor)
         v = P.apply(s - eta * t) + eta * g_anchor
         assert np.array_equal(x1, x - alpha * v)
-        assert entry.f == fx
+        assert entry.f == obj.evaluate(x1)
         assert entry.dirnorm == float(np.linalg.norm(v))
         assert entry.evals == ell + 1
 
